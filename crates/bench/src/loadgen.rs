@@ -1042,7 +1042,7 @@ fn audit_stage_domain(domain: &str, stages: &StagesSnapshot, mismatches: &mut Ve
 /// of checks, mirroring [`verify_metrics`]'s counter reconciliation:
 ///
 /// 1. each domain (aggregate + every shard) is internally consistent
-///    ([`audit_stage_domain`]);
+///    (`audit_stage_domain`);
 /// 2. on a sharded server, the per-shard books sum *exactly* — count,
 ///    Σ µs, and bucket by bucket — to the aggregate books;
 /// 3. when `completed` is given (the frames the caller saw replies for),

@@ -142,6 +142,70 @@ impl GeneratorConfig {
         }
     }
 
+    /// Checks every parameter [`build`](GeneratorConfig::build) would
+    /// otherwise reject by panicking, so untrusted recipes can be refused
+    /// up front: `d ≤ n` for the degree-bounded families, Zipf `s ≥ 0`,
+    /// almost-regular `α ≥ 1`, `d_min > 0` and `⌈α·d_min⌉ ≤ n`,
+    /// Erdős–Rényi `p ∈ [0, 1]`, and noisy-master `noise ≥ 0`. Every real
+    /// parameter must also be finite (an infinite `noise` would never
+    /// finish its swaps).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        let degree = |n: usize, d: usize| {
+            if d <= n {
+                Ok(())
+            } else {
+                Err(format!("degree d = {d} cannot exceed n = {n}"))
+            }
+        };
+        let real = |name: &str, value: f64, in_range: bool, expected: &str| {
+            if value.is_finite() && in_range {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite and {expected}, got {value}"))
+            }
+        };
+        match *self {
+            GeneratorConfig::Regular { n, d, .. } | GeneratorConfig::Geometric { n, d, .. } => {
+                degree(n, d)
+            }
+            GeneratorConfig::Zipf { n, d, s, .. } => {
+                degree(n, d)?;
+                real("zipf exponent s", s, s >= 0.0, "nonnegative")
+            }
+            GeneratorConfig::AlmostRegular {
+                n, d_min, alpha, ..
+            } => {
+                real("alpha", alpha, alpha >= 1.0, "at least 1")?;
+                if d_min == 0 {
+                    return Err("d_min must be positive".to_string());
+                }
+                let d_max = (alpha * d_min as f64).ceil() as usize;
+                if d_max > n {
+                    return Err(format!(
+                        "max degree {d_max} (= ceil(alpha * d_min)) cannot exceed n = {n}"
+                    ));
+                }
+                Ok(())
+            }
+            GeneratorConfig::ErdosRenyi { p, .. } => real(
+                "edge probability p",
+                p,
+                (0.0..=1.0).contains(&p),
+                "in [0, 1]",
+            ),
+            GeneratorConfig::NoisyMaster { noise, .. } => {
+                real("noise", noise, noise >= 0.0, "nonnegative")
+            }
+            GeneratorConfig::Complete { .. }
+            | GeneratorConfig::Chain { .. }
+            | GeneratorConfig::MasterList { .. } => Ok(()),
+        }
+    }
+
     /// The family name (the serialized enum tag, lowercased for display).
     pub fn family(&self) -> &'static str {
         match self {
@@ -266,6 +330,117 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 9, "9 distinct families: {families:?}");
+    }
+
+    #[test]
+    fn validate_accepts_every_family_and_refuses_what_build_would_panic_on() {
+        for n in [1, 2, 8] {
+            for config in GeneratorConfig::all_families(n, 3) {
+                assert_eq!(config.validate(), Ok(()), "{config}");
+            }
+        }
+        let panicking = [
+            GeneratorConfig::Regular {
+                n: 4,
+                d: 10,
+                seed: 1,
+            },
+            GeneratorConfig::Geometric {
+                n: 4,
+                d: 5,
+                seed: 1,
+            },
+            GeneratorConfig::Zipf {
+                n: 4,
+                d: 5,
+                s: 1.0,
+                seed: 1,
+            },
+            GeneratorConfig::Zipf {
+                n: 4,
+                d: 2,
+                s: -1.0,
+                seed: 1,
+            },
+            GeneratorConfig::Zipf {
+                n: 4,
+                d: 2,
+                s: f64::NAN,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 2,
+                alpha: 0.5,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 2,
+                alpha: f64::NAN,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 0,
+                alpha: 2.0,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 3,
+                alpha: 3.0,
+                seed: 1,
+            },
+            GeneratorConfig::ErdosRenyi {
+                num_women: 3,
+                num_men: 3,
+                p: 1.5,
+                seed: 1,
+            },
+            GeneratorConfig::ErdosRenyi {
+                num_women: 3,
+                num_men: 3,
+                p: f64::NAN,
+                seed: 1,
+            },
+            GeneratorConfig::NoisyMaster {
+                n: 4,
+                noise: -0.5,
+                seed: 1,
+            },
+            GeneratorConfig::NoisyMaster {
+                n: 4,
+                noise: f64::NAN,
+                seed: 1,
+            },
+        ];
+        for config in panicking {
+            assert!(config.validate().is_err(), "{config}");
+            let built = std::panic::catch_unwind(|| config.build());
+            assert!(
+                built.is_err(),
+                "{config} builds, so validate must accept it"
+            );
+        }
+        // Infinite noise passes the generator's assert but would never
+        // finish its swaps, so it is refused without building.
+        let endless = GeneratorConfig::NoisyMaster {
+            n: 4,
+            noise: f64::INFINITY,
+            seed: 1,
+        };
+        assert!(endless.validate().is_err());
+        // The almost-regular band is checked exactly as the generator
+        // computes it: ceil(1.5 · 3) = 5 fits n = 5.
+        let edge = GeneratorConfig::AlmostRegular {
+            n: 5,
+            d_min: 3,
+            alpha: 1.5,
+            seed: 1,
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        edge.build();
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub const METRICS_SCHEMA: u64 = 1;
 /// bucket, which absorbs everything ≥ `2^39` µs (~6 days — effectively ∞).
 const LATENCY_BUCKETS: usize = 40;
 
-/// The service's live counters. One instance is shared by every
-/// connection thread and worker; all methods take `&self`.
-#[derive(Debug)]
+/// The service's live counters. One instance is shared by the reactor
+/// and every worker; all methods take `&self`.
+#[derive(Debug, Default)]
 pub struct Metrics {
     /// Frames received (any outcome, including malformed).
     pub received: AtomicU64,
@@ -119,40 +119,7 @@ pub struct Metrics {
     /// Σ propose-accept rounds over cold resolves.
     pub cold_rounds_total: AtomicU64,
     /// Enqueue→reply latency histogram (µs, log₂ buckets).
-    latency: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            received: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            solved: AtomicU64::new(0),
-            analyzed: AtomicU64::new(0),
-            health: AtomicU64::new(0),
-            metrics: AtomicU64::new(0),
-            shutdown: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            rounds_total: AtomicU64::new(0),
-            messages_total: AtomicU64::new(0),
-            blocking_pairs_total: AtomicU64::new(0),
-            matched_total: AtomicU64::new(0),
-            markets_created: AtomicU64::new(0),
-            markets_dropped: AtomicU64::new(0),
-            market_mutations: AtomicU64::new(0),
-            warm_resolves: AtomicU64::new(0),
-            cold_resolves: AtomicU64::new(0),
-            market_fallbacks: AtomicU64::new(0),
-            warm_rounds_total: AtomicU64::new(0),
-            cold_rounds_total: AtomicU64::new(0),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    latency: StageBook,
 }
 
 impl Metrics {
@@ -178,15 +145,14 @@ impl Metrics {
 
     /// Records one completed job's enqueue→reply latency.
     pub fn observe_latency_us(&self, micros: u64) {
-        let bucket = latency_bucket(micros);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency.observe(micros);
     }
 
     /// Takes a point-in-time snapshot. The `shards` array starts empty;
     /// a sharded service appends its [`ShardSnapshot`]s before replying.
     pub fn snapshot(&self, queue_depth: u64, cache_entries: u64) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let buckets: Vec<u64> = self.latency.iter().map(load).collect();
+        let latency = self.latency.snapshot();
         let hits = load(&self.cache_hits);
         let misses = load(&self.cache_misses);
         let lookups = hits + misses;
@@ -216,9 +182,9 @@ impl Metrics {
             messages_total: load(&self.messages_total),
             blocking_pairs_total: load(&self.blocking_pairs_total),
             matched_total: load(&self.matched_total),
-            latency_p50_us: bucket_quantile(&buckets, 0.50),
-            latency_p95_us: bucket_quantile(&buckets, 0.95),
-            latency_p99_us: bucket_quantile(&buckets, 0.99),
+            latency_p50_us: latency.p50_us,
+            latency_p95_us: latency.p95_us,
+            latency_p99_us: latency.p99_us,
             stages: None,
             shards: Vec::new(),
             market: None,
@@ -721,11 +687,12 @@ fn bucket_quantile(buckets: &[u64], q: f64) -> u64 {
 // Stage-clock books
 // ---------------------------------------------------------------------------
 
-/// One stage's histogram book: sample count, Σ duration, and the same
-/// log₂ bucket scheme as the latency histogram. Plain (unpadded) atomics
-/// on purpose — a book is bumped once per completed request at flush
-/// time, not on a per-byte hot path, and padding six books per shard
-/// would burn kilobytes per accounting domain for no contention win.
+/// One histogram book: sample count, Σ duration, and log₂ buckets — the
+/// type behind every stage book and the [`Metrics`] latency histogram.
+/// Plain (unpadded) atomics on purpose — a book is bumped once per
+/// completed request, not on a per-byte hot path, and padding six books
+/// per shard would burn kilobytes per accounting domain for no
+/// contention win.
 #[derive(Debug)]
 pub struct StageBook {
     count: AtomicU64,

@@ -54,8 +54,8 @@ use crate::cache::instance_hash;
 use crate::codec::{self, CodecKind};
 use crate::framing::Frame;
 use crate::metrics::{
-    BackendSnapshot, FlushPending, MarketSnapshot, Metrics, MetricsSnapshot, RouterSnapshot,
-    ShardSnapshot, StagesSnapshot,
+    BackendSnapshot, MarketSnapshot, Metrics, MetricsSnapshot, RouterSnapshot, ShardSnapshot,
+    StagesSnapshot,
 };
 use crate::protocol::{
     kind, BatchBody, BatchItemResult, BatchResult, ErrorInfo, HealthInfo, InstanceSpec,
@@ -69,7 +69,7 @@ use crate::service::{
 use asm_runtime::{label_hash, JobQueue, PushError, WorkerPool};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -299,32 +299,6 @@ impl Router {
                 self.note(backend.record_failure());
             }
         }
-    }
-
-    /// Handles one JSON request line synchronously: the test-facing
-    /// mirror of the reactor path (identical routing and bytes; it
-    /// drives [`FrameHandler::handle_frame`] and blocks on the
-    /// completion).
-    pub fn handle_line(self: &Arc<Self>, line: &str) -> String {
-        struct OneShot(Mutex<mpsc::Sender<Vec<u8>>>);
-        impl CompletionSink for OneShot {
-            fn complete(&self, _token: u64, _seq: u64, bytes: Vec<u8>, _trace: Option<FlushPending>) {
-                let _ = self.0.lock().expect("one-shot sink lock").send(bytes);
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        let sink: Arc<dyn CompletionSink> = Arc::new(OneShot(Mutex::new(tx)));
-        let frame = Frame::Text(line.to_string());
-        let bytes = match Arc::clone(self).handle_frame(&frame, Instant::now(), 0, 0, &sink) {
-            FrameOutcome::Reply(bytes) => bytes,
-            FrameOutcome::Switch { reply, .. } => reply,
-            FrameOutcome::Pending => rx.recv().expect("router forwarder always replies"),
-        };
-        let mut reply = String::from_utf8(bytes).expect("JSON replies are UTF-8");
-        while reply.ends_with('\n') || reply.ends_with('\r') {
-            reply.pop();
-        }
-        reply
     }
 
     /// Attributes a state-machine edge to the transition counters.
@@ -1221,6 +1195,26 @@ mod tests {
             out.contains("\"kind\":\"unavailable\"") && out.contains("service is shutting down"),
             "{out}"
         );
+        router.join_work();
+    }
+
+    #[test]
+    fn line_path_answers_hello_in_json_for_service_and_router() {
+        let service = crate::service::Service::start(crate::service::ServiceConfig::default());
+        let router = unreachable_router(1, 3);
+        let replies = |codec: &str| {
+            let line = format!("{{\"id\":0,\"op\":\"hello\",\"body\":{{\"codec\":\"{codec}\"}}}}");
+            [service.handle_line(&line), router.handle_line(&line)]
+        };
+        let ack = "{\"id\":0,\"reply\":\"hello\",\"body\":{\"codec\":\"binary\"}}";
+        assert_eq!(replies("binary"), [ack, ack]);
+        let refusal = "{\"id\":0,\"reply\":\"error\",\"body\":{\"kind\":\"invalid\",\
+                       \"message\":\"unknown codec `xml` (expected json or binary)\"}}";
+        assert_eq!(replies("xml"), [refusal, refusal]);
+        // Negotiation is connection plumbing: neither tier books it.
+        assert_eq!(service.metrics().snapshot(0, 0).received, 0);
+        assert_eq!(router.router_snapshot().received, 0);
+        service.join();
         router.join_work();
     }
 

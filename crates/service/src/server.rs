@@ -1,10 +1,10 @@
 //! The TCP layer: one reactor thread, any number of connections,
 //! newline-delimited frames in and out.
 //!
-//! Deliberately thin: all protocol behaviour lives in
-//! [`Service::handle_line_async`] (byte-identical to
-//! [`Service::handle_line`](crate::service::Service::handle_line), which
-//! the golden corpus pins), so this module only owns sockets and the
+//! Deliberately thin: all protocol behaviour lives in the handler's
+//! [`FrameHandler::handle_frame`] (the path the golden corpus pins, both
+//! in-process through [`FrameHandler::handle_line`] and over a socket),
+//! so this module only owns sockets and the
 //! [`reactor`](crate::reactor) lifecycle. Connections no longer cost a
 //! thread each: the reactor multiplexes every socket over nonblocking
 //! I/O, and worker completions wake it through its condvar-backed wake

@@ -1,12 +1,13 @@
 //! The service core: admission control, sharded worker pools, and
 //! request handling — everything except the TCP listener.
 //!
-//! [`Service::handle_line`] is the entire protocol state machine: one
-//! request line in, one response line out. Connection threads call it
-//! directly; the TCP layer in [`server`](crate::server) is a thin loop
-//! around it, which is what makes the golden-corpus tests possible — they
-//! drive `handle_line` in-process and pin exact response bytes without a
-//! socket in sight.
+//! [`FrameHandler::handle_frame`] is the entire protocol state machine:
+//! one request frame in, one response frame out — inline, or later
+//! through a [`CompletionSink`] once a worker has answered. The reactor
+//! in [`server`](crate::server) calls it for every frame; in-process
+//! callers use [`FrameHandler::handle_line`], a one-shot sink over the
+//! same path, which is how the golden-corpus tests pin exact response
+//! bytes without a socket in sight.
 //!
 //! ## Sharding
 //!
@@ -21,15 +22,16 @@
 //!
 //! ## Job flow
 //!
-//! `solve`/`analyze` requests are validated on the connection thread
-//! (unknown algorithm, bad ε, …, are rejected *before* consuming queue
-//! capacity), then enqueued on the routed shard's bounded queue. A full
-//! shard queue is an immediate `overloaded` reply — admission control by
-//! backpressure, never unbounded buffering. Workers dequeue, check the
-//! queue-wait deadline, consult the shard's result cache, and run the
-//! engine; the connection thread blocks on a rendezvous channel until
-//! its reply arrives (connection concurrency, not request pipelining, is
-//! the concurrency unit).
+//! `solve`/`analyze` requests are validated on the reactor thread
+//! (unknown algorithm, bad ε, a generator recipe that would panic, …,
+//! are rejected *before* consuming queue capacity), then enqueued on the
+//! routed shard's bounded queue. A full shard queue is an immediate
+//! `overloaded` reply — admission control by backpressure, never
+//! unbounded buffering. Workers dequeue, check the queue-wait deadline,
+//! consult the shard's result cache, and run the engine; the worker then
+//! counts the outcome, frames the reply in the connection's codec, and
+//! hands it to the frame's [`CompletionSink`], which writes replies back
+//! in request order.
 //!
 //! `solve_batch` amortizes one envelope and one queue admission *per
 //! shard touched* over many instances: items are validated up front
@@ -59,7 +61,7 @@ use crate::framing::Frame;
 use crate::metrics::{FlushPending, Metrics, ShardCounters, StageBooks, StageTrace};
 use crate::protocol::{
     kind, Algorithm, AnalyzeBody, AnalyzeResult, BatchItemResult, BatchResult, DeadlineInfo,
-    ErrorInfo, HealthInfo, HelloBody, HelloInfo, MarketCreateBody, MarketCreatedInfo,
+    ErrorInfo, HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody, MarketCreatedInfo,
     MarketDroppedInfo, MarketMutateBody, MarketMutatedInfo, Op, OverloadInfo, Reply, Request,
     ResolveResult, Response, SolveBody, SolveResult, PROTOCOL_SCHEMA,
 };
@@ -110,56 +112,40 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where a completed job's response goes, decided at admission time.
-///
-/// The synchronous path ([`Service::handle_line`]) blocks on a
-/// rendezvous channel; the reactor path renders the response on the
-/// worker thread and hands the finished line to a [`CompletionSink`].
-/// Either way the outcome counters are bumped *before* the response can
-/// reach a client, so a `metrics` probe sent after reading a solve reply
-/// always sees that solve counted — the ordering the golden corpus pins.
-enum ReplyTo {
-    /// Rendezvous channel: the submitting thread blocks on `recv`.
-    Channel(mpsc::Sender<JobOutcome>),
-    /// A reactor-owned frame: count, render, and deliver on the worker.
-    Reactor(AsyncReply),
-    /// One shard's slice of an asynchronous `solve_batch`.
-    Batch(BatchSlot),
-}
-
-/// A queued job plus its reply destination.
-struct Job {
-    enqueued: Instant,
-    /// Queue-wait deadline for single jobs; batch items carry their own.
-    deadline_ms: u64,
-    body: JobBody,
-    reply: ReplyTo,
+/// A queued job: its work paired with where its reply goes, so a worker
+/// can never answer a batch group with a single reply or the other way
+/// round. Either way the worker counts the outcome *before* the reply
+/// can reach a client, so a `metrics` probe sent after reading a solve
+/// reply always sees that solve counted — the ordering the golden corpus
+/// pins.
+enum Job {
+    /// A single solve, analyze, or market op.
+    Single {
+        enqueued: Instant,
+        body: JobBody,
+        reply: AsyncReply,
+    },
+    /// One shard's slice of a `solve_batch`: request positions plus
+    /// validated solves, each item carrying its own deadline.
+    Batch {
+        enqueued: Instant,
+        group: Vec<(usize, SolveJob)>,
+        slot: BatchSlot,
+    },
 }
 
 impl Job {
-    /// Defuses a refused job so dropping it does not fire a spurious
-    /// "worker failed" completion (the refusal is answered inline).
+    /// Defuses a refused single job so dropping it does not fire a
+    /// spurious "worker failed" completion (the refusal is answered inline).
     fn disarm(self) {
-        match self.reply {
-            ReplyTo::Reactor(mut reply) => reply.armed = false,
-            ReplyTo::Channel(_) | ReplyTo::Batch(_) => {}
+        if let Job::Single { mut reply, .. } = self {
+            reply.armed = false;
         }
     }
 }
 
-/// The first two stage stamps of a traced request, taken on the reactor
-/// thread before dispatch. `None` end to end means the request is not
-/// stage-traced (sync path, control ops, inline refusals).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct TraceStart {
-    /// Frame extracted from the connection's read buffer.
-    pub recv: Instant,
-    /// Request envelope parsed.
-    pub decoded: Instant,
-}
-
-/// The worker-side stamps of a traced single job, taken in
-/// [`run_job`] and married to the [`TraceStart`] at delivery.
+/// The worker-side stamps of a job, married to the reactor-side stamps
+/// of its [`ReplyAddr`] at delivery.
 #[derive(Clone, Copy, Debug)]
 struct JobTiming {
     enqueued: Instant,
@@ -167,15 +153,16 @@ struct JobTiming {
     solved: Instant,
 }
 
-/// Receives fully framed response bytes for frames handled
-/// asynchronously via [`Service::handle_line_async`]. Implemented by the
-/// reactor's wake queue; `(token, seq)` identifies the connection and the
-/// frame's position on it, so replies can be flushed in request order.
+/// Receives fully framed response bytes for frames a [`FrameHandler`]
+/// answered [`FrameOutcome::Pending`]. Implemented by the reactor's wake
+/// queue and by the one-shot sink behind [`FrameHandler::handle_line`];
+/// `(token, seq)` identifies the connection and the frame's position on
+/// it, so replies can be flushed in request order.
 pub trait CompletionSink: Send + Sync {
     /// Delivers the framed response bytes (trailing newline or length
     /// prefix included, per the connection's codec) for frame
     /// (`token`, `seq`). Called from worker threads. `trace` carries the
-    /// stage stamps of a traced request; the sink books them when (and
+    /// stage stamps of a completed request; the sink books them when (and
     /// only when) the frame actually reaches the wire, so stage counts
     /// never include replies a dead connection swallowed.
     fn complete(&self, token: u64, seq: u64, bytes: Vec<u8>, trace: Option<FlushPending>);
@@ -226,6 +213,59 @@ pub trait FrameHandler: Send + Sync + 'static {
         sink: &Arc<dyn CompletionSink>,
     ) -> FrameOutcome;
 
+    /// Handles one JSON request line in-process and returns the reply
+    /// line (no trailing newline): a one-shot [`CompletionSink`] over
+    /// [`handle_frame`](FrameHandler::handle_frame) that blocks until the
+    /// reply arrives, so counting, validation, and bytes are the
+    /// reactor's own. No reply reaches a wire, so none books a stage row.
+    /// The line path never switches codec: an accepted `hello` is
+    /// answered with the JSON rendering of its acknowledgement.
+    fn handle_line(self: &Arc<Self>, line: &str) -> String
+    where
+        Self: Sized,
+    {
+        struct OneShot(mpsc::Sender<Vec<u8>>);
+        impl CompletionSink for OneShot {
+            fn complete(
+                &self,
+                _token: u64,
+                _seq: u64,
+                bytes: Vec<u8>,
+                _trace: Option<FlushPending>,
+            ) {
+                let _ = self.0.send(bytes);
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        let sink: Arc<dyn CompletionSink> = Arc::new(OneShot(tx));
+        let frame = Frame::Text(line.to_string());
+        let bytes = match Arc::clone(self).handle_frame(&frame, Instant::now(), 0, 0, &sink) {
+            FrameOutcome::Reply(bytes) => bytes,
+            FrameOutcome::Pending => {
+                // Only pending work may hold a sender now: a reply lost
+                // without a completion fails loudly instead of hanging.
+                drop(sink);
+                rx.recv().expect("admitted work always completes")
+            }
+            FrameOutcome::Switch { .. } => match crate::protocol::parse_request(line) {
+                Ok(Request {
+                    id,
+                    op: Op::Hello(body),
+                }) => codec::encode_frame(
+                    CodecKind::Json,
+                    &Response {
+                        id,
+                        reply: hello_reply(&body),
+                    },
+                ),
+                _ => unreachable!("only a parsed hello switches codec"),
+            },
+        };
+        let mut reply = String::from_utf8(bytes).expect("JSON replies are UTF-8");
+        reply.truncate(reply.trim_end_matches(['\n', '\r']).len());
+        reply
+    }
+
     /// Whether new work is still admitted (false once shutdown began).
     fn is_accepting(&self) -> bool;
 
@@ -240,54 +280,68 @@ pub trait FrameHandler: Send + Sync + 'static {
     fn frames_served(&self) -> u64;
 }
 
-/// The reactor half of a pending single job: everything needed to count,
-/// render, and deliver the response from the worker thread.
-struct AsyncReply {
+/// Where a pending reply goes: the frame it answers (`token`, `seq`,
+/// `id`), the connection's codec at admission (the worker frames the
+/// bytes itself), the reactor-side stage stamps, and the sink that
+/// carries it back. Shared by single jobs and batches.
+struct ReplyAddr {
     service: Weak<Service>,
     sink: Arc<dyn CompletionSink>,
     token: u64,
     seq: u64,
     id: Option<u64>,
-    shard: usize,
-    /// The connection's wire codec at admission time: the worker frames
-    /// the response bytes itself, so it must know how.
     codec: CodecKind,
-    /// The reactor-side stage stamps; `None` for untraced requests.
-    trace: Option<TraceStart>,
+    /// Frame extracted from the connection's read buffer.
+    recv: Instant,
+    /// Request envelope parsed.
+    decoded: Instant,
+}
+
+impl ReplyAddr {
+    /// Frames `reply` in the connection's codec and hands it to the sink.
+    /// A reply whose lifecycle completed carries its worker stamps and
+    /// the shard it is attributed to, and is booked at flush.
+    fn send(&self, reply: Reply, traced: Option<(&Service, usize, JobTiming)>) {
+        let bytes = codec::encode_frame(self.codec, &Response { id: self.id, reply });
+        let trace = traced.map(|(service, shard, timing)| FlushPending {
+            trace: StageTrace {
+                recv: self.recv,
+                decoded: self.decoded,
+                enqueued: timing.enqueued,
+                dequeued: timing.dequeued,
+                solved: timing.solved,
+                encoded: Instant::now(),
+            },
+            aggregate: Arc::clone(&service.stages),
+            shard: Arc::clone(&service.shards[shard].stages),
+        });
+        self.sink.complete(self.token, self.seq, bytes, trace);
+    }
+}
+
+/// A pending single job's reply: counted, rendered, and delivered from
+/// the worker thread.
+struct AsyncReply {
+    to: ReplyAddr,
+    shard: usize,
     /// While `true`, dropping without [`deliver`](AsyncReply::deliver)
-    /// fires the "worker failed before replying" completion — the async
-    /// mirror of the sync path's dropped rendezvous sender.
+    /// fires the "worker failed before replying" completion, so a job
+    /// whose worker died still answers its frame exactly once.
     armed: bool,
 }
 
 impl AsyncReply {
-    /// Counts the outcome, encodes the response in the connection's
-    /// codec, and hands the framed bytes to the sink. Runs on the worker
-    /// thread, so the books are settled before the client can observe
-    /// the reply.
-    fn deliver(mut self, reply: Reply, timing: Option<JobTiming>) {
+    /// Counts the outcome, then frames and delivers the response. Runs on
+    /// the worker thread, so the books are settled before the client can
+    /// observe the reply.
+    fn deliver(mut self, reply: Reply, timing: JobTiming) {
         self.armed = false;
-        let service = self.service.upgrade();
+        let service = self.to.service.upgrade();
         if let Some(service) = &service {
             service.count_reply(self.shard, &reply);
         }
-        let bytes = codec::encode_frame(self.codec, &Response { id: self.id, reply });
-        let trace = match (service, self.trace, timing) {
-            (Some(service), Some(start), Some(timing)) => Some(FlushPending {
-                trace: StageTrace {
-                    recv: start.recv,
-                    decoded: start.decoded,
-                    enqueued: timing.enqueued,
-                    dequeued: timing.dequeued,
-                    solved: timing.solved,
-                    encoded: Instant::now(),
-                },
-                aggregate: Arc::clone(&service.stages),
-                shard: Arc::clone(&service.shards[self.shard].stages),
-            }),
-            _ => None,
-        };
-        self.sink.complete(self.token, self.seq, bytes, trace);
+        self.to
+            .send(reply, service.as_deref().map(|s| (s, self.shard, timing)));
     }
 }
 
@@ -296,37 +350,25 @@ impl Drop for AsyncReply {
         if !self.armed {
             return;
         }
-        self.armed = false;
-        if let Some(service) = self.service.upgrade() {
+        if let Some(service) = self.to.service.upgrade() {
             service.metrics.incr(&service.metrics.errors);
         }
-        let bytes = codec::encode_frame(
-            self.codec,
-            &Response {
-                id: self.id,
-                reply: Reply::Error(ErrorInfo::new(kind::SOLVE, "worker failed before replying")),
-            },
-        );
         // A failure reply is never stage-traced: the lifecycle it would
         // describe did not complete.
-        self.sink.complete(self.token, self.seq, bytes, None);
+        self.to.send(
+            Reply::Error(ErrorInfo::new(kind::SOLVE, "worker failed before replying")),
+            None,
+        );
     }
 }
 
-/// Shared accumulator for an asynchronous `solve_batch`: per-shard
-/// groups fill their slices; the last group to finish merges in request
-/// order and delivers the single batched response.
+/// Shared accumulator for a `solve_batch`: per-shard groups fill their
+/// slices; the last group to finish merges in request order and delivers
+/// the single batched response.
 struct BatchState {
-    service: Weak<Service>,
-    sink: Arc<dyn CompletionSink>,
-    token: u64,
-    seq: u64,
-    id: Option<u64>,
-    codec: CodecKind,
+    to: ReplyAddr,
     results: Mutex<Vec<Option<(usize, BatchItemResult)>>>,
     remaining: AtomicUsize,
-    /// The reactor-side stage stamps; `None` for untraced batches.
-    trace: Option<TraceStart>,
     /// When the shard groups were admitted (one stamp covers them all:
     /// the groups are pushed back to back on the reactor thread).
     enqueued: Instant,
@@ -340,54 +382,44 @@ impl BatchState {
     /// Merges and delivers. Called exactly once, by whichever
     /// [`BatchSlot`] drops last (`shard` is that slot's — the shard the
     /// batch's stage row is attributed to); slots a dead worker never
-    /// filled merge as explicit "worker failed" errors, like the sync
-    /// path.
+    /// filled merge as explicit "worker failed" errors.
     fn finalize(&self, shard: usize) {
         let results = std::mem::take(&mut *self.results.lock().expect("batch results lock"));
-        let Some(service) = self.service.upgrade() else {
+        let Some(service) = self.to.service.upgrade() else {
             return;
         };
         let solved = Instant::now();
         let reply = service.merge_batch(results);
-        let bytes = codec::encode_frame(self.codec, &Response { id: self.id, reply });
-        let trace = self.trace.map(|start| {
-            let dequeued = self
-                .first_dequeue
-                .lock()
-                .expect("batch dequeue lock")
-                .unwrap_or(solved);
-            FlushPending {
-                trace: StageTrace {
-                    recv: start.recv,
-                    decoded: start.decoded,
-                    enqueued: self.enqueued,
-                    dequeued,
-                    solved,
-                    encoded: Instant::now(),
-                },
-                aggregate: Arc::clone(&service.stages),
-                shard: Arc::clone(&service.shards[shard].stages),
-            }
-        });
-        self.sink.complete(self.token, self.seq, bytes, trace);
+        let dequeued = self
+            .first_dequeue
+            .lock()
+            .expect("batch dequeue lock")
+            .unwrap_or(solved);
+        let timing = JobTiming {
+            enqueued: self.enqueued,
+            dequeued,
+            solved,
+        };
+        self.to.send(reply, Some((&service, shard, timing)));
     }
 }
 
 /// One shard group's handle on a [`BatchState`]. Dropping (after a
-/// worker delivers, or during a worker panic's unwind) decrements the
-/// group count; the last drop finalizes the batch.
+/// worker delivers, after an admission refusal, or during a worker
+/// panic's unwind) decrements the group count; the last drop finalizes
+/// the batch, which re-locks `results` — so a slot must never drop while
+/// its holder has `results` locked.
 struct BatchSlot {
     state: Arc<BatchState>,
     shard: usize,
 }
 
 impl BatchSlot {
-    fn deliver(&self, outcome: JobOutcome) {
-        if let JobOutcome::Many(parts) = outcome {
-            let mut results = self.state.results.lock().expect("batch results lock");
-            for (index, item) in parts {
-                results[index] = Some((self.shard, item));
-            }
+    /// Writes this group's per-item outcomes into the batch's slots.
+    fn deliver(&self, parts: impl IntoIterator<Item = (usize, BatchItemResult)>) {
+        let mut results = self.state.results.lock().expect("batch results lock");
+        for (index, item) in parts {
+            results[index] = Some((self.shard, item));
         }
     }
 
@@ -408,19 +440,22 @@ impl Drop for BatchSlot {
     }
 }
 
+/// The work of a single job.
 enum JobBody {
-    Solve {
-        body: SolveBody,
-        algorithm: Algorithm,
-        backend: MatcherBackend,
-        key: SolveKey,
-    },
+    Solve(Box<SolveJob>),
     Analyze(AnalyzeBody),
-    /// One shard's slice of a `solve_batch`, in request order.
-    SolveBatch(Vec<BatchItem>),
     /// A market-tier op, already validated and routed to the shard that
     /// owns its market.
     Market(MarketJob),
+}
+
+/// One validated solve: the request body plus what admission parsed
+/// from it. Single solves and batch items share it.
+struct SolveJob {
+    body: SolveBody,
+    algorithm: Algorithm,
+    backend: MatcherBackend,
+    key: SolveKey,
 }
 
 /// One validated market op. Resolve modes are parsed at admission so an
@@ -442,23 +477,6 @@ impl MarketJob {
             MarketJob::Drop(market) => market,
         }
     }
-}
-
-/// One validated `solve_batch` item, tagged with its request position.
-struct BatchItem {
-    index: usize,
-    body: SolveBody,
-    algorithm: Algorithm,
-    backend: MatcherBackend,
-    key: SolveKey,
-}
-
-/// What a worker hands back over the rendezvous channel.
-enum JobOutcome {
-    /// A single solve/analyze reply.
-    One(Reply),
-    /// Per-item batch outcomes, tagged with request positions.
-    Many(Vec<(usize, BatchItemResult)>),
 }
 
 /// One shard: its queue, its result cache, its market registry, its
@@ -525,168 +543,28 @@ impl Service {
         })
     }
 
-    /// Handles one request line, returning the single response line
-    /// (no trailing newline). Never panics on untrusted input.
-    ///
-    /// `hello` frames are answered but never switch this path's codec
-    /// (it is JSON by construction) and are not counted in the books —
-    /// codec negotiation is connection plumbing, not service work, so
-    /// metrics reconciliation stays codec-independent.
-    pub fn handle_line(&self, line: &str) -> String {
-        let request = match crate::protocol::parse_request(line) {
-            Ok(request) => request,
-            Err(err) => {
-                self.metrics.incr(&self.metrics.received);
-                self.metrics.incr(&self.metrics.malformed);
-                self.metrics.incr(&self.metrics.errors);
-                return crate::protocol::render(&Response {
-                    id: None,
-                    reply: Reply::Error(ErrorInfo::new(kind::MALFORMED, err.to_string())),
-                });
-            }
-        };
-        if let Op::Hello(body) = &request.op {
-            return crate::protocol::render(&Response {
-                id: request.id,
-                reply: hello_reply(body),
-            });
-        }
-        self.metrics.incr(&self.metrics.received);
-        let id = request.id;
-        let reply = self.dispatch(request);
-        crate::protocol::render(&Response { id, reply })
-    }
-
-    fn dispatch(&self, request: Request) -> Reply {
-        match request.op {
-            Op::Hello(body) => hello_reply(&body),
-            Op::Health => self.health_reply(),
-            Op::Metrics(body) => self.metrics_reply(&body.detail),
-            Op::Shutdown => self.shutdown_reply(),
-            Op::Solve(body) => match self.route_solve(body) {
-                Ok((deadline_ms, shard, job)) => self.submit(deadline_ms, shard, job),
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    *reply
-                }
-            },
-            Op::SolveBatch(batch) => self.submit_batch(batch.items),
-            Op::Analyze(body) => match self.route_analyze(body) {
-                Ok((shard, job)) => self.submit(0, shard, job),
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    *reply
-                }
-            },
+    /// Answers one parsed request: control ops and refusals inline
+    /// (`Some`), admitted jobs later through `to` (`None`).
+    fn handle_op(&self, op: Op, to: ReplyAddr) -> Option<Reply> {
+        let routed = match op {
+            Op::Hello(body) => return Some(hello_reply(&body)),
+            Op::Health => return Some(self.health_reply()),
+            Op::Metrics(body) => return Some(self.metrics_reply(&body.detail)),
+            Op::Shutdown => return Some(self.shutdown_reply()),
+            Op::SolveBatch(batch) => return self.enqueue_batch(batch.items, to),
+            Op::Solve(body) => self.route_solve(body),
+            Op::Analyze(body) => self.route_analyze(body),
             op @ (Op::MarketCreate(_)
             | Op::MarketMutate(_)
             | Op::Resolve(_)
-            | Op::MarketDrop(_)) => match self.route_market(op) {
-                Ok((shard, job)) => self.submit(0, shard, job),
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    *reply
-                }
-            },
-        }
-    }
-
-    /// Handles one request line without blocking on workers. Control ops
-    /// and refusals answer inline (`Some(line)`); admitted solve/analyze
-    /// jobs return `None`, and the rendered response arrives later via
-    /// `sink` tagged with (`token`, `seq`). Counting, validation, and
-    /// response bytes are identical to [`handle_line`](Service::handle_line)
-    /// — the two paths share every helper, which is what keeps the golden
-    /// corpus pinned while the reactor serves thousands of connections
-    /// from one thread.
-    pub fn handle_line_async(
-        self: &Arc<Self>,
-        line: &str,
-        token: u64,
-        seq: u64,
-        sink: &Arc<dyn CompletionSink>,
-    ) -> Option<String> {
-        let request = match crate::protocol::parse_request(line) {
-            Ok(request) => request,
-            Err(err) => {
-                self.metrics.incr(&self.metrics.received);
-                self.metrics.incr(&self.metrics.malformed);
-                self.metrics.incr(&self.metrics.errors);
-                return Some(crate::protocol::render(&Response {
-                    id: None,
-                    reply: Reply::Error(ErrorInfo::new(kind::MALFORMED, err.to_string())),
-                }));
-            }
+            | Op::MarketDrop(_)) => self.route_market(op),
         };
-        if let Op::Hello(body) = &request.op {
-            return Some(crate::protocol::render(&Response {
-                id: request.id,
-                reply: hello_reply(body),
-            }));
-        }
-        self.metrics.incr(&self.metrics.received);
-        let id = request.id;
-        self.dispatch_async(request, CodecKind::Json, None, token, seq, sink)
-            .map(|reply| crate::protocol::render(&Response { id, reply }))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_async(
-        self: &Arc<Self>,
-        request: Request,
-        reply_codec: CodecKind,
-        trace: Option<TraceStart>,
-        token: u64,
-        seq: u64,
-        sink: &Arc<dyn CompletionSink>,
-    ) -> Option<Reply> {
-        let id = request.id;
-        match request.op {
-            Op::Hello(body) => Some(hello_reply(&body)),
-            Op::Health => Some(self.health_reply()),
-            Op::Metrics(body) => Some(self.metrics_reply(&body.detail)),
-            Op::Shutdown => Some(self.shutdown_reply()),
-            Op::Solve(body) => match self.route_solve(body) {
-                Ok((deadline_ms, shard, job)) => self.submit_async(
-                    id,
-                    deadline_ms,
-                    shard,
-                    job,
-                    reply_codec,
-                    trace,
-                    token,
-                    seq,
-                    sink,
-                ),
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    Some(*reply)
-                }
-            },
-            Op::SolveBatch(batch) => {
-                self.submit_batch_async(id, batch.items, reply_codec, trace, token, seq, sink)
+        match routed {
+            Ok((shard, body)) => self.enqueue(shard, body, to),
+            Err(reply) => {
+                self.metrics.incr(&self.metrics.errors);
+                Some(*reply)
             }
-            Op::Analyze(body) => match self.route_analyze(body) {
-                Ok((shard, job)) => {
-                    self.submit_async(id, 0, shard, job, reply_codec, trace, token, seq, sink)
-                }
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    Some(*reply)
-                }
-            },
-            op @ (Op::MarketCreate(_)
-            | Op::MarketMutate(_)
-            | Op::Resolve(_)
-            | Op::MarketDrop(_)) => match self.route_market(op) {
-                Ok((shard, job)) => {
-                    self.submit_async(id, 0, shard, job, reply_codec, trace, token, seq, sink)
-                }
-                Err(reply) => {
-                    self.metrics.incr(&self.metrics.errors);
-                    Some(*reply)
-                }
-            },
         }
     }
 
@@ -710,7 +588,9 @@ impl Service {
                 self.metrics.incr(&self.metrics.errors);
                 return Reply::Error(ErrorInfo::new(
                     kind::INVALID,
-                    format!("unknown metrics detail `{other}` (expected \"summary\" or \"stages\")"),
+                    format!(
+                        "unknown metrics detail `{other}` (expected \"summary\" or \"stages\")"
+                    ),
                 ));
             }
         };
@@ -724,9 +604,9 @@ impl Service {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let mut shard = s
-                        .counters
-                        .snapshot(i as u64, s.queue.len() as u64, s.cache.len() as u64);
+                    let mut shard =
+                        s.counters
+                            .snapshot(i as u64, s.queue.len() as u64, s.cache.len() as u64);
                     if with_stages {
                         shard.stages = Some(s.stages.snapshot());
                     }
@@ -747,32 +627,22 @@ impl Service {
         Reply::ShuttingDown
     }
 
-    /// Validates a solve and routes it: the shared front half of the
-    /// sync and async submission paths.
-    fn route_solve(&self, body: SolveBody) -> Result<(u64, usize, JobBody), Box<Reply>> {
-        let (algorithm, backend) = validate_solve(&body)?;
-        let key = solve_key(&body);
-        let shard = self.route_hash(key.instance_hash);
-        Ok((
-            body.deadline_ms,
-            shard,
-            JobBody::Solve {
-                body,
-                algorithm,
-                backend,
-                key,
-            },
-        ))
+    /// Validates a solve and routes it by its instance hash.
+    fn route_solve(&self, body: SolveBody) -> Result<(usize, JobBody), Box<Reply>> {
+        let job = validate_solve(body)?;
+        let shard = self.route_hash(job.key.instance_hash);
+        Ok((shard, JobBody::Solve(Box::new(job))))
     }
 
-    /// Validates an analyze and routes it (shared by both paths).
+    /// Validates an analyze and routes it by its instance hash.
     fn route_analyze(&self, body: AnalyzeBody) -> Result<(usize, JobBody), Box<Reply>> {
         if !(body.eps.is_finite() && body.eps >= 0.0) {
-            return Err(Box::new(Reply::Error(ErrorInfo::new(
-                kind::INVALID,
-                format!("analyze eps must be finite and >= 0, got {}", body.eps),
-            ))));
+            return Err(invalid(format!(
+                "analyze eps must be finite and >= 0, got {}",
+                body.eps
+            )));
         }
+        validate_instance(&body.instance)?;
         let shard = self.route_hash(instance_hash(&body.instance));
         Ok((shard, JobBody::Analyze(body)))
     }
@@ -782,8 +652,6 @@ impl Service {
     /// owns the market — the shard-affinity rule clients (and the
     /// router tier) can rely on.
     fn route_market(&self, op: Op) -> Result<(usize, JobBody), Box<Reply>> {
-        let invalid =
-            |message: String| Box::new(Reply::Error(ErrorInfo::new(kind::INVALID, message)));
         let job = match op {
             Op::MarketCreate(body) => {
                 if !(body.eps > 0.0 && body.eps.is_finite()) {
@@ -792,6 +660,7 @@ impl Service {
                         body.eps
                     )));
                 }
+                validate_instance(&body.instance)?;
                 MarketJob::Create(body)
             }
             Op::MarketMutate(body) => MarketJob::Mutate(body),
@@ -822,7 +691,7 @@ impl Service {
 
     /// The shard an instance spec routes to (exposed for tests and
     /// embedding; the service applies the same function internally).
-    pub fn route(&self, instance: &crate::protocol::InstanceSpec) -> usize {
+    pub fn route(&self, instance: &InstanceSpec) -> usize {
         self.route_hash(instance_hash(instance))
     }
 
@@ -838,135 +707,68 @@ impl Service {
         self.shards.iter().map(|s| s.registry.len() as u64).sum()
     }
 
-    /// Enqueues a single job on `shard` and blocks until its reply.
-    fn submit(&self, deadline_ms: u64, shard: usize, body: JobBody) -> Reply {
+    /// The refusal for work arriving after shutdown began (counted).
+    fn unavailable(&self) -> Reply {
+        self.metrics.incr(&self.metrics.errors);
+        Reply::Error(ErrorInfo::new(
+            kind::UNAVAILABLE,
+            "service is shutting down",
+        ))
+    }
+
+    /// Admits a single job to `shard`'s queue. `None` means admitted (the
+    /// worker answers through `to`); `Some` is an inline refusal.
+    fn enqueue(&self, shard: usize, body: JobBody, to: ReplyAddr) -> Option<Reply> {
         if !self.is_accepting() {
-            self.metrics.incr(&self.metrics.errors);
-            return Reply::Error(ErrorInfo::new(
-                kind::UNAVAILABLE,
-                "service is shutting down",
-            ));
+            return Some(self.unavailable());
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = Job {
+        let job = Job::Single {
             enqueued: Instant::now(),
-            deadline_ms,
             body,
-            reply: ReplyTo::Channel(reply_tx),
+            reply: AsyncReply {
+                to,
+                shard,
+                armed: true,
+            },
         };
         let s = &self.shards[shard];
         match s.queue.try_push(job) {
-            Ok(depth) => self.observe_depth(shard, depth),
-            Err(PushError::Full(_)) => {
+            Ok(depth) => {
+                self.observe_depth(shard, depth);
+                None
+            }
+            Err(PushError::Full(job)) => {
+                job.disarm();
                 self.metrics.incr(&self.metrics.overloaded);
                 self.metrics.incr(&s.counters.overloaded);
-                return Reply::Overloaded(self.overload_info(shard));
+                Some(Reply::Overloaded(self.overload_info(shard)))
             }
-            Err(PushError::Closed(_)) => {
-                self.metrics.incr(&self.metrics.errors);
-                return Reply::Error(ErrorInfo::new(
-                    kind::UNAVAILABLE,
-                    "service is shutting down",
-                ));
-            }
-        }
-        match reply_rx.recv() {
-            Ok(JobOutcome::One(reply)) => {
-                self.count_reply(shard, &reply);
-                reply
-            }
-            // A batch outcome for a single job, or a worker that died
-            // (panicked) before replying: fail the request explicitly.
-            Ok(JobOutcome::Many(_)) | Err(_) => {
-                self.metrics.incr(&self.metrics.errors);
-                Reply::Error(ErrorInfo::new(kind::SOLVE, "worker failed before replying"))
+            Err(PushError::Closed(job)) => {
+                job.disarm();
+                Some(self.unavailable())
             }
         }
     }
 
-    /// Validates, fans a batch out across shards (one admission per
-    /// shard touched), and merges per-item outcomes in request order.
-    fn submit_batch(&self, items: Vec<SolveBody>) -> Reply {
+    /// Validates a batch and fans it out across shards, one admission
+    /// per shard touched; the last shard group to finish merges the
+    /// per-item outcomes in request order and delivers through `to`. A
+    /// batch whose every item resolves at validation (invalid or empty)
+    /// answers inline, so (like every other inline reply) it is not
+    /// stage-traced.
+    fn enqueue_batch(&self, items: Vec<SolveBody>, to: ReplyAddr) -> Option<Reply> {
         if !self.is_accepting() {
-            self.metrics.incr(&self.metrics.errors);
-            return Reply::Error(ErrorInfo::new(
-                kind::UNAVAILABLE,
-                "service is shutting down",
-            ));
-        }
-        let (mut results, groups) = self.plan_batch(items);
-        let mut receivers = Vec::new();
-        for (shard, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let s = &self.shards[shard];
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let job = Job {
-                enqueued: Instant::now(),
-                deadline_ms: 0,
-                body: JobBody::SolveBatch(group),
-                reply: ReplyTo::Channel(reply_tx),
-            };
-            match s.queue.try_push(job) {
-                Ok(depth) => {
-                    self.observe_depth(shard, depth);
-                    receivers.push((shard, reply_rx));
-                }
-                Err(refused) => self.fill_refused_group(&mut results, shard, refused),
-            }
-        }
-        for (shard, reply_rx) in receivers {
-            if let Ok(JobOutcome::Many(parts)) = reply_rx.recv() {
-                for (index, item) in parts {
-                    results[index] = Some((shard, item));
-                }
-            }
-            // A dead worker leaves its slots `None`; merge_batch fills them.
-        }
-        self.merge_batch(results)
-    }
-
-    /// The async `solve_batch` path: same plan, but each shard group
-    /// carries a [`BatchSlot`] and the last group to finish merges and
-    /// delivers through the sink. A batch whose every item resolves at
-    /// admission time (invalid, overloaded, refused, or empty) answers
-    /// inline.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_batch_async(
-        self: &Arc<Self>,
-        id: Option<u64>,
-        items: Vec<SolveBody>,
-        reply_codec: CodecKind,
-        trace: Option<TraceStart>,
-        token: u64,
-        seq: u64,
-        sink: &Arc<dyn CompletionSink>,
-    ) -> Option<Reply> {
-        if !self.is_accepting() {
-            self.metrics.incr(&self.metrics.errors);
-            return Some(Reply::Error(ErrorInfo::new(
-                kind::UNAVAILABLE,
-                "service is shutting down",
-            )));
+            return Some(self.unavailable());
         }
         let (results, groups) = self.plan_batch(items);
         let pending_groups = groups.iter().filter(|g| !g.is_empty()).count();
         if pending_groups == 0 {
-            // Resolved entirely at admission: an inline reply, so (like
-            // every other inline path) it is not stage-traced.
             return Some(self.merge_batch(results));
         }
         let state = Arc::new(BatchState {
-            service: Arc::downgrade(self),
-            sink: Arc::clone(sink),
-            token,
-            seq,
-            id,
-            codec: reply_codec,
+            to,
             results: Mutex::new(results),
             remaining: AtomicUsize::new(pending_groups),
-            trace,
             enqueued: Instant::now(),
             first_dequeue: Mutex::new(None),
         });
@@ -974,55 +776,17 @@ impl Service {
             if group.is_empty() {
                 continue;
             }
-            let job = Job {
+            let job = Job::Batch {
                 enqueued: Instant::now(),
-                deadline_ms: 0,
-                body: JobBody::SolveBatch(group),
-                reply: ReplyTo::Batch(BatchSlot {
+                group,
+                slot: BatchSlot {
                     state: Arc::clone(&state),
                     shard,
-                }),
+                },
             };
             match self.shards[shard].queue.try_push(job) {
                 Ok(depth) => self.observe_depth(shard, depth),
-                Err(refused) => {
-                    // Fill the refused group's slots, then let the job's
-                    // BatchSlot drop — the last drop finalizes, so a
-                    // fully refused batch still answers exactly once.
-                    let job = match refused {
-                        PushError::Full(job) => {
-                            let JobBody::SolveBatch(group) = &job.body else {
-                                unreachable!("the refused job is the batch group")
-                            };
-                            let info = self.overload_info(shard);
-                            let mut slots = state.results.lock().expect("batch results lock");
-                            for item in group {
-                                slots[item.index] =
-                                    Some((shard, BatchItemResult::Overloaded(info.clone())));
-                            }
-                            drop(slots);
-                            job
-                        }
-                        PushError::Closed(job) => {
-                            let JobBody::SolveBatch(group) = &job.body else {
-                                unreachable!("the refused job is the batch group")
-                            };
-                            let mut slots = state.results.lock().expect("batch results lock");
-                            for item in group {
-                                slots[item.index] = Some((
-                                    shard,
-                                    BatchItemResult::Error(ErrorInfo::new(
-                                        kind::UNAVAILABLE,
-                                        "service is shutting down",
-                                    )),
-                                ));
-                            }
-                            drop(slots);
-                            job
-                        }
-                    };
-                    drop(job);
-                }
+                Err(refused) => self.fill_refused_group(shard, refused),
             }
         }
         None
@@ -1030,28 +794,21 @@ impl Service {
 
     /// Validates batch items and groups the admissible ones by routed
     /// shard; invalid items resolve immediately (consuming no capacity).
-    /// Shared by the sync and async batch paths.
     #[allow(clippy::type_complexity)]
     fn plan_batch(
         &self,
         items: Vec<SolveBody>,
-    ) -> (Vec<Option<(usize, BatchItemResult)>>, Vec<Vec<BatchItem>>) {
-        let total = items.len();
-        let mut results: Vec<Option<(usize, BatchItemResult)>> = (0..total).map(|_| None).collect();
-        let mut groups: Vec<Vec<BatchItem>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+    ) -> (
+        Vec<Option<(usize, BatchItemResult)>>,
+        Vec<Vec<(usize, SolveJob)>>,
+    ) {
+        let mut results: Vec<Option<(usize, BatchItemResult)>> =
+            (0..items.len()).map(|_| None).collect();
+        let mut groups: Vec<Vec<(usize, SolveJob)>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (index, body) in items.into_iter().enumerate() {
-            match validate_solve(&body) {
-                Ok((algorithm, backend)) => {
-                    let key = solve_key(&body);
-                    let shard = self.route_hash(key.instance_hash);
-                    groups[shard].push(BatchItem {
-                        index,
-                        body,
-                        algorithm,
-                        backend,
-                        key,
-                    });
-                }
+            match validate_solve(body) {
+                Ok(job) => groups[self.route_hash(job.key.instance_hash)].push((index, job)),
                 Err(reply) => {
                     // Invalid items consume no queue capacity; the shard
                     // tag is irrelevant (errors are not shard-counted).
@@ -1065,38 +822,26 @@ impl Service {
         (results, groups)
     }
 
-    /// Resolves a refused sync batch group into its result slots.
-    fn fill_refused_group(
-        &self,
-        results: &mut [Option<(usize, BatchItemResult)>],
-        shard: usize,
-        refused: PushError<Job>,
-    ) {
-        match refused {
-            PushError::Full(job) => {
-                let JobBody::SolveBatch(group) = job.body else {
-                    unreachable!("the refused job is the batch group")
-                };
-                let info = self.overload_info(shard);
-                for item in group {
-                    results[item.index] = Some((shard, BatchItemResult::Overloaded(info.clone())));
-                }
-            }
-            PushError::Closed(job) => {
-                let JobBody::SolveBatch(group) = job.body else {
-                    unreachable!("the refused job is the batch group")
-                };
-                for item in group {
-                    results[item.index] = Some((
-                        shard,
-                        BatchItemResult::Error(ErrorInfo::new(
-                            kind::UNAVAILABLE,
-                            "service is shutting down",
-                        )),
-                    ));
-                }
-            }
-        }
+    /// Answers every item of a refused batch group: `overloaded` for a
+    /// full queue, `unavailable` for a closed one. The group's slot drops
+    /// only after [`BatchSlot::deliver`] has released `results` — it may
+    /// be the batch's last, and finalizing re-locks `results`.
+    fn fill_refused_group(&self, shard: usize, refused: PushError<Job>) {
+        let (job, outcome) = match refused {
+            PushError::Full(job) => (job, BatchItemResult::Overloaded(self.overload_info(shard))),
+            PushError::Closed(job) => (
+                job,
+                BatchItemResult::Error(ErrorInfo::new(
+                    kind::UNAVAILABLE,
+                    "service is shutting down",
+                )),
+            ),
+        };
+        let Job::Batch { group, slot, .. } = job else {
+            unreachable!("the refused job is a batch group")
+        };
+        slot.deliver(group.iter().map(|(index, _)| (*index, outcome.clone())));
+        drop(slot);
     }
 
     /// Counts per-item outcomes and assembles the batch reply in request
@@ -1115,68 +860,6 @@ impl Service {
             merged.push(item);
         }
         Reply::SolvedBatch(BatchResult { items: merged })
-    }
-
-    /// Enqueues a single job for asynchronous completion. `None` means
-    /// admitted (the response will arrive via the sink); `Some` is an
-    /// inline refusal, counted exactly like the sync path.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_async(
-        self: &Arc<Self>,
-        id: Option<u64>,
-        deadline_ms: u64,
-        shard: usize,
-        body: JobBody,
-        reply_codec: CodecKind,
-        trace: Option<TraceStart>,
-        token: u64,
-        seq: u64,
-        sink: &Arc<dyn CompletionSink>,
-    ) -> Option<Reply> {
-        if !self.is_accepting() {
-            self.metrics.incr(&self.metrics.errors);
-            return Some(Reply::Error(ErrorInfo::new(
-                kind::UNAVAILABLE,
-                "service is shutting down",
-            )));
-        }
-        let job = Job {
-            enqueued: Instant::now(),
-            deadline_ms,
-            body,
-            reply: ReplyTo::Reactor(AsyncReply {
-                service: Arc::downgrade(self),
-                sink: Arc::clone(sink),
-                token,
-                seq,
-                id,
-                shard,
-                codec: reply_codec,
-                trace,
-                armed: true,
-            }),
-        };
-        let s = &self.shards[shard];
-        match s.queue.try_push(job) {
-            Ok(depth) => {
-                self.observe_depth(shard, depth);
-                None
-            }
-            Err(PushError::Full(job)) => {
-                job.disarm();
-                self.metrics.incr(&self.metrics.overloaded);
-                self.metrics.incr(&s.counters.overloaded);
-                Some(Reply::Overloaded(self.overload_info(shard)))
-            }
-            Err(PushError::Closed(job)) => {
-                job.disarm();
-                self.metrics.incr(&self.metrics.errors);
-                Some(Reply::Error(ErrorInfo::new(
-                    kind::UNAVAILABLE,
-                    "service is shutting down",
-                )))
-            }
-        }
     }
 
     /// Records a post-push queue depth in both books (aggregate peak is
@@ -1391,16 +1074,23 @@ impl FrameHandler for Service {
                 ));
             }
         };
-        let trace = Some(TraceStart {
-            recv,
-            decoded: Instant::now(),
-        });
+        let decoded = Instant::now();
         if let Op::Hello(body) = &request.op {
             return hello_outcome(current, request.id, body);
         }
         self.metrics.incr(&self.metrics.received);
         let id = request.id;
-        match self.dispatch_async(request, current, trace, token, seq, sink) {
+        let to = ReplyAddr {
+            service: Arc::downgrade(&self),
+            sink: Arc::clone(sink),
+            token,
+            seq,
+            id,
+            codec: current,
+            recv,
+            decoded,
+        };
+        match self.handle_op(request.op, to) {
             Some(reply) => {
                 FrameOutcome::Reply(codec::encode_frame(current, &Response { id, reply }))
             }
@@ -1425,23 +1115,29 @@ impl FrameHandler for Service {
     }
 }
 
-/// Builds the cache/routing key for a solve request.
-fn solve_key(body: &SolveBody) -> SolveKey {
-    SolveKey::new(
-        &body.instance,
-        &body.algorithm,
-        body.eps,
-        body.delta,
-        body.seed,
-        &body.backend,
-        body.cycles,
-    )
+/// An `invalid` error reply.
+fn invalid(message: String) -> Box<Reply> {
+    Box::new(Reply::Error(ErrorInfo::new(kind::INVALID, message)))
+}
+
+/// Refuses a generator recipe whose parameters would panic the
+/// generator (see [`GeneratorConfig::validate`]); inline instances were
+/// validated when they were decoded.
+///
+/// [`GeneratorConfig::validate`]: asm_instance::generators::GeneratorConfig::validate
+fn validate_instance(spec: &InstanceSpec) -> Result<(), Box<Reply>> {
+    match spec {
+        InstanceSpec::Generator(config) => config
+            .validate()
+            .map_err(|err| invalid(format!("invalid instance: {err}"))),
+        InstanceSpec::Inline(_) => Ok(()),
+    }
 }
 
 /// Pre-admission validation: everything that can be rejected without
-/// building the instance.
-fn validate_solve(body: &SolveBody) -> Result<(Algorithm, MatcherBackend), Box<Reply>> {
-    let invalid = |message: String| Box::new(Reply::Error(ErrorInfo::new(kind::INVALID, message)));
+/// building the instance. Keys the validated solve for the cache and
+/// routing.
+fn validate_solve(body: SolveBody) -> Result<SolveJob, Box<Reply>> {
     let algorithm = Algorithm::parse(&body.algorithm)
         .ok_or_else(|| invalid(format!("unknown algorithm `{}`", body.algorithm)))?;
     let backend = crate::protocol::parse_backend(&body.backend)
@@ -1469,7 +1165,22 @@ fn validate_solve(body: &SolveBody) -> Result<(Algorithm, MatcherBackend), Box<R
         }
         Algorithm::Gs | Algorithm::TruncatedGs => {}
     }
-    Ok((algorithm, backend))
+    validate_instance(&body.instance)?;
+    let key = SolveKey::new(
+        &body.instance,
+        &body.algorithm,
+        body.eps,
+        body.delta,
+        body.seed,
+        &body.backend,
+        body.cycles,
+    );
+    Ok(SolveJob {
+        body,
+        algorithm,
+        backend,
+        key,
+    })
 }
 
 /// Builds an [`AsmConfig`] by struct literal — [`AsmConfig::new`] panics
@@ -1502,92 +1213,65 @@ fn run_job(
     metrics: &Metrics,
     delay_ms: u64,
 ) {
-    let Job {
-        enqueued,
-        deadline_ms,
-        body,
-        reply,
-    } = job;
     let dequeued = Instant::now();
-    if let ReplyTo::Batch(slot) = &reply {
-        slot.record_dequeue(dequeued);
-    }
     let delay = || {
         if delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(delay_ms));
         }
     };
-    let expired =
-        |deadline_ms: u64| deadline_ms > 0 && enqueued.elapsed().as_millis() as u64 > deadline_ms;
-    let outcome = match body {
-        JobBody::Solve {
-            body,
-            algorithm,
-            backend,
-            key,
-        } => {
-            delay();
-            JobOutcome::One(if expired(deadline_ms) {
-                Reply::DeadlineExceeded(DeadlineInfo { deadline_ms })
-            } else {
-                run_solve(&body, algorithm, backend, key, cache)
-            })
-        }
-        JobBody::Analyze(body) => {
-            delay();
-            JobOutcome::One(if expired(deadline_ms) {
-                Reply::DeadlineExceeded(DeadlineInfo { deadline_ms })
-            } else {
-                run_analyze(&body)
-            })
-        }
-        JobBody::Market(market_job) => {
-            delay();
-            JobOutcome::One(run_market(market_job, registry))
-        }
-        JobBody::SolveBatch(group) => {
-            let mut parts = Vec::with_capacity(group.len());
-            for item in group {
-                delay();
-                let reply = if expired(item.body.deadline_ms) {
-                    Reply::DeadlineExceeded(DeadlineInfo {
-                        deadline_ms: item.body.deadline_ms,
-                    })
-                } else {
-                    run_solve(&item.body, item.algorithm, item.backend, item.key, cache)
-                };
-                parts.push((item.index, to_item_result(reply)));
-            }
-            JobOutcome::Many(parts)
+    let solve = |job: SolveJob, enqueued: Instant| {
+        delay();
+        let deadline_ms = job.body.deadline_ms;
+        if deadline_ms > 0 && enqueued.elapsed().as_millis() as u64 > deadline_ms {
+            Reply::DeadlineExceeded(DeadlineInfo { deadline_ms })
+        } else {
+            run_solve(job, cache)
         }
     };
-    let solved = Instant::now();
-    metrics.observe_latency_us(enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-    match reply {
-        // A disconnected receiver means the connection died; nothing to do.
-        ReplyTo::Channel(tx) => {
-            let _ = tx.send(outcome);
-        }
-        ReplyTo::Reactor(async_reply) => {
-            let reply = match outcome {
-                JobOutcome::One(reply) => reply,
-                JobOutcome::Many(_) => Reply::Error(ErrorInfo::new(
-                    kind::SOLVE,
-                    "unexpected batch outcome for a single job",
-                )),
+    let observe_latency = |enqueued: Instant| {
+        metrics.observe_latency_us(enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+    };
+    match job {
+        Job::Single {
+            enqueued,
+            body,
+            reply,
+        } => {
+            let outcome = match body {
+                JobBody::Solve(job) => solve(*job, enqueued),
+                JobBody::Analyze(body) => {
+                    delay();
+                    run_analyze(&body)
+                }
+                JobBody::Market(job) => {
+                    delay();
+                    run_market(job, registry)
+                }
             };
-            async_reply.deliver(
-                reply,
-                Some(JobTiming {
-                    enqueued,
-                    dequeued,
-                    solved,
-                }),
-            );
+            let solved = Instant::now();
+            observe_latency(enqueued);
+            let timing = JobTiming {
+                enqueued,
+                dequeued,
+                solved,
+            };
+            reply.deliver(outcome, timing);
         }
-        // The slot's Drop decrements the group count; the last group
-        // finalizes and delivers the merged batch.
-        ReplyTo::Batch(slot) => slot.deliver(outcome),
+        Job::Batch {
+            enqueued,
+            group,
+            slot,
+        } => {
+            slot.record_dequeue(dequeued);
+            let parts: Vec<(usize, BatchItemResult)> = group
+                .into_iter()
+                .map(|(index, job)| (index, to_item_result(solve(job, enqueued))))
+                .collect();
+            observe_latency(enqueued);
+            // The slot's Drop decrements the group count; the last group
+            // finalizes and delivers the merged batch.
+            slot.deliver(parts);
+        }
     }
 }
 
@@ -1604,13 +1288,13 @@ fn to_item_result(reply: Reply) -> BatchItemResult {
     }
 }
 
-fn run_solve(
-    body: &SolveBody,
-    algorithm: Algorithm,
-    backend: MatcherBackend,
-    key: SolveKey,
-    cache: &ResultCache,
-) -> Reply {
+fn run_solve(job: SolveJob, cache: &ResultCache) -> Reply {
+    let SolveJob {
+        body,
+        algorithm,
+        backend,
+        key,
+    } = job;
     if let Some(hit) = cache.get(&key) {
         return Reply::Solved(hit);
     }
@@ -1780,7 +1464,7 @@ fn run_analyze(body: &AnalyzeBody) -> Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{parse_response, BatchBody, InstanceSpec, MarketDropBody, ResolveBody};
+    use crate::protocol::{parse_response, BatchBody, MarketDropBody, ResolveBody};
     use asm_instance::generators::GeneratorConfig;
     use asm_market::{MutationOp, Side};
 
@@ -1821,7 +1505,7 @@ mod tests {
         })
     }
 
-    fn reply_of(service: &Service, line: &str) -> Reply {
+    fn reply_of(service: &Arc<Service>, line: &str) -> Reply {
         parse_response(&service.handle_line(line)).unwrap().reply
     }
 
@@ -2121,6 +1805,246 @@ mod tests {
             Reply::Error(err) => assert_eq!(err.kind, kind::UNAVAILABLE),
             other => panic!("expected unavailable, got {other:?}"),
         }
+        service.join();
+    }
+
+    /// Collects every completion as (`seq`, framed bytes).
+    #[derive(Default)]
+    struct Collect(Mutex<Vec<(u64, Vec<u8>)>>);
+
+    impl CompletionSink for Collect {
+        fn complete(&self, _token: u64, seq: u64, bytes: Vec<u8>, _trace: Option<FlushPending>) {
+            self.0.lock().unwrap().push((seq, bytes));
+        }
+    }
+
+    #[test]
+    fn batch_spanning_a_full_and_an_open_shard_answers_once_in_request_order() {
+        let service = Service::start(ServiceConfig {
+            workers: 2,
+            queue_capacity: 1,
+            cache_capacity: 0,
+            worker_delay_ms: 0,
+            shards: 2,
+        });
+        let collect = Arc::new(Collect::default());
+        let sink: Arc<dyn CompletionSink> = collect.clone();
+        let send = |seq: u64, line: String| {
+            Arc::clone(&service).handle_frame(&Frame::Text(line), Instant::now(), 0, seq, &sink)
+        };
+        // Park shard 0's only worker on a market lock the test holds...
+        let market = (0..)
+            .map(|i| format!("m{i}"))
+            .find(|m| service.route_hash(label_hash(m)) == 0)
+            .unwrap();
+        assert!(matches!(
+            reply_of(&service, &create_line(1, &market, 0.5)),
+            Reply::MarketCreated(_)
+        ));
+        let handle = service.shards[0].registry.get(&market).unwrap();
+        let held = handle.lock().unwrap();
+        assert!(matches!(
+            send(0, resolve_line(2, &market, "cold")),
+            FrameOutcome::Pending
+        ));
+        while !service.shards[0].queue.is_empty() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // ...then fill its one queue slot, so shard 0 is full while
+        // shard 1 has room.
+        let routes = &service;
+        let on_shard = |shard: usize| {
+            (1..)
+                .map(|seed| solve_body(seed, "gs"))
+                .filter(move |body| routes.route(&body.instance) == shard)
+        };
+        let (mut full, mut open) = (on_shard(0), on_shard(1));
+        let backlog = crate::protocol::render(&Request {
+            id: Some(3),
+            op: Op::Solve(full.next().unwrap()),
+        });
+        assert!(matches!(send(1, backlog), FrameOutcome::Pending));
+        assert_eq!(service.shards[0].queue.len(), 1);
+        let items = vec![
+            full.next().unwrap(),
+            open.next().unwrap(),
+            full.next().unwrap(),
+            open.next().unwrap(),
+        ];
+        assert!(matches!(
+            send(2, batch_line(4, items)),
+            FrameOutcome::Pending
+        ));
+        drop(held);
+        service.join();
+
+        let done = collect.0.lock().unwrap();
+        let batches: Vec<&[u8]> = done
+            .iter()
+            .filter(|(seq, _)| *seq == 2)
+            .map(|(_, bytes)| bytes.as_slice())
+            .collect();
+        assert_eq!(batches.len(), 1, "the batch answers exactly once");
+        assert_eq!(done.len(), 3, "resolve, backlog solve, batch");
+        let line = std::str::from_utf8(batches[0]).unwrap().trim_end();
+        let Reply::SolvedBatch(batch) = parse_response(line).unwrap().reply else {
+            panic!("expected solved_batch, got {line}");
+        };
+        let outcomes: Vec<&str> = batch
+            .items
+            .iter()
+            .map(|item| match item {
+                BatchItemResult::Overloaded(_) => "overloaded",
+                BatchItemResult::Solved(_) => "solved",
+                other => panic!("unexpected item {other:?}"),
+            })
+            .collect();
+        assert_eq!(outcomes, ["overloaded", "solved", "overloaded", "solved"]);
+        drop(done);
+        let Reply::Metrics(snap) = reply_of(&service, "{\"id\":5,\"op\":\"metrics\"}") else {
+            panic!("expected metrics");
+        };
+        assert_eq!((snap.solved, snap.overloaded), (3, 2));
+        let per_shard = |f: fn(&crate::metrics::ShardSnapshot) -> u64| {
+            snap.shards.iter().map(f).collect::<Vec<u64>>()
+        };
+        assert_eq!(per_shard(|s| s.overloaded), [2, 0]);
+        assert_eq!(per_shard(|s| s.solved), [1, 2]);
+        assert_eq!(
+            per_shard(|s| s.matched_total).iter().sum::<u64>(),
+            snap.matched_total
+        );
+    }
+
+    #[test]
+    fn generator_recipes_that_would_panic_are_refused_before_admission() {
+        // One worker: a recipe that panicked it would leave every later
+        // request on the shard without a reply.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let expect_invalid = |reply: Reply, what: &str| match reply {
+            Reply::Error(err) => {
+                assert_eq!(err.kind, kind::INVALID, "{what}: {err:?}");
+                assert!(
+                    err.message.starts_with("invalid instance"),
+                    "{what}: {err:?}"
+                );
+            }
+            other => panic!("{what}: expected invalid, got {other:?}"),
+        };
+        let render = |id: u64, op: Op| crate::protocol::render(&Request { id: Some(id), op });
+        let recipes = [
+            GeneratorConfig::Regular {
+                n: 4,
+                d: 10,
+                seed: 1,
+            },
+            GeneratorConfig::Geometric {
+                n: 3,
+                d: 4,
+                seed: 1,
+            },
+            GeneratorConfig::Zipf {
+                n: 4,
+                d: 5,
+                s: 1.0,
+                seed: 1,
+            },
+            GeneratorConfig::Zipf {
+                n: 4,
+                d: 2,
+                s: -1.0,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 2,
+                alpha: 0.5,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 0,
+                alpha: 2.0,
+                seed: 1,
+            },
+            GeneratorConfig::AlmostRegular {
+                n: 8,
+                d_min: 3,
+                alpha: 3.0,
+                seed: 1,
+            },
+            GeneratorConfig::ErdosRenyi {
+                num_women: 3,
+                num_men: 3,
+                p: 1.5,
+                seed: 1,
+            },
+            GeneratorConfig::NoisyMaster {
+                n: 4,
+                noise: -1.0,
+                seed: 1,
+            },
+        ];
+        for (i, recipe) in recipes.into_iter().enumerate() {
+            let id = 10 * i as u64;
+            let instance = InstanceSpec::Generator(recipe);
+            let solve = SolveBody {
+                instance: instance.clone(),
+                ..solve_body(1, "gs")
+            };
+            let reply = reply_of(&service, &render(id, Op::Solve(solve.clone())));
+            expect_invalid(reply, "solve");
+            let Reply::SolvedBatch(batch) = reply_of(&service, &batch_line(id + 1, vec![solve]))
+            else {
+                panic!("expected solved_batch");
+            };
+            match &batch.items[..] {
+                [BatchItemResult::Error(err)] => assert_eq!(err.kind, kind::INVALID),
+                other => panic!("batch item: {other:?}"),
+            }
+            let analyze = Op::Analyze(AnalyzeBody {
+                instance: instance.clone(),
+                matching: asm_matching::Matching::new(0),
+                eps: 0.5,
+            });
+            expect_invalid(reply_of(&service, &render(id + 2, analyze)), "analyze");
+            let create = Op::MarketCreate(MarketCreateBody {
+                market: format!("m{i}"),
+                instance,
+                eps: 0.5,
+            });
+            expect_invalid(reply_of(&service, &render(id + 3, create)), "market_create");
+        }
+        // JSON cannot carry a NaN, but the binary codec can.
+        let nan = Request {
+            id: Some(98),
+            op: Op::Solve(SolveBody {
+                instance: InstanceSpec::Generator(GeneratorConfig::Zipf {
+                    n: 4,
+                    d: 2,
+                    s: f64::NAN,
+                    seed: 1,
+                }),
+                ..solve_body(1, "gs")
+            }),
+        };
+        let frame = Frame::Binary(codec::encode_payload(CodecKind::Binary, &nan));
+        let sink: Arc<dyn CompletionSink> = Arc::new(Collect::default());
+        let FrameOutcome::Reply(bytes) =
+            Arc::clone(&service).handle_frame(&frame, Instant::now(), 0, 0, &sink)
+        else {
+            panic!("a NaN recipe is refused inline");
+        };
+        let reply = codec::parse_response_payload(CodecKind::Binary, &bytes[4..]).unwrap();
+        expect_invalid(reply.reply, "binary NaN solve");
+        // The worker never saw a bad recipe: a valid solve still answers.
+        assert!(matches!(
+            reply_of(&service, &solve_line(99, 1, "gs")),
+            Reply::Solved(_)
+        ));
         service.join();
     }
 

@@ -1,7 +1,8 @@
 //! Golden wire-protocol corpus: every case file in `crates/service/cases/`
 //! pins the exact response bytes for a scripted request sequence against
 //! a freshly started service — the conformance-replay idea applied to the
-//! wire protocol.
+//! wire protocol. Each line goes through `FrameHandler::handle_line`, a
+//! one-shot sink over the reactor's own `handle_frame` path.
 //!
 //! To regenerate after an intentional protocol change:
 //!
@@ -13,7 +14,7 @@
 //! must be reflected in `docs/PROTOCOLS.md` (and the schema version
 //! bumped if the shape of a body changed).
 
-use asm_service::{Service, ServiceConfig};
+use asm_service::{FrameHandler, Service, ServiceConfig};
 use serde::{content_get, Content, Deserialize, Serialize};
 use std::path::PathBuf;
 

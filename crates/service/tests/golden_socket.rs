@@ -1,11 +1,11 @@
 //! Golden-corpus replay through a real TCP socket.
 //!
-//! `tests/golden.rs` pins the protocol at the [`Service::handle_line`]
-//! boundary; this suite replays the same case files through
-//! [`serve`] and a real socket, so the reactor's framing, ordered
-//! outbox, and drain behavior are byte-pinned end-to-end. Any
-//! divergence between the two suites is a bug in the transport, not the
-//! protocol.
+//! `tests/golden.rs` pins the protocol in-process, through the one-shot
+//! `FrameHandler::handle_line` over `handle_frame`; this suite replays
+//! the same case files through [`serve`] and a real socket, so the
+//! reactor's framing, ordered outbox, and drain behavior are
+//! byte-pinned end-to-end. Any divergence between the two suites is a
+//! bug in the transport, not the protocol.
 //!
 //! The `pipelined` case is additionally replayed with both frames in a
 //! single `write` call — one TCP segment — proving the reactor splits

@@ -10,7 +10,8 @@
 
 use asm_instance::generators::GeneratorConfig;
 use asm_service::{
-    instance_hash, InstanceSpec, Op, Reply, Request, Service, ServiceConfig, SolveBody,
+    instance_hash, FrameHandler, InstanceSpec, Op, Reply, Request, Service, ServiceConfig,
+    SolveBody,
 };
 use proptest::prelude::*;
 use std::sync::Arc;

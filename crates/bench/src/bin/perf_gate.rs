@@ -182,7 +182,10 @@ fn gate_regime(baseline_path: &str, current_path: &str) -> bool {
                 show(&base.crossover_shards),
                 show(&cur.crossover_shards)
             ),
-            None => println!("  n={} {}: not in current run (not gated)", base.n, base.codec),
+            None => println!(
+                "  n={} {}: not in current run (not gated)",
+                base.n, base.codec
+            ),
         }
     }
     let violations = compare_crossovers(&baseline, &current);

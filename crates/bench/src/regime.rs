@@ -339,12 +339,24 @@ mod tests {
 
     #[test]
     fn gate_tolerates_one_step_and_flags_two() {
-        let baseline = report(vec![xover(64, "json", Some(2)), xover(256, "json", Some(2))]);
+        let baseline = report(vec![
+            xover(64, "json", Some(2)),
+            xover(256, "json", Some(2)),
+        ]);
         // One grid step later: tolerated.
-        let drifted = report(vec![xover(64, "json", Some(4)), xover(256, "json", Some(2))]);
-        assert_eq!(compare_crossovers(&baseline, &drifted), Vec::<String>::new());
+        let drifted = report(vec![
+            xover(64, "json", Some(4)),
+            xover(256, "json", Some(2)),
+        ]);
+        assert_eq!(
+            compare_crossovers(&baseline, &drifted),
+            Vec::<String>::new()
+        );
         // Two steps (2 → 8): flagged.
-        let regressed = report(vec![xover(64, "json", Some(8)), xover(256, "json", Some(2))]);
+        let regressed = report(vec![
+            xover(64, "json", Some(8)),
+            xover(256, "json", Some(2)),
+        ]);
         let violations = compare_crossovers(&baseline, &regressed);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("n=64"));
@@ -386,10 +398,7 @@ mod tests {
             xover(64, "json", Some(2)),
             xover(9999, "json", Some(2)),
         ]);
-        assert_eq!(
-            compare_crossovers(&baseline, &subset),
-            Vec::<String>::new()
-        );
+        assert_eq!(compare_crossovers(&baseline, &subset), Vec::<String>::new());
     }
 
     #[test]

@@ -85,8 +85,7 @@ pub use protocol::{
     DeadlineInfo, ErrorInfo, HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody,
     MarketCreatedInfo, MarketDropBody, MarketDroppedInfo, MarketMutateBody, MarketMutatedInfo,
     MetricsBody, Op, OverloadInfo, Reply, Request, ResolveBody, ResolveResult, Response, SolveBody,
-    SolveResult,
-    OVERLOAD_REASON_ROUTER, PROTOCOL_SCHEMA,
+    SolveResult, OVERLOAD_REASON_ROUTER, PROTOCOL_SCHEMA,
 };
 pub use reactor::ReactorConfig;
 pub use router::{serve_router, serve_router_with, Router, RouterConfig};

@@ -1300,7 +1300,10 @@ mod tests {
             op: Op::metrics(),
         };
         assert_eq!(render(&plain), "{\"id\":3,\"op\":\"metrics\"}");
-        assert_eq!(parse_request("{\"id\":3,\"op\":\"metrics\"}").unwrap(), plain);
+        assert_eq!(
+            parse_request("{\"id\":3,\"op\":\"metrics\"}").unwrap(),
+            plain
+        );
         // Non-empty detail carries a body and round-trips.
         let staged = Request {
             id: Some(4),

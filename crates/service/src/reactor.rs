@@ -494,7 +494,8 @@ impl Reactor {
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     conn.outbox.push_back(None);
-                    match Arc::clone(&self.handler).handle_frame(&frame, recv, token, seq, &self.sink)
+                    match Arc::clone(&self.handler)
+                        .handle_frame(&frame, recv, token, seq, &self.sink)
                     {
                         FrameOutcome::Reply(bytes) => conn.fill_slot(seq, bytes, None),
                         FrameOutcome::Pending => self.pending_jobs += 1,

@@ -557,10 +557,16 @@ fn pipelined_segment_stage_books_count_only_traced_flushed_replies() {
     // The frames were pipelined in one segment sharing one recv stamp
     // sweep, yet each row's stages are a coherent lifecycle: Σ component
     // µs never exceeds the end-to-end µs.
-    let component: u64 = [&stages.decode, &stages.queue, &stages.solve, &stages.encode, &stages.flush]
-        .iter()
-        .map(|s| s.total_us)
-        .sum();
+    let component: u64 = [
+        &stages.decode,
+        &stages.queue,
+        &stages.solve,
+        &stages.encode,
+        &stages.flush,
+    ]
+    .iter()
+    .map(|s| s.total_us)
+    .sum();
     assert!(
         component <= stages.total.total_us,
         "Σ component {component} µs vs end-to-end {} µs",

@@ -432,9 +432,9 @@ fn merged_stage_books_are_the_bucketwise_sum_of_backend_books() {
     assert!(plain.stages.is_none(), "plain merge must omit stages");
     assert!(plain.backends.iter().all(|b| b.stages.is_none()));
 
-    let merged = metrics_of(&router.handle_line(
-        "{\"id\":9,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}",
-    ));
+    let merged = metrics_of(
+        &router.handle_line("{\"id\":9,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}"),
+    );
     let stages = merged.stages.as_ref().expect("stages block requested");
     // Each routed solve was a reactor-path request at its backend, so
     // the merged books hold exactly one row per solve (the router's own
@@ -450,7 +450,10 @@ fn merged_stage_books_are_the_bucketwise_sum_of_backend_books() {
         assert!(s.total.count > 0, "backend {i} stage books empty");
         expected.absorb(s);
     }
-    for ((name, want), (_, got)) in stage_fields(&expected).into_iter().zip(stage_fields(stages)) {
+    for ((name, want), (_, got)) in stage_fields(&expected)
+        .into_iter()
+        .zip(stage_fields(stages))
+    {
         assert_eq!(got.count, want.count, "merged `{name}` count");
         assert_eq!(got.total_us, want.total_us, "merged `{name}` Σµs");
         assert_eq!(got.buckets, want.buckets, "merged `{name}` buckets");
@@ -487,9 +490,9 @@ fn merged_stage_books_survive_backend_death() {
     }
     assert_eq!(router.backend_states()[0], BackendState::Down);
 
-    let merged = metrics_of(&router.handle_line(
-        "{\"id\":99,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}",
-    ));
+    let merged = metrics_of(
+        &router.handle_line("{\"id\":99,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}"),
+    );
     let stages = merged.stages.as_ref().expect("stages block requested");
     assert_eq!(merged.backends[0].state, "down");
     assert!(
@@ -502,8 +505,14 @@ fn merged_stage_books_survive_backend_death() {
         .expect("surviving backend slice missing its stages block");
     for ((name, want), (_, got)) in stage_fields(alive).into_iter().zip(stage_fields(stages)) {
         assert_eq!(got.count, want.count, "post-death merged `{name}` count");
-        assert_eq!(got.total_us, want.total_us, "post-death merged `{name}` Σµs");
-        assert_eq!(got.buckets, want.buckets, "post-death merged `{name}` buckets");
+        assert_eq!(
+            got.total_us, want.total_us,
+            "post-death merged `{name}` Σµs"
+        );
+        assert_eq!(
+            got.buckets, want.buckets,
+            "post-death merged `{name}` buckets"
+        );
     }
     // Internal reconciliation holds on the merged view too: equal
     // per-stage counts, buckets summing to them.

@@ -20,8 +20,8 @@
 
 use asm_instance::generators::GeneratorConfig;
 use asm_service::{
-    serve, InstanceSpec, MetricsSnapshot, Op, Reply, Request, Response, ServiceConfig,
-    SolveBody, StagesSnapshot,
+    serve, InstanceSpec, MetricsSnapshot, Op, Reply, Request, Response, ServiceConfig, SolveBody,
+    StagesSnapshot,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -80,7 +80,10 @@ fn exchange(addr: std::net::SocketAddr, line: &str) -> String {
 
 /// Fetches the `detail: "stages"` snapshot over the wire.
 fn fetch_stages(addr: std::net::SocketAddr) -> MetricsSnapshot {
-    let reply = exchange(addr, "{\"id\":90,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}");
+    let reply = exchange(
+        addr,
+        "{\"id\":90,\"op\":\"metrics\",\"body\":{\"detail\":\"stages\"}}",
+    );
     let response: Response = serde_json::from_str(&reply).unwrap();
     let Reply::Metrics(snapshot) = response.reply else {
         panic!("expected metrics, got {reply}");
@@ -117,7 +120,10 @@ fn assert_domain_reconciles(domain: &str, stages: &StagesSnapshot, expect_rows: 
             "{domain}: stage `{name}` buckets must sum to its count"
         );
     }
-    let component_us: u64 = stage_fields(stages)[..5].iter().map(|(_, s)| s.total_us).sum();
+    let component_us: u64 = stage_fields(stages)[..5]
+        .iter()
+        .map(|(_, s)| s.total_us)
+        .sum();
     assert!(
         component_us <= stages.total.total_us,
         "{domain}: Σ component stages ({component_us} µs) exceeds end-to-end ({} µs)",
@@ -170,7 +176,10 @@ fn run_and_reconcile(shards: usize, lines: &[String]) {
         {
             assert_eq!(mine.count, aggregate.count, "Σ shard `{name}` count");
             assert_eq!(mine.total_us, aggregate.total_us, "Σ shard `{name}` µs");
-            assert_eq!(&mine.buckets, &aggregate.buckets, "Σ shard `{name}` buckets");
+            assert_eq!(
+                &mine.buckets, &aggregate.buckets,
+                "Σ shard `{name}` buckets"
+            );
         }
     }
     handle.shutdown();
@@ -205,7 +214,11 @@ proptest! {
 fn stage_blocks_appear_only_when_asked_for() {
     let handle = serve("127.0.0.1:0", config(2)).unwrap();
     let addr = handle.addr();
-    let spec = InstanceSpec::Generator(GeneratorConfig::Regular { n: 8, d: 3, seed: 7 });
+    let spec = InstanceSpec::Generator(GeneratorConfig::Regular {
+        n: 8,
+        d: 3,
+        seed: 7,
+    });
     let reply = exchange(addr, &solve_line(1, &spec));
     assert!(reply.contains("\"reply\":\"solved\""), "{reply}");
 
@@ -235,7 +248,10 @@ fn stage_blocks_appear_only_when_asked_for() {
     assert_eq!(snapshot.stages.unwrap().total.count, 1);
 
     // An unknown detail is an invalid request, not a crash or a guess.
-    let reply = exchange(addr, "{\"id\":3,\"op\":\"metrics\",\"body\":{\"detail\":\"nope\"}}");
+    let reply = exchange(
+        addr,
+        "{\"id\":3,\"op\":\"metrics\",\"body\":{\"detail\":\"nope\"}}",
+    );
     assert!(reply.contains("\"reply\":\"error\""), "{reply}");
     assert!(reply.contains("invalid"), "{reply}");
     assert!(reply.contains("unknown metrics detail"), "{reply}");

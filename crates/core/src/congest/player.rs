@@ -3,7 +3,7 @@
 use super::messages::AsmMsg;
 use crate::QuantizedPrefs;
 use asm_congest::{Envelope, NodeId, Outbox, Process, SplitRng};
-use asm_instance::Gender;
+use asm_instance::{Gender, PreferenceList};
 use asm_maximal::protocols::{GreedyNode, IiNode, MmMsg, PrMsg, PrNode, ProposalNode};
 
 /// Which maximal-matching protocol the players embed for step 3.
@@ -82,13 +82,14 @@ impl MmState {
     }
 }
 
-/// One player of the message-passing ASM engine: holds the quantized
-/// preferences, current partner, active quantile, and (during step 3) an
-/// embedded maximal-matching node.
+/// One player of the message-passing ASM engine: holds its preference
+/// list with the quantized state over its slots, current partner, active
+/// quantile, and (during step 3) an embedded maximal-matching node.
 #[derive(Debug)]
 pub struct Player {
     id: NodeId,
     gender: Gender,
+    prefs: PreferenceList,
     quant: QuantizedPrefs,
     partner: Option<NodeId>,
     active_quantile: Option<u32>,
@@ -120,7 +121,8 @@ impl Player {
         Player {
             id,
             gender,
-            quant: QuantizedPrefs::new(ranked, k),
+            prefs: PreferenceList::new(ranked.to_vec()),
+            quant: QuantizedPrefs::new(ranked.len(), k),
             partner: None,
             active_quantile: None,
             removed_from_play: false,
@@ -162,11 +164,18 @@ impl Player {
     }
 
     /// The man's current active set `A`.
-    fn active_set(&self) -> Vec<NodeId> {
-        match self.active_quantile {
-            Some(q) => self.quant.members_of(q),
-            None => Vec::new(),
-        }
+    fn active_set(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.active_quantile
+            .into_iter()
+            .flat_map(|q| self.quant.live_in(q))
+            .map(|s| self.prefs.ranked()[s])
+    }
+
+    /// The slot of a partner on this player's list.
+    fn slot_of(&self, u: NodeId) -> usize {
+        self.prefs
+            .slot_of(u)
+            .expect("messages come only from acceptable partners")
     }
 
     /// Driver hook: `QuantileMatch` start — arm `A ← Q_i` if unmatched,
@@ -188,7 +197,7 @@ impl Player {
         self.gender == Gender::Man
             && !self.removed_from_play
             && self.partner.is_none()
-            && !self.active_set().is_empty()
+            && self.active_set().next().is_some()
     }
 
     /// Driver hook: `ProposalRound` start. `tag` seeds the embedded
@@ -252,14 +261,11 @@ impl Player {
                 self.active_quantile = None;
             }
             Gender::Woman => {
-                let q_new = self
-                    .quant
-                    .quantile_of(p0)
-                    .expect("matched partner is acceptable");
-                for m in self.quant.members_at_or_worse(q_new) {
-                    if m != p0 {
-                        self.quant.remove(m);
-                        self.pending_rejects.push(m);
+                let kept = self.slot_of(p0);
+                let worse = self.quant.slots_of(self.quant.quantile_of(kept)).start;
+                for s in worse..self.prefs.degree() {
+                    if s != kept && self.quant.remove(s) {
+                        self.pending_rejects.push(self.prefs.ranked()[s]);
                     }
                 }
                 self.partner = Some(p0);
@@ -289,22 +295,18 @@ impl Process for Player {
             Phase::Respond => {
                 if self.gender == Gender::Woman {
                     // Accept the best proposing quantile (step 2).
-                    let proposers: Vec<NodeId> = inbox
+                    let proposers: Vec<(NodeId, u32)> = inbox
                         .iter()
                         .filter(|e| e.payload == AsmMsg::Propose)
-                        .map(|e| e.src)
+                        .map(|e| {
+                            let s = self.slot_of(e.src);
+                            debug_assert!(self.quant.is_live(s));
+                            (e.src, self.quant.quantile_of(s))
+                        })
                         .collect();
-                    if !proposers.is_empty() {
-                        let best = proposers
-                            .iter()
-                            .map(|&m| {
-                                debug_assert!(self.quant.contains(m));
-                                self.quant.quantile_of(m).expect("proposer acceptable")
-                            })
-                            .min()
-                            .expect("nonempty");
-                        for &m in &proposers {
-                            if self.quant.quantile_of(m) == Some(best) {
+                    if let Some(best) = proposers.iter().map(|&(_, q)| q).min() {
+                        for &(m, q) in &proposers {
+                            if q == best {
                                 self.g0.push(m);
                                 outbox.send(m, AsmMsg::Accept);
                             }
@@ -393,7 +395,7 @@ impl Process for Player {
             Phase::RejectRecv => {
                 for e in inbox {
                     if e.payload == AsmMsg::Reject {
-                        self.quant.remove(e.src);
+                        self.quant.remove(self.slot_of(e.src));
                         if self.partner == Some(e.src) {
                             self.partner = None;
                         }

@@ -29,19 +29,26 @@ pub(crate) enum PrOutcome {
 ///    their active sets;
 /// 5. rejections are applied symmetrically, unmatching any man whose
 ///    partner upgraded away from him.
+///
+/// Every entry is addressed by slot: a proposal carries the woman's slot
+/// of the man (his mirror rank minus one), step 2 compares those slots,
+/// and the rejections of steps 4–5 reach each man's slot through the
+/// woman's mirror ranks.
 pub(crate) fn proposal_round(inst: &Instance, st: &mut AsmState, ctx: &mut RunCtx) -> PrOutcome {
     let ids = inst.ids();
 
-    // Step 1: proposals, grouped by woman (in man-id order, matching the
-    // CONGEST inbox order of the message-passing engine).
-    let mut proposals: Vec<Vec<NodeId>> = vec![Vec::new(); ids.num_women()];
+    // Step 1: proposals `(man, woman's slot of him)`, grouped by woman (in
+    // man-id order, matching the CONGEST inbox order of the
+    // message-passing engine).
+    let mut proposals: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); ids.num_women()];
     let mut any = false;
     for m in ids.men() {
         if st.removed_from_play[m.index()] {
             continue;
         }
-        for w in st.active_set(m) {
-            proposals[w.index()].push(m);
+        let (ranked, mirror) = (inst.prefs(m).ranked(), inst.mirror(m));
+        for s in st.active_slots(m) {
+            proposals[ranked[s].index()].push((m, mirror[s] - 1));
             ctx.proposals += 1;
             any = true;
         }
@@ -53,27 +60,22 @@ pub(crate) fn proposal_round(inst: &Instance, st: &mut AsmState, ctx: &mut RunCt
     ctx.executed_prs += 1;
 
     // Step 2: each woman accepts her best quantile among the proposers.
+    // Quantiles are slot ranges, so that is every proposer whose slot
+    // lies before the end of the best proposer's quantile.
     let mut g0_edges: Vec<(NodeId, NodeId)> = Vec::new();
     for (i, props) in proposals.iter().enumerate() {
-        if props.is_empty() {
-            continue;
-        }
         let w = ids.woman(i);
         let wq = &st.quant[w.index()];
-        let best = props
-            .iter()
-            .map(|&m| {
-                debug_assert!(
-                    wq.contains(m),
-                    "a proposer must still be on the woman's list"
-                );
-                wq.quantile_of(m)
-                    .expect("proposer is an acceptable partner")
-            })
-            .min()
-            .expect("nonempty proposer list");
-        for &m in props {
-            if wq.quantile_of(m) == Some(best) {
+        debug_assert!(
+            props.iter().all(|&(_, s)| wq.is_live(s as usize)),
+            "a proposer must still be on the woman's list"
+        );
+        let Some(best) = props.iter().map(|&(_, s)| s as usize).min() else {
+            continue;
+        };
+        let cutoff = wq.slots_of(wq.quantile_of(best)).end;
+        for &(m, s) in props {
+            if (s as usize) < cutoff {
                 g0_edges.push((m, w));
                 ctx.acceptances += 1;
             }
@@ -106,15 +108,17 @@ pub(crate) fn proposal_round(inst: &Instance, st: &mut AsmState, ctx: &mut RunCt
     for &(a, b) in &mm.pairs {
         let (m, w) = if ids.is_man(a) { (a, b) } else { (b, a) };
         debug_assert!(ids.is_man(m) && ids.is_woman(w));
-        let q_new = st.quant[w.index()]
-            .quantile_of(m)
+        let kept = inst
+            .prefs(w)
+            .slot_of(m)
             .expect("matched partner is acceptable");
+        let wq = &st.quant[w.index()];
         // Reject every surviving suitor in an equal-or-worse quantile
         // (this always includes the woman's previous partner, who sits in
         // a strictly worse quantile by Lemma 1).
-        for reject in st.quant[w.index()].members_at_or_worse(q_new) {
-            if reject != m {
-                st.reject_edge(w, reject);
+        for s in wq.slots_of(wq.quantile_of(kept)).start..inst.degree(w) {
+            if s != kept && st.quant[w.index()].is_live(s) {
+                st.reject(inst, w, s);
                 ctx.rejections += 1;
             }
         }
@@ -243,8 +247,9 @@ mod tests {
                 proposal_round(&inst, &mut st, &mut ctx);
                 for i in 0..ids.num_women() {
                     let w = ids.woman(i);
-                    let now =
-                        st.partner[w.index()].map(|m| st.quant[w.index()].quantile_of(m).unwrap());
+                    let now = st.partner[w.index()].map(|m| {
+                        st.quant[w.index()].quantile_of(inst.prefs(w).slot_of(m).unwrap())
+                    });
                     match (last[i], now) {
                         (Some(_), None) => panic!("woman {w} lost her partner"),
                         (Some(old), Some(new)) => {

@@ -12,7 +12,7 @@ pub(crate) fn any_proposer(inst: &Instance, st: &AsmState) -> bool {
     inst.ids().men().any(|m| {
         !st.removed_from_play[m.index()]
             && st.partner[m.index()].is_none()
-            && !st.active_set(m).is_empty()
+            && st.active_slots(m).next().is_some()
     })
 }
 
@@ -98,7 +98,7 @@ mod tests {
             let (st, _, _) = run_qm(&inst, 4, 1);
             for m in inst.ids().men() {
                 assert!(
-                    st.active_set(m).is_empty(),
+                    st.active_slots(m).next().is_none(),
                     "man {m} still has a nonempty A after QuantileMatch"
                 );
             }
@@ -111,27 +111,28 @@ mod tests {
         let k = 5;
         // Snapshot each man's initial best quantile.
         let st0 = AsmState::new(&inst, k);
-        let initial_best: Vec<Vec<NodeId>> = inst
+        let initial_best: Vec<Vec<usize>> = inst
             .ids()
             .men()
-            .map(|m| st0.quant[m.index()].members_of(1))
+            .map(|m| st0.quant[m.index()].live_in(1).collect())
             .collect();
         let (st, _, _) = run_qm(&inst, k, 1);
         for (j, m) in inst.ids().men().enumerate() {
             match st.partner[m.index()] {
                 Some(w) => {
                     // Lemma 2: matched with some woman in his original A.
+                    let slot = inst.prefs(m).slot_of(w).unwrap();
                     assert!(
-                        initial_best[j].contains(&w),
+                        initial_best[j].contains(&slot),
                         "man {m} matched outside his armed quantile"
                     );
                 }
                 None => {
                     // Rejected by every woman in his original A.
-                    for w in &initial_best[j] {
+                    for &slot in &initial_best[j] {
                         assert!(
-                            !st.quant[m.index()].contains(*w),
-                            "man {m} unmatched but not rejected by {w}"
+                            !st.quant[m.index()].is_live(slot),
+                            "man {m} unmatched but not rejected by slot {slot}"
                         );
                     }
                 }
@@ -180,7 +181,7 @@ mod tests {
             let mut ctx = RunCtx::new(&config, inst.ids().num_players());
             quantile_match(&inst, &mut st, &mut ctx, 1);
             for m in inst.ids().men() {
-                assert!(st.active_set(m).is_empty(), "{backend:?}");
+                assert!(st.active_slots(m).next().is_none(), "{backend:?}");
             }
         }
     }

@@ -12,85 +12,64 @@
 //! > (see DESIGN.md §3).
 //!
 //! During the algorithm, partners are only ever **removed** (rejections);
-//! `Q` never grows — [`QuantizedPrefs`] enforces this shape with `O(log
-//! deg)` removal and `O(1)` membership counting per quantile.
+//! `Q` never grows. [`QuantizedPrefs`] enforces this shape over the
+//! *slots* of a preference list (slot `i` holds the partner of rank
+//! `i + 1`): quantile `q` is the slot range `[(q−1)·deg/k, q·deg/k)`, and
+//! removal and membership are `O(1)` per slot.
 
-use asm_congest::NodeId;
+use std::ops::Range;
 
 /// A player's quantized preference state: the surviving portions of
-/// `Q₁, …, Q_k`.
+/// `Q₁, …, Q_k`, addressed by slot of the player's preference list.
+///
+/// It stores one removal flag per slot and one survivor count per
+/// quantile; the partners themselves stay on the list
+/// ([`asm_instance::PreferenceList`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use asm_congest::NodeId;
 /// use asm_core::QuantizedPrefs;
 ///
-/// let ids: Vec<NodeId> = (0..6).map(NodeId::new).collect();
-/// let mut q = QuantizedPrefs::new(&ids, 3); // quantiles of size 2
-/// assert_eq!(q.quantile_of(ids[0]), Some(1));
-/// assert_eq!(q.quantile_of(ids[5]), Some(3));
+/// let mut q = QuantizedPrefs::new(6, 3); // six slots, quantiles of size 2
+/// assert_eq!(q.quantile_of(0), 1);
+/// assert_eq!(q.quantile_of(5), 3);
+/// assert_eq!(q.slots_of(2), 2..4);
 /// assert_eq!(q.min_nonempty_quantile(), Some(1));
 ///
-/// q.remove(ids[0]);
-/// q.remove(ids[1]);
+/// q.remove(0);
+/// q.remove(1);
 /// assert_eq!(q.min_nonempty_quantile(), Some(2));
 /// assert_eq!(q.remaining(), 4);
+/// assert_eq!(q.live_from(2).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuantizedPrefs {
     k: usize,
-    /// Partners in original rank order.
-    entries: Vec<NodeId>,
-    /// Quantile index (1-based) per entry.
-    quantile: Vec<u32>,
-    /// Removal flags per entry.
+    /// Removal flags per slot.
     removed: Vec<bool>,
-    /// `(partner, entry index)` sorted by partner for lookup.
-    index: Vec<(NodeId, u32)>,
     remaining_total: usize,
     /// Surviving member count per quantile (index `q-1`).
-    remaining_per_quantile: Vec<usize>,
+    remaining_per_quantile: Vec<u32>,
 }
 
 impl QuantizedPrefs {
-    /// Quantizes a ranked preference list (most favored first) into `k`
-    /// quantiles.
+    /// Quantizes a preference list of `degree` slots into `k` quantiles,
+    /// all present.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn new(ranked: &[NodeId], k: usize) -> Self {
+    pub fn new(degree: usize, k: usize) -> Self {
         assert!(k > 0, "quantile count must be positive");
-        let deg = ranked.len();
-        let quantile: Vec<u32> = (1..=deg)
-            .map(|rank| {
-                if deg == 0 {
-                    1
-                } else {
-                    (rank * k).div_ceil(deg) as u32 // ceil(rank*k/deg)
-                }
-            })
-            .collect();
-        let mut index: Vec<(NodeId, u32)> = ranked
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| (u, i as u32))
-            .collect();
-        index.sort_unstable_by_key(|&(u, _)| u);
-        let mut remaining_per_quantile = vec![0usize; k];
-        for &q in &quantile {
-            remaining_per_quantile[q as usize - 1] += 1;
-        }
-        QuantizedPrefs {
+        let mut q = QuantizedPrefs {
             k,
-            entries: ranked.to_vec(),
-            quantile,
-            removed: vec![false; deg],
-            index,
-            remaining_total: deg,
-            remaining_per_quantile,
-        }
+            removed: vec![false; degree],
+            remaining_total: degree,
+            remaining_per_quantile: Vec::new(),
+        };
+        q.remaining_per_quantile = (1..=k as u32).map(|i| q.slots_of(i).len() as u32).collect();
+        q
     }
 
     /// The quantile count `k`.
@@ -100,7 +79,7 @@ impl QuantizedPrefs {
 
     /// The original degree (before any removals).
     pub fn original_degree(&self) -> usize {
-        self.entries.len()
+        self.removed.len()
     }
 
     /// `|Q|`: partners not yet removed.
@@ -113,35 +92,34 @@ impl QuantizedPrefs {
         self.remaining_total == 0
     }
 
-    fn entry_of(&self, u: NodeId) -> Option<usize> {
-        self.index
-            .binary_search_by_key(&u, |&(id, _)| id)
-            .ok()
-            .map(|i| self.index[i].1 as usize)
+    /// The quantile (1-based) of `slot`, regardless of removal:
+    /// `⌈(slot + 1)·k / deg⌉`.
+    pub fn quantile_of(&self, slot: usize) -> u32 {
+        debug_assert!(slot < self.removed.len(), "slot {slot} is off the list");
+        ((slot + 1) * self.k).div_ceil(self.removed.len()) as u32
     }
 
-    /// The quantile of `u` (1-based), regardless of removal; `None` if `u`
-    /// was never on the list.
-    pub fn quantile_of(&self, u: NodeId) -> Option<u32> {
-        self.entry_of(u).map(|i| self.quantile[i])
+    /// The slots of quantile `q`, removed or not: `[(q−1)·deg/k, q·deg/k)`.
+    pub fn slots_of(&self, q: u32) -> Range<usize> {
+        let deg = self.removed.len();
+        let bound = |q: usize| q.min(self.k) * deg / self.k;
+        bound((q as usize).saturating_sub(1))..bound(q as usize)
     }
 
-    /// Whether `u` is still present (on the list and not removed).
-    pub fn contains(&self, u: NodeId) -> bool {
-        self.entry_of(u).is_some_and(|i| !self.removed[i])
+    /// Whether `slot` is still present (not removed).
+    pub fn is_live(&self, slot: usize) -> bool {
+        !self.removed[slot]
     }
 
-    /// Removes `u`; returns `true` if it was present and not yet removed.
-    pub fn remove(&mut self, u: NodeId) -> bool {
-        let Some(i) = self.entry_of(u) else {
-            return false;
-        };
-        if self.removed[i] {
+    /// Removes `slot`; returns `true` if it was present.
+    pub fn remove(&mut self, slot: usize) -> bool {
+        if self.removed[slot] {
             return false;
         }
-        self.removed[i] = true;
+        self.removed[slot] = true;
         self.remaining_total -= 1;
-        self.remaining_per_quantile[self.quantile[i] as usize - 1] -= 1;
+        let q = self.quantile_of(slot);
+        self.remaining_per_quantile[q as usize - 1] -= 1;
         true
     }
 
@@ -153,38 +131,21 @@ impl QuantizedPrefs {
             .map(|i| i as u32 + 1)
     }
 
-    /// Surviving members of quantile `q`, in rank order.
-    pub fn members_of(&self, q: u32) -> Vec<NodeId> {
-        self.entries
-            .iter()
-            .zip(&self.quantile)
-            .zip(&self.removed)
-            .filter(|((_, &qq), &rem)| qq == q && !rem)
-            .map(|((&u, _), _)| u)
-            .collect()
+    /// Surviving slots of quantile `q`, in rank order.
+    pub fn live_in(&self, q: u32) -> impl Iterator<Item = usize> + '_ {
+        self.live_within(self.slots_of(q))
     }
 
-    /// Surviving members in quantile `q` or worse (index ≥ `q`), in rank
+    /// Surviving slots in quantile `q` or worse (index ≥ `q`), in rank
     /// order — the reject set of `ProposalRound` step 4 before excluding
     /// the new partner.
-    pub fn members_at_or_worse(&self, q: u32) -> Vec<NodeId> {
-        self.entries
-            .iter()
-            .zip(&self.quantile)
-            .zip(&self.removed)
-            .filter(|((_, &qq), &rem)| qq >= q && !rem)
-            .map(|((&u, _), _)| u)
-            .collect()
+    pub fn live_from(&self, q: u32) -> impl Iterator<Item = usize> + '_ {
+        let start = self.slots_of(q).start;
+        self.live_within(start..self.removed.len())
     }
 
-    /// All surviving members, in rank order.
-    pub fn surviving(&self) -> Vec<NodeId> {
-        self.entries
-            .iter()
-            .zip(&self.removed)
-            .filter(|(_, &rem)| !rem)
-            .map(|(&u, _)| u)
-            .collect()
+    fn live_within(&self, slots: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        slots.filter(|&s| !self.removed[s])
     }
 }
 
@@ -192,99 +153,94 @@ impl QuantizedPrefs {
 mod tests {
     use super::*;
 
-    fn ids(v: std::ops::Range<u32>) -> Vec<NodeId> {
-        v.map(NodeId::new).collect()
+    fn members(q: &QuantizedPrefs, quant: u32) -> Vec<usize> {
+        q.live_in(quant).collect()
     }
 
     #[test]
     fn quantile_sizes_are_balanced() {
-        // deg 10, k 4: ceil(rank*4/10) => ranks 1-2 -> q1? ceil(4/10)=1,
-        // ceil(8/10)=1, ceil(12/10)=2 ... sizes [2,3,2,3].
-        let q = QuantizedPrefs::new(&ids(0..10), 4);
-        let sizes: Vec<usize> = (1..=4).map(|i| q.members_of(i).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
-        assert_eq!(q.quantile_of(NodeId::new(0)), Some(1));
-        assert_eq!(q.quantile_of(NodeId::new(9)), Some(4));
+        // deg 10, k 4: ceil(rank*4/10) => sizes [2,3,2,3].
+        let q = QuantizedPrefs::new(10, 4);
+        let sizes: Vec<usize> = (1..=4).map(|i| members(&q, i).len()).collect();
+        assert_eq!(sizes, vec![2, 3, 2, 3]);
+        assert_eq!(q.quantile_of(0), 1);
+        assert_eq!(q.quantile_of(9), 4);
     }
 
     #[test]
     fn k_greater_than_degree_gives_singletons() {
         // Section 3.2: with k = deg, ProposalRound mimics Gale–Shapley —
         // each quantile is one rank. With k > deg some quantiles are empty.
-        let q = QuantizedPrefs::new(&ids(0..3), 8);
-        assert_eq!(q.quantile_of(NodeId::new(0)), Some(3)); // ceil(1*8/3)
-        assert_eq!(q.quantile_of(NodeId::new(1)), Some(6));
-        assert_eq!(q.quantile_of(NodeId::new(2)), Some(8));
+        let q = QuantizedPrefs::new(3, 8);
+        assert_eq!(q.quantile_of(0), 3); // ceil(1*8/3)
+        assert_eq!(q.quantile_of(1), 6);
+        assert_eq!(q.quantile_of(2), 8);
         for qq in 1..=8u32 {
-            assert!(q.members_of(qq).len() <= 1);
+            assert!(members(&q, qq).len() <= 1);
         }
+        assert_eq!(q.min_nonempty_quantile(), Some(3));
     }
 
     #[test]
     fn k_equal_degree_is_identity() {
-        let q = QuantizedPrefs::new(&ids(0..5), 5);
-        for (rank, id) in (1..=5u32).zip(0..5u32) {
-            assert_eq!(q.quantile_of(NodeId::new(id)), Some(rank));
+        let q = QuantizedPrefs::new(5, 5);
+        for (rank, slot) in (1..=5u32).zip(0..5) {
+            assert_eq!(q.quantile_of(slot), rank);
+            assert_eq!(q.slots_of(rank), slot..slot + 1);
         }
     }
 
     #[test]
     fn removal_updates_counts_idempotently() {
-        let mut q = QuantizedPrefs::new(&ids(0..6), 3);
-        assert!(q.remove(NodeId::new(2)));
-        assert!(!q.remove(NodeId::new(2)), "second removal is a no-op");
-        assert!(!q.remove(NodeId::new(99)), "absent partner");
+        let mut q = QuantizedPrefs::new(6, 3);
+        assert!(q.remove(2));
+        assert!(!q.remove(2), "second removal is a no-op");
         assert_eq!(q.remaining(), 5);
-        assert!(!q.contains(NodeId::new(2)));
-        assert_eq!(
-            q.quantile_of(NodeId::new(2)),
-            Some(2),
-            "quantile survives removal"
-        );
+        assert!(!q.is_live(2));
+        assert_eq!(q.quantile_of(2), 2, "quantile survives removal");
     }
 
     #[test]
     fn min_nonempty_tracks_removals() {
-        let mut q = QuantizedPrefs::new(&ids(0..4), 2);
+        let mut q = QuantizedPrefs::new(4, 2);
         assert_eq!(q.min_nonempty_quantile(), Some(1));
-        q.remove(NodeId::new(0));
-        q.remove(NodeId::new(1));
+        q.remove(0);
+        q.remove(1);
         assert_eq!(q.min_nonempty_quantile(), Some(2));
-        q.remove(NodeId::new(2));
-        q.remove(NodeId::new(3));
+        q.remove(2);
+        q.remove(3);
         assert_eq!(q.min_nonempty_quantile(), None);
         assert!(q.is_exhausted());
     }
 
     #[test]
-    fn members_at_or_worse() {
-        let q = QuantizedPrefs::new(&ids(0..6), 3);
-        let worse = q.members_at_or_worse(2);
-        assert_eq!(worse, ids(2..6));
-        assert_eq!(q.members_at_or_worse(1).len(), 6);
-        assert!(q.members_at_or_worse(4).is_empty());
+    fn live_from_is_the_tail() {
+        let q = QuantizedPrefs::new(6, 3);
+        assert_eq!(q.live_from(2).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(q.live_from(1).count(), 6);
+        assert_eq!(q.live_from(4).count(), 0);
     }
 
     #[test]
     fn empty_list() {
-        let q = QuantizedPrefs::new(&[], 4);
+        let q = QuantizedPrefs::new(0, 4);
         assert!(q.is_exhausted());
         assert_eq!(q.min_nonempty_quantile(), None);
         assert_eq!(q.original_degree(), 0);
-        assert!(q.surviving().is_empty());
+        assert_eq!(q.live_from(1).count(), 0);
+        assert_eq!(q.slots_of(1), 0..0);
     }
 
     #[test]
     #[should_panic(expected = "quantile count")]
     fn zero_k_panics() {
-        QuantizedPrefs::new(&[], 0);
+        QuantizedPrefs::new(0, 0);
     }
 
     #[test]
-    fn surviving_preserves_rank_order() {
-        let mut q = QuantizedPrefs::new(&[NodeId::new(9), NodeId::new(1), NodeId::new(5)], 3);
-        q.remove(NodeId::new(1));
-        assert_eq!(q.surviving(), vec![NodeId::new(9), NodeId::new(5)]);
+    fn live_preserves_rank_order() {
+        let mut q = QuantizedPrefs::new(3, 3);
+        q.remove(1);
+        assert_eq!(q.live_from(1).collect::<Vec<_>>(), vec![0, 2]);
     }
 }

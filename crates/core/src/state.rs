@@ -10,11 +10,16 @@ use asm_matching::Matching;
 /// `A` (represented implicitly as "surviving members of the active
 /// quantile"), and the removed-from-play flags used by
 /// `AlmostRegularASM`.
+///
+/// `Q` is kept per slot of the instance's own lists: the state copies no
+/// list, and a rejection reaches the other end of its edge through the
+/// instance's mirror ranks ([`Instance::mirror`]).
 #[derive(Clone, Debug)]
 pub struct AsmState {
     /// Quantile count `k`.
     pub k: usize,
-    /// Per-player quantized preferences, indexed by node id.
+    /// Per-player quantized preferences over the slots of
+    /// `inst.prefs(v)`, indexed by node id.
     pub quant: Vec<QuantizedPrefs>,
     /// Per-player current partner.
     pub partner: Vec<Option<NodeId>>,
@@ -34,7 +39,7 @@ impl AsmState {
         let quant = inst
             .ids()
             .players()
-            .map(|v| QuantizedPrefs::new(inst.prefs(v).ranked(), k))
+            .map(|v| QuantizedPrefs::new(inst.degree(v), k))
             .collect();
         AsmState {
             k,
@@ -45,12 +50,13 @@ impl AsmState {
         }
     }
 
-    /// The man's active set `A`: surviving members of his active quantile.
-    pub fn active_set(&self, man: NodeId) -> Vec<NodeId> {
-        match self.active_quantile[man.index()] {
-            Some(q) => self.quant[man.index()].members_of(q),
-            None => Vec::new(),
-        }
+    /// The man's active set `A` as slots of his list: the surviving
+    /// members of his active quantile.
+    pub fn active_slots(&self, man: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let q = &self.quant[man.index()];
+        self.active_quantile[man.index()]
+            .into_iter()
+            .flat_map(move |a| q.live_in(a))
     }
 
     /// Whether a man is *good* (Section 4): matched, or rejected by every
@@ -59,15 +65,17 @@ impl AsmState {
         self.partner[man.index()].is_some() || self.quant[man.index()].is_exhausted()
     }
 
-    /// Applies a mutual rejection of the edge `(a, b)`: each removes the
-    /// other from their `Q`, and a man rejected by his own partner becomes
+    /// Applies a mutual rejection of the edge in `v`'s slot `slot`: both
+    /// ends remove it from their `Q` (the far end's slot is the mirror
+    /// rank minus one), and a man rejected by his own partner becomes
     /// unmatched (step 5 of `ProposalRound`).
-    pub fn reject_edge(&mut self, a: NodeId, b: NodeId) {
-        self.quant[a.index()].remove(b);
-        self.quant[b.index()].remove(a);
-        if self.partner[a.index()] == Some(b) {
-            self.partner[a.index()] = None;
-            self.partner[b.index()] = None;
+    pub fn reject(&mut self, inst: &Instance, v: NodeId, slot: usize) {
+        let u = inst.prefs(v).ranked()[slot];
+        self.quant[v.index()].remove(slot);
+        self.quant[u.index()].remove(inst.mirror(v)[slot] as usize - 1);
+        if self.partner[v.index()] == Some(u) {
+            self.partner[v.index()] = None;
+            self.partner[u.index()] = None;
         }
     }
 
@@ -101,7 +109,7 @@ mod tests {
             assert_eq!(st.quant[v.index()].remaining(), 4);
         }
         let m0 = inst.ids().man(0);
-        assert!(st.active_set(m0).is_empty());
+        assert_eq!(st.active_slots(m0).count(), 0);
         assert!(!st.is_good(m0));
     }
 
@@ -111,26 +119,28 @@ mod tests {
         let mut st = AsmState::new(&inst, 2);
         let m0 = inst.ids().man(0);
         st.active_quantile[m0.index()] = Some(1);
-        let a = st.active_set(m0);
-        assert_eq!(a.len(), 2, "first quantile of a degree-4 list with k=2");
+        let a: Vec<usize> = st.active_slots(m0).collect();
+        assert_eq!(a, vec![0, 1], "first quantile of a degree-4 list with k=2");
         // Rejections shrink A.
-        let first = a[0];
-        st.reject_edge(m0, first);
-        assert_eq!(st.active_set(m0).len(), 1);
+        st.reject(&inst, m0, a[0]);
+        assert_eq!(st.active_slots(m0).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
-    fn reject_edge_unmatches_partners() {
+    fn reject_removes_both_ends_and_unmatches_partners() {
         let inst = generators::complete(2, 1);
         let mut st = AsmState::new(&inst, 2);
         let (m, w) = (inst.ids().man(0), inst.ids().woman(0));
         st.partner[m.index()] = Some(w);
         st.partner[w.index()] = Some(m);
-        st.reject_edge(w, m);
+        let slot = inst.prefs(w).slot_of(m).unwrap();
+        st.reject(&inst, w, slot);
         assert_eq!(st.partner[m.index()], None);
         assert_eq!(st.partner[w.index()], None);
-        assert!(!st.quant[m.index()].contains(w));
-        assert!(!st.quant[w.index()].contains(m));
+        assert!(!st.quant[w.index()].is_live(slot));
+        let back = inst.prefs(m).slot_of(w).unwrap();
+        assert!(!st.quant[m.index()].is_live(back));
+        assert_eq!(st.quant[m.index()].remaining(), 1);
     }
 
     #[test]
@@ -142,8 +152,8 @@ mod tests {
         st.partner[m.index()] = Some(inst.ids().woman(0));
         assert!(st.is_good(m), "matched men are good");
         st.partner[m.index()] = None;
-        st.quant[m.index()].remove(inst.ids().woman(0));
-        st.quant[m.index()].remove(inst.ids().woman(1));
+        st.quant[m.index()].remove(0);
+        st.quant[m.index()].remove(1);
         assert!(st.is_good(m), "fully rejected men are good");
     }
 

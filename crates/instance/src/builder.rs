@@ -1,6 +1,6 @@
 //! Ergonomic construction of instances.
 
-use crate::{IdSpace, Instance, InstanceError, PreferenceList};
+use crate::{IdSpace, Instance, InstanceError};
 use asm_congest::NodeId;
 
 /// Builder for [`Instance`]s using side-relative indices.
@@ -96,19 +96,7 @@ impl InstanceBuilder {
     ///
     /// Returns the first violated invariant as an [`InstanceError`].
     pub fn build(self) -> Result<Instance, InstanceError> {
-        // Screen duplicates gently (PreferenceList::new panics on them).
-        for (i, list) in self.prefs.iter().enumerate() {
-            let mut sorted = list.clone();
-            sorted.sort_unstable();
-            if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                return Err(InstanceError::DuplicatePartner {
-                    player: NodeId::new(i as u32),
-                    partner: w[0],
-                });
-            }
-        }
-        let prefs = self.prefs.into_iter().map(PreferenceList::new).collect();
-        Instance::from_prefs(self.ids, prefs)
+        Instance::link(self.ids, self.prefs)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Geometric (spatial) preferences.
 
-use crate::{IdSpace, Instance, PreferenceList};
+use crate::{IdSpace, Instance};
 use asm_congest::{NodeId, SplitRng};
 
 /// Generates a *geometric* instance: players are uniform random points in
@@ -64,14 +64,14 @@ pub fn geometric(n: usize, d: usize, seed: u64) -> Instance {
 
     // Keep only mutual pairs, preserving each side's distance order.
     let ids = IdSpace::new(n, n);
-    let mut prefs: Vec<PreferenceList> = Vec::with_capacity(2 * n);
+    let mut prefs: Vec<Vec<NodeId>> = Vec::with_capacity(2 * n);
     for i in 0..n {
         let list: Vec<NodeId> = women_near[i]
             .iter()
             .filter(|&&j| men_near[j].contains(&i))
             .map(|&j| ids.man(j))
             .collect();
-        prefs.push(PreferenceList::new(list));
+        prefs.push(list);
     }
     for j in 0..n {
         let list: Vec<NodeId> = men_near[j]
@@ -79,9 +79,9 @@ pub fn geometric(n: usize, d: usize, seed: u64) -> Instance {
             .filter(|&&i| women_near[i].contains(&j))
             .map(|&i| ids.woman(i))
             .collect();
-        prefs.push(PreferenceList::new(list));
+        prefs.push(list);
     }
-    Instance::from_prefs(ids, prefs).expect("mutual filtering preserves symmetry")
+    Instance::link(ids, prefs).expect("mutual filtering preserves symmetry")
 }
 
 #[cfg(test)]
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn preferences_ordered_by_distance_consistency() {
-        // Symmetry is validated by from_prefs; spot-check mutuality.
+        // Symmetry is validated by the linker; spot-check mutuality.
         let inst = geometric(25, 4, 2);
         for (m, w) in inst.edges() {
             assert!(inst.rank(w, m).is_some());

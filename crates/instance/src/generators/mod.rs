@@ -35,7 +35,7 @@ pub use noisy_master::noisy_master;
 pub use regular::regular;
 pub use zipf::zipf;
 
-use crate::{IdSpace, Instance, PreferenceList};
+use crate::{IdSpace, Instance};
 use asm_congest::{NodeId, SplitRng};
 
 /// Builds an instance from a men-side adjacency structure, assigning every
@@ -53,24 +53,23 @@ pub(crate) fn from_men_adjacency(
     rng: &mut SplitRng,
 ) -> Instance {
     let ids = IdSpace::new(num_women, num_men);
-    let mut women_adj: Vec<Vec<NodeId>> = vec![Vec::new(); num_women];
+    // Node-id order: the women's lists, then the men's appended below.
+    let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); num_women];
     let mut men_lists: Vec<Vec<NodeId>> = Vec::with_capacity(num_men);
     for (j, adj) in men_adj.into_iter().enumerate() {
         let m = ids.man(j);
         let mut list: Vec<NodeId> = adj.iter().map(|&i| ids.woman(i)).collect();
         rng.shuffle(&mut list);
         for &w in &list {
-            women_adj[w.index()].push(m);
+            lists[w.index()].push(m);
         }
         men_lists.push(list);
     }
-    let mut prefs: Vec<PreferenceList> = Vec::with_capacity(ids.num_players());
-    for mut list in women_adj {
-        rng.shuffle(&mut list);
-        prefs.push(PreferenceList::new(list));
+    for list in &mut lists {
+        rng.shuffle(list);
     }
-    prefs.extend(men_lists.into_iter().map(PreferenceList::new));
-    Instance::from_prefs(ids, prefs).expect("generator produced an invalid instance")
+    lists.extend(men_lists);
+    Instance::link(ids, lists).expect("generator produced an invalid instance")
 }
 
 #[cfg(test)]

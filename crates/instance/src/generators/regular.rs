@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn graph_is_simple() {
-        // from_men_adjacency -> Instance::from_prefs would reject duplicate
+        // from_men_adjacency -> the instance linker would reject duplicate
         // edges, so constructing at all proves simplicity; spot-check too.
         let inst = regular(9, 5, 42);
         let m0 = inst.ids().man(0);

@@ -26,7 +26,6 @@ use asm_congest::SplitRng;
 /// # Panics
 ///
 /// Panics if `d > n` or `s < 0`.
-#[allow(clippy::needless_range_loop)] // rank-indexed fallback fill
 pub fn zipf(n: usize, d: usize, s: f64, seed: u64) -> Instance {
     assert!(d <= n, "degree d = {d} cannot exceed n = {n}");
     assert!(s >= 0.0, "zipf exponent must be nonnegative");
@@ -43,6 +42,8 @@ pub fn zipf(n: usize, d: usize, s: f64, seed: u64) -> Instance {
         cumulative.push(acc);
     }
 
+    // `taken` marks the current man's choices; it is cleared after each man.
+    let mut taken = vec![false; n];
     let men_adj: Vec<Vec<usize>> = (0..n)
         .map(|_| {
             let mut chosen: Vec<usize> = Vec::with_capacity(d);
@@ -52,9 +53,9 @@ pub fn zipf(n: usize, d: usize, s: f64, seed: u64) -> Instance {
             while chosen.len() < d {
                 attempts += 1;
                 if attempts > 50 * d + 200 {
-                    for rank in 0..n {
-                        let candidate = order[rank];
-                        if !chosen.contains(&candidate) {
+                    for &candidate in &order {
+                        if !taken[candidate] {
+                            taken[candidate] = true;
                             chosen.push(candidate);
                             if chosen.len() == d {
                                 break;
@@ -66,9 +67,13 @@ pub fn zipf(n: usize, d: usize, s: f64, seed: u64) -> Instance {
                 let x = rng.next_f64() * acc;
                 let idx = cumulative.partition_point(|&c| c < x).min(n - 1);
                 let candidate = order[idx];
-                if !chosen.contains(&candidate) {
+                if !taken[candidate] {
+                    taken[candidate] = true;
                     chosen.push(candidate);
                 }
+            }
+            for &c in &chosen {
+                taken[c] = false;
             }
             chosen
         })

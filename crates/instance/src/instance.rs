@@ -1,5 +1,6 @@
 //! The stable-marriage problem instance.
 
+use crate::link::{link, Linked};
 use crate::{IdSpace, InstanceError, PreferenceList, Rank};
 use asm_congest::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
@@ -13,6 +14,21 @@ use serde::{Deserialize, Serialize};
 ///   gender, listed at most once;
 /// * preferences are **symmetric**: `m` appears on `P_w` iff `w` appears on
 ///   `P_m` (so the preference structure *is* the communication graph `G`).
+///
+/// # Layout
+///
+/// Each list entry is a *slot*: slot `i` of `v`'s list holds the partner
+/// `u` of rank `i + 1`. A slot costs 12 bytes in three parallel arrays:
+///
+/// * the ranked partner `u` ([`PreferenceList::ranked`]);
+/// * one entry of the list's partner-sorted slot order, which serves
+///   [`Instance::rank`] by binary search;
+/// * the **mirror rank** `P_u(v)`, the rank `u` gives `v` back
+///   ([`Instance::mirror`]).
+///
+/// The mirror reaches an edge's far end in `O(1)`: the woman's rank of a
+/// man walking his list, or the man's slot of a woman rejecting him. One
+/// linking pass builds indexes and mirrors in `O(|E|)` while it validates.
 ///
 /// Use [`crate::InstanceBuilder`] or a generator from [`crate::generators`]
 /// to construct instances.
@@ -28,62 +44,32 @@ use serde::{Deserialize, Serialize};
 /// assert!(inst.is_complete());
 /// let m0 = inst.ids().man(0);
 /// assert_eq!(inst.prefs(m0).degree(), 4);
+///
+/// // The mirror of m0's slot i is the rank m0 holds on that woman's list.
+/// for (i, &w) in inst.prefs(m0).ranked().iter().enumerate() {
+///     assert_eq!(Some(inst.mirror(m0)[i]), inst.rank(w, m0));
+/// }
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(try_from = "RawInstance", into = "RawInstance")]
 pub struct Instance {
     ids: IdSpace,
     prefs: Vec<PreferenceList>,
+    /// `mirror[v][i]`: the rank `P_u(v)` for the partner `u` in `v`'s slot `i`.
+    mirror: Vec<Vec<Rank>>,
     num_edges: usize,
 }
 
 impl Instance {
-    /// Builds an instance from per-player preference lists, indexed by node
-    /// id (women `0..num_women`, then men).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`InstanceError`] describing the first violated invariant.
-    pub fn from_prefs(ids: IdSpace, prefs: Vec<PreferenceList>) -> Result<Self, InstanceError> {
-        if prefs.len() != ids.num_players() {
-            return Err(InstanceError::WrongListCount {
-                got: prefs.len(),
-                expected: ids.num_players(),
-            });
-        }
-        // Range and gender checks. Duplicates are structurally impossible in
-        // a `PreferenceList` (its constructor rejects them).
-        for v in ids.players() {
-            for &u in prefs[v.index()].ranked() {
-                if u.index() >= ids.num_players() {
-                    return Err(InstanceError::PartnerOutOfRange {
-                        player: v,
-                        partner: u,
-                    });
-                }
-                if ids.gender(u) == ids.gender(v) {
-                    return Err(InstanceError::SameGenderPartner {
-                        player: v,
-                        partner: u,
-                    });
-                }
-            }
-        }
-        // Symmetry.
-        for v in ids.players() {
-            for &u in prefs[v.index()].ranked() {
-                if !prefs[u.index()].contains(v) {
-                    return Err(InstanceError::AsymmetricPreference {
-                        player: v,
-                        partner: u,
-                    });
-                }
-            }
-        }
+    /// Validates and links ranked lists (node-id order, women first) into
+    /// an instance; every constructor ends here.
+    pub(crate) fn link(ids: IdSpace, lists: Vec<Vec<NodeId>>) -> Result<Self, InstanceError> {
+        let Linked { prefs, mirror } = link(ids, lists)?;
         let num_edges = ids.men().map(|m| prefs[m.index()].degree()).sum::<usize>();
         Ok(Instance {
             ids,
             prefs,
+            mirror,
             num_edges,
         })
     }
@@ -114,6 +100,16 @@ impl Instance {
     /// Rank of `u` on `v`'s list (`P_v(u)`), or `None` if unacceptable.
     pub fn rank(&self, v: NodeId, u: NodeId) -> Option<Rank> {
         self.prefs[v.index()].rank_of(u)
+    }
+
+    /// The mirror ranks of `v`'s list: entry `i` is `P_u(v)`, the rank
+    /// that the partner `u` in `v`'s slot `i` gives `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn mirror(&self, v: NodeId) -> &[Rank] {
+        &self.mirror[v.index()]
     }
 
     /// Number of edges `|E|` of the communication graph — the denominator
@@ -202,27 +198,19 @@ impl Instance {
     pub fn swap_genders(&self) -> Instance {
         let ids = self.ids;
         let new_ids = IdSpace::new(ids.num_men(), ids.num_women());
-        let mut prefs: Vec<PreferenceList> = Vec::with_capacity(ids.num_players());
         // New women = old men (in order), then new men = old women.
-        for m in ids.men() {
-            prefs.push(
-                self.prefs[m.index()]
+        let lists = ids
+            .men()
+            .chain(ids.women())
+            .map(|v| {
+                self.prefs[v.index()]
                     .ranked()
                     .iter()
-                    .map(|&w| self.swap_node(w))
-                    .collect(),
-            );
-        }
-        for w in ids.women() {
-            prefs.push(
-                self.prefs[w.index()]
-                    .ranked()
-                    .iter()
-                    .map(|&m| self.swap_node(m))
-                    .collect(),
-            );
-        }
-        Instance::from_prefs(new_ids, prefs).expect("swapping preserves validity")
+                    .map(|&u| self.swap_node(u))
+                    .collect()
+            })
+            .collect();
+        Instance::link(new_ids, lists).expect("swapping preserves validity")
     }
 
     /// Translates a node id of this instance into the corresponding id in
@@ -275,23 +263,12 @@ impl TryFrom<RawInstance> for Instance {
 
     fn try_from(raw: RawInstance) -> Result<Self, Self::Error> {
         let ids = IdSpace::new(raw.num_women, raw.num_men);
-        let mut prefs: Vec<PreferenceList> = Vec::with_capacity(raw.prefs.len());
-        for list in raw.prefs {
-            // Duplicates panic in PreferenceList::new; pre-screen to return
-            // an error instead.
-            let mut sorted: Vec<u32> = list.clone();
-            sorted.sort_unstable();
-            if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                return Err(InstanceError::DuplicatePartner {
-                    player: NodeId::new(prefs.len() as u32),
-                    partner: NodeId::new(w[0]),
-                });
-            }
-            let mut p = PreferenceList::new(list.into_iter().map(NodeId::new).collect());
-            p.restore_after_deserialize();
-            prefs.push(p);
-        }
-        Instance::from_prefs(ids, prefs)
+        let lists = raw
+            .prefs
+            .into_iter()
+            .map(|list| list.into_iter().map(NodeId::new).collect())
+            .collect();
+        Instance::link(ids, lists)
     }
 }
 

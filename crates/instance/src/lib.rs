@@ -8,8 +8,10 @@
 //! *communication graph* `G = (X ∪ Y, E)` on which the distributed
 //! algorithms run.
 //!
-//! * [`Instance`] — validated preference structure with `O(log deg)` rank
-//!   lookup and conversion to an [`asm_congest::Topology`].
+//! * [`Instance`] — validated preference structure, linked in `O(|E|)`:
+//!   every list slot carries its *mirror rank* (the rank the partner gives
+//!   back, read in `O(1)`), rank lookup by partner id is a binary search,
+//!   and the instance converts to an [`asm_congest::Topology`].
 //! * [`InstanceBuilder`] — hand-construction with side-relative indices.
 //! * [`generators`] — one workload generator per preference class the paper
 //!   discusses (complete, bounded/regular, α-almost-regular, arbitrary
@@ -41,6 +43,7 @@ pub mod generators;
 mod ids;
 mod instance;
 mod io;
+mod link;
 mod metrics;
 mod prefs;
 mod reduction;

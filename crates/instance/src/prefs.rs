@@ -12,8 +12,14 @@ pub type Rank = u32;
 /// One player's preference list: a strict ranking of a subset of the
 /// opposite sex.
 ///
-/// Stores both the ranked order (for iteration, best first) and a sorted
-/// index (for `O(log deg)` rank lookup).
+/// Position `i` of the list is its *slot* `i`, which holds the partner of
+/// rank `i + 1`. Beside the ranked partners the list keeps its slots
+/// ordered by partner id (4 bytes per slot), which
+/// [`PreferenceList::rank_of`] searches in `O(log deg)`. Code that walks a
+/// list goes by slot and never needs that search.
+///
+/// Serde reads and writes only the ranked partners (`{"ranked": [...]}`)
+/// and refuses a list that ranks a partner twice.
 ///
 /// # Examples
 ///
@@ -24,17 +30,18 @@ pub type Rank = u32;
 /// let prefs = PreferenceList::new(vec![NodeId::new(5), NodeId::new(3), NodeId::new(9)]);
 /// assert_eq!(prefs.degree(), 3);
 /// assert_eq!(prefs.rank_of(NodeId::new(3)), Some(2));
+/// assert_eq!(prefs.slot_of(NodeId::new(3)), Some(1));
 /// assert_eq!(prefs.rank_of(NodeId::new(4)), None);
 /// assert_eq!(prefs.at_rank(1), Some(NodeId::new(5)));
 /// assert!(prefs.prefers(NodeId::new(5), NodeId::new(9)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "RankedList", into = "RankedList")]
 pub struct PreferenceList {
     /// Partners in preference order, most favored first.
     ranked: Vec<NodeId>,
-    /// `(partner, rank)` pairs sorted by partner id, for rank lookup.
-    #[serde(skip)]
-    index: Vec<(NodeId, Rank)>,
+    /// The slots of `ranked`, ordered by the partner they hold.
+    by_partner: Vec<u32>,
 }
 
 impl PreferenceList {
@@ -46,31 +53,34 @@ impl PreferenceList {
     /// orders). Use [`crate::InstanceBuilder`] for error-returning
     /// validation of whole instances.
     pub fn new(ranked: Vec<NodeId>) -> Self {
-        let mut list = PreferenceList {
-            ranked,
-            index: Vec::new(),
-        };
-        list.rebuild_index();
-        list
+        match Self::checked(ranked) {
+            Ok(list) => list,
+            Err(u) => panic!("preference list contains a duplicate entry {u}"),
+        }
+    }
+
+    /// Sorts the slots by partner, or returns a partner ranked twice.
+    fn checked(ranked: Vec<NodeId>) -> Result<Self, NodeId> {
+        let mut by_partner: Vec<u32> = (0..ranked.len() as u32).collect();
+        by_partner.sort_unstable_by_key(|&s| ranked[s as usize]);
+        if let Some(w) = by_partner
+            .windows(2)
+            .find(|w| ranked[w[0] as usize] == ranked[w[1] as usize])
+        {
+            return Err(ranked[w[0] as usize]);
+        }
+        Ok(PreferenceList { ranked, by_partner })
+    }
+
+    /// A list whose `by_partner` order the instance linker already built.
+    pub(crate) fn linked(ranked: Vec<NodeId>, by_partner: Vec<u32>) -> Self {
+        debug_assert_eq!(ranked.len(), by_partner.len());
+        PreferenceList { ranked, by_partner }
     }
 
     /// Creates an empty preference list (an isolated player).
     pub fn empty() -> Self {
         PreferenceList::new(Vec::new())
-    }
-
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .ranked
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| (u, (i + 1) as Rank))
-            .collect();
-        self.index.sort_unstable_by_key(|&(u, _)| u);
-        assert!(
-            self.index.windows(2).all(|w| w[0].0 != w[1].0),
-            "preference list contains a duplicate entry"
-        );
     }
 
     /// The number of acceptable partners (`deg v` in the paper).
@@ -83,22 +93,29 @@ impl PreferenceList {
         self.ranked.is_empty()
     }
 
-    /// Partners in preference order, most favored first.
+    /// Partners in preference order, most favored first: slot `i` holds
+    /// the partner of rank `i + 1`.
     pub fn ranked(&self) -> &[NodeId] {
         &self.ranked
     }
 
+    /// The slot holding `u` (its rank minus one), or `None` if
+    /// unacceptable.
+    pub fn slot_of(&self, u: NodeId) -> Option<usize> {
+        self.by_partner
+            .binary_search_by_key(&u, |&s| self.ranked[s as usize])
+            .ok()
+            .map(|i| self.by_partner[i] as usize)
+    }
+
     /// The rank of `u` (`P_v(u)` in the paper), or `None` if unacceptable.
     pub fn rank_of(&self, u: NodeId) -> Option<Rank> {
-        self.index
-            .binary_search_by_key(&u, |&(id, _)| id)
-            .ok()
-            .map(|i| self.index[i].1)
+        self.slot_of(u).map(|s| s as Rank + 1)
     }
 
     /// Whether `u` appears on this list.
     pub fn contains(&self, u: NodeId) -> bool {
-        self.rank_of(u).is_some()
+        self.slot_of(u).is_some()
     }
 
     /// The partner at 1-based `rank`, or `None` if out of range.
@@ -128,11 +145,26 @@ impl FromIterator<NodeId> for PreferenceList {
     }
 }
 
-// The sorted index is skipped by serde; rebuild it after deserialization.
-// (Done centrally by `Instance`'s deserialization validation.)
-impl PreferenceList {
-    pub(crate) fn restore_after_deserialize(&mut self) {
-        self.rebuild_index();
+/// The serde form of a [`PreferenceList`]: its ranked partners alone.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct RankedList {
+    ranked: Vec<NodeId>,
+}
+
+impl From<PreferenceList> for RankedList {
+    fn from(list: PreferenceList) -> Self {
+        RankedList {
+            ranked: list.ranked,
+        }
+    }
+}
+
+impl TryFrom<RankedList> for PreferenceList {
+    type Error = String;
+
+    fn try_from(raw: RankedList) -> Result<Self, Self::Error> {
+        PreferenceList::checked(raw.ranked)
+            .map_err(|u| format!("preference list ranks {u} more than once"))
     }
 }
 
@@ -153,6 +185,17 @@ mod tests {
         assert_eq!(p.at_rank(0), None);
         assert_eq!(p.at_rank(2), Some(NodeId::new(20)));
         assert_eq!(p.at_rank(4), None);
+    }
+
+    #[test]
+    fn slots_are_ranks_minus_one_for_unsorted_lists() {
+        let p = PreferenceList::new(ids(&[7, 2, 9, 4]));
+        for (slot, &u) in p.ranked().iter().enumerate() {
+            assert_eq!(p.slot_of(u), Some(slot));
+        }
+        for absent in [0, 3, 5, 8, 10] {
+            assert_eq!(p.slot_of(NodeId::new(absent)), None);
+        }
     }
 
     #[test]
@@ -190,5 +233,24 @@ mod tests {
         let p = PreferenceList::new(ids(&[7]));
         assert!(p.contains(NodeId::new(7)));
         assert!(!p.contains(NodeId::new(8)));
+    }
+
+    #[test]
+    fn deserialize_refuses_duplicates() {
+        let err = serde_json::from_str::<PreferenceList>(r#"{"ranked":[5,3,5]}"#).unwrap_err();
+        assert!(err.to_string().contains("more than once"), "{err}");
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_rank_lookup() {
+        let p = PreferenceList::new(ids(&[5, 3, 9]));
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, r#"{"ranked":[5,3,9]}"#);
+        let back: PreferenceList = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.rank_of(NodeId::new(5)), Some(1));
+        assert_eq!(back.rank_of(NodeId::new(3)), Some(2));
+        assert_eq!(back.rank_of(NodeId::new(9)), Some(3));
+        assert!(!back.contains(NodeId::new(4)));
     }
 }

@@ -2,7 +2,7 @@
 //! matching, and per-agent dirty sets.
 
 use crate::engine::{self, ResolveReport, WARM_DIRTY_LIMIT};
-use asm_instance::{IdSpace, Instance, PreferenceList};
+use asm_instance::{Instance, InstanceBuilder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -452,19 +452,16 @@ impl MarketState {
     /// Materializes the current preferences as an [`Instance`] (women
     /// are node ids `0..num_women`, men `num_women..`).
     pub fn instance(&self) -> Instance {
-        let ids = IdSpace::new(self.women.len(), self.men.len());
-        let mut prefs = Vec::with_capacity(ids.num_players());
-        for list in &self.women {
-            prefs.push(PreferenceList::new(
-                list.iter().map(|&j| ids.man(j as usize)).collect(),
-            ));
+        let mut builder = InstanceBuilder::new(self.women.len(), self.men.len());
+        for (i, list) in self.women.iter().enumerate() {
+            builder = builder.woman(i, list.iter().map(|&j| j as usize));
         }
-        for list in &self.men {
-            prefs.push(PreferenceList::new(
-                list.iter().map(|&i| ids.woman(i as usize)).collect(),
-            ));
+        for (j, list) in self.men.iter().enumerate() {
+            builder = builder.man(j, list.iter().map(|&i| i as usize));
         }
-        Instance::from_prefs(ids, prefs).expect("market state maintains the symmetry invariant")
+        builder
+            .build()
+            .expect("market state maintains the symmetry invariant")
     }
 
     /// Resolves the market: re-enters the propose-accept loop warm from

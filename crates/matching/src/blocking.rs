@@ -93,9 +93,28 @@ impl BlockingScratch {
     }
 }
 
+/// Calls `f(man, woman)` for every blocking pair, in [`Instance::edges`]
+/// order.
+///
+/// Each man's list is walked by slot: his rank is `slot + 1` and the
+/// woman's rank of him is the mirror entry. Only the slots above his
+/// partner's can block, so the walk stops at his partner's slot.
+fn for_each_blocking(inst: &Instance, er: &[Rank], mut f: impl FnMut(NodeId, NodeId)) {
+    for m in inst.ids().men() {
+        let better = er[m.index()] as usize - 1;
+        let ranked = &inst.prefs(m).ranked()[..better];
+        for (&w, &rank_w) in ranked.iter().zip(inst.mirror(m)) {
+            if rank_w < er[w.index()] {
+                f(m, w);
+            }
+        }
+    }
+}
+
 /// All blocking pairs of `matching`, as `(man, woman)` edges.
 ///
-/// Runs in `O(|E| log Δ)`.
+/// Runs in `O(|E|)`: one walk down each man's list, reading the woman's
+/// rank from the instance's mirror ranks.
 ///
 /// # Examples
 ///
@@ -118,14 +137,11 @@ pub fn blocking_pairs_with(
     matching: &Matching,
     scratch: &mut BlockingScratch,
 ) -> Vec<(NodeId, NodeId)> {
-    let er = scratch.fill(inst, matching);
-    inst.edges()
-        .filter(|&(m, w)| {
-            let rank_m = inst.rank(m, w).expect("edge implies mutual ranking");
-            let rank_w = inst.rank(w, m).expect("edge implies mutual ranking");
-            rank_m < er[m.index()] && rank_w < er[w.index()]
-        })
-        .collect()
+    let mut pairs = Vec::new();
+    for_each_blocking(inst, scratch.fill(inst, matching), |m, w| {
+        pairs.push((m, w))
+    });
+    pairs
 }
 
 /// Number of blocking pairs of `matching`.
@@ -140,14 +156,9 @@ pub fn count_blocking_pairs_with(
     matching: &Matching,
     scratch: &mut BlockingScratch,
 ) -> usize {
-    let er = scratch.fill(inst, matching);
-    inst.edges()
-        .filter(|&(m, w)| {
-            let rank_m = inst.rank(m, w).expect("edge implies mutual ranking");
-            let rank_w = inst.rank(w, m).expect("edge implies mutual ranking");
-            rank_m < er[m.index()] && rank_w < er[w.index()]
-        })
-        .count()
+    let mut count = 0;
+    for_each_blocking(inst, scratch.fill(inst, matching), |_, _| count += 1);
+    count
 }
 
 /// All ε-blocking pairs (Definition 2) of `matching`, as `(man, woman)`.
@@ -159,7 +170,8 @@ pub fn eps_blocking_pairs(inst: &Instance, matching: &Matching, eps: f64) -> Vec
 ///
 /// The gains are computed from the shared effective-rank table — the same
 /// values [`is_eps_blocking`] derives per edge, so the result is
-/// identical.
+/// identical. A man's gain only falls down his list, so his walk stops at
+/// the first slot where it is short of `ε·deg(m)`.
 pub fn eps_blocking_pairs_with(
     inst: &Instance,
     matching: &Matching,
@@ -167,15 +179,21 @@ pub fn eps_blocking_pairs_with(
     scratch: &mut BlockingScratch,
 ) -> Vec<(NodeId, NodeId)> {
     let er = scratch.fill(inst, matching);
-    inst.edges()
-        .filter(|&(m, w)| {
-            let rank_m = inst.rank(m, w).expect("edge implies mutual ranking");
-            let rank_w = inst.rank(w, m).expect("edge implies mutual ranking");
-            let gain_m = er[m.index()] as f64 - rank_m as f64;
+    let mut pairs = Vec::new();
+    for m in inst.ids().men() {
+        let need_m = eps * inst.degree(m) as f64;
+        let walk = inst.prefs(m).ranked().iter().zip(inst.mirror(m));
+        let gaining = walk
+            .enumerate()
+            .take_while(|&(slot, _)| er[m.index()] as f64 - (slot + 1) as f64 >= need_m);
+        for (_, (&w, &rank_w)) in gaining {
             let gain_w = er[w.index()] as f64 - rank_w as f64;
-            gain_m >= eps * inst.degree(m) as f64 && gain_w >= eps * inst.degree(w) as f64
-        })
-        .collect()
+            if gain_w >= eps * inst.degree(w) as f64 {
+                pairs.push((m, w));
+            }
+        }
+    }
+    pairs
 }
 
 /// Number of ε-blocking pairs of `matching`.

@@ -64,30 +64,23 @@ impl<P> Envelope<P> {
 // field names would be pure overhead.
 impl<P: serde::Serialize> serde::Serialize for Envelope<P> {
     fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(vec![
-            self.src.to_content(),
-            self.dst.to_content(),
-            self.payload.to_content(),
-        ])
+        serde::Serialize::to_content(&(self.src, self.dst, &self.payload))
+    }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        serde::Serialize::write_bin(&(self.src, self.dst, &self.payload), out);
     }
 }
 
 impl<P: serde::Deserialize> serde::Deserialize for Envelope<P> {
     fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let items = content
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("expected [src, dst, payload] envelope"))?;
-        if items.len() != 3 {
-            return Err(serde::Error::custom(format!(
-                "expected 3-element envelope, found {} elements",
-                items.len()
-            )));
-        }
-        Ok(Envelope {
-            src: NodeId::from_content(&items[0])?,
-            dst: NodeId::from_content(&items[1])?,
-            payload: P::from_content(&items[2])?,
-        })
+        let (src, dst, payload) = serde::Deserialize::from_content(content)?;
+        Ok(Envelope { src, dst, payload })
+    }
+
+    fn read_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::Error> {
+        let (src, dst, payload) = serde::Deserialize::read_bin(r)?;
+        Ok(Envelope { src, dst, payload })
     }
 }
 

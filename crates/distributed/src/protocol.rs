@@ -25,7 +25,7 @@ use asm_congest::Envelope;
 use asm_core::congest::{AsmCtl, AsmMsg, AsmSummary, PlayerFinal};
 use asm_core::AsmConfig;
 use asm_instance::Instance;
-use serde::{content_get, Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Protocol schema version, bumped on any wire-visible change.
 pub const DIST_SCHEMA: u64 = 1;
@@ -49,7 +49,8 @@ pub struct InitBody {
 }
 
 /// Orchestrator-to-node frame payloads.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "frame", content = "body", rename_all = "snake_case")]
 pub enum ToNode {
     /// Session start: build the player range.
     Init(Box<InitBody>),
@@ -72,7 +73,8 @@ pub enum ToNode {
 }
 
 /// Node-to-orchestrator frame payloads.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "frame", content = "body", rename_all = "snake_case")]
 pub enum FromNode {
     /// `init` acknowledgement.
     Hello {
@@ -119,230 +121,26 @@ pub enum FromNode {
 }
 
 /// One orchestrator-to-node frame: a sequence number plus payload.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "frame", expecting = "a frame object")]
 pub struct ToNodeFrame {
+    /// The payload: its `frame` tag (written first), then its `body`.
+    #[serde(flatten)]
+    pub body: ToNode,
     /// Lockstep sequence number (strictly increasing from 1).
     pub seq: u64,
-    /// The payload.
-    pub body: ToNode,
 }
 
 /// One node-to-orchestrator frame: the request's sequence number plus
 /// payload.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "frame", expecting = "a frame object")]
 pub struct FromNodeFrame {
+    /// The payload: its `frame` tag (written first), then its `body`.
+    #[serde(flatten)]
+    pub body: FromNode,
     /// The sequence number of the frame being answered.
     pub seq: u64,
-    /// The payload.
-    pub body: FromNode,
-}
-
-fn frame_content(tag: &str, seq: u64, body: Option<Content>) -> Content {
-    let mut map = vec![
-        (::serde::Key::from("frame"), Content::Str(tag.to_string())),
-        (::serde::Key::from("seq"), seq.to_content()),
-    ];
-    if let Some(b) = body {
-        map.push((::serde::Key::from("body"), b));
-    }
-    Content::Map(map)
-}
-
-fn frame_parts(content: &Content) -> Result<(&str, u64, Option<&Content>), serde::Error> {
-    let map = content
-        .as_map()
-        .ok_or_else(|| serde::Error::custom("expected a frame object"))?;
-    let tag = match content_get(map, "frame") {
-        Some(Content::Str(s)) => s.as_str(),
-        _ => return Err(serde::Error::custom("missing string field `frame`")),
-    };
-    let seq = match content_get(map, "seq") {
-        Some(c) => u64::from_content(c)?,
-        None => return Err(serde::Error::custom("missing field `seq`")),
-    };
-    Ok((tag, seq, content_get(map, "body")))
-}
-
-fn require_body<'a>(tag: &str, body: Option<&'a Content>) -> Result<&'a Content, serde::Error> {
-    body.ok_or_else(|| serde::Error::custom(format!("frame `{tag}` requires a `body`")))
-}
-
-impl Serialize for ToNodeFrame {
-    fn to_content(&self) -> Content {
-        let (tag, body) = match &self.body {
-            ToNode::Init(b) => ("init", Some(b.to_content())),
-            ToNode::RoundBarrier { ops } => (
-                "round_barrier",
-                Some(Content::Map(vec![(
-                    ::serde::Key::from("ops"),
-                    ops.to_content(),
-                )])),
-            ),
-            ToNode::RoundMsgs { msgs } => (
-                "round_msgs",
-                Some(Content::Map(vec![(
-                    ::serde::Key::from("msgs"),
-                    msgs.to_content(),
-                )])),
-            ),
-            ToNode::Snapshot => ("snapshot", None),
-            ToNode::Halt => ("halt", None),
-        };
-        frame_content(tag, self.seq, body)
-    }
-}
-
-impl Deserialize for ToNodeFrame {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let (tag, seq, body) = frame_parts(content)?;
-        let field = |name: &str, body: &Content| -> Result<Content, serde::Error> {
-            let map = body.as_map().ok_or_else(|| {
-                serde::Error::custom(format!("frame `{tag}` body must be an object"))
-            })?;
-            content_get(map, name)
-                .cloned()
-                .ok_or_else(|| serde::Error::custom(format!("frame `{tag}` body missing `{name}`")))
-        };
-        let body = match tag {
-            "init" => ToNode::Init(Box::new(InitBody::from_content(require_body(tag, body)?)?)),
-            "round_barrier" => ToNode::RoundBarrier {
-                ops: Vec::<AsmCtl>::from_content(&field("ops", require_body(tag, body)?)?)?,
-            },
-            "round_msgs" => ToNode::RoundMsgs {
-                msgs: Vec::<Envelope<AsmMsg>>::from_content(&field(
-                    "msgs",
-                    require_body(tag, body)?,
-                )?)?,
-            },
-            "snapshot" => ToNode::Snapshot,
-            "halt" => ToNode::Halt,
-            other => return Err(serde::Error::custom(format!("unknown frame `{other}`"))),
-        };
-        Ok(ToNodeFrame { seq, body })
-    }
-}
-
-impl Serialize for FromNodeFrame {
-    fn to_content(&self) -> Content {
-        let (tag, body) = match &self.body {
-            FromNode::Hello {
-                proc_index,
-                players,
-            } => (
-                "hello",
-                Some(Content::Map(vec![
-                    (::serde::Key::from("proc_index"), proc_index.to_content()),
-                    (::serde::Key::from("players"), players.to_content()),
-                ])),
-            ),
-            FromNode::BarrierOk { summary } => (
-                "barrier_ok",
-                Some(Content::Map(vec![(
-                    ::serde::Key::from("summary"),
-                    summary.to_content(),
-                )])),
-            ),
-            FromNode::RoundDone { sent, summary } => (
-                "round_done",
-                Some(Content::Map(vec![
-                    (::serde::Key::from("sent"), sent.to_content()),
-                    (::serde::Key::from("summary"), summary.to_content()),
-                ])),
-            ),
-            FromNode::SnapshotData {
-                finals,
-                resends,
-                stale,
-            } => (
-                "snapshot_data",
-                Some(Content::Map(vec![
-                    (::serde::Key::from("finals"), finals.to_content()),
-                    (::serde::Key::from("resends"), resends.to_content()),
-                    (::serde::Key::from("stale"), stale.to_content()),
-                ])),
-            ),
-            FromNode::Halted => ("halted", None),
-            FromNode::Nack { expected } => (
-                "nack",
-                Some(Content::Map(vec![(
-                    ::serde::Key::from("expected"),
-                    expected.to_content(),
-                )])),
-            ),
-            FromNode::NodeError { detail } => (
-                "node_error",
-                Some(Content::Map(vec![(
-                    ::serde::Key::from("detail"),
-                    Content::Str(detail.clone()),
-                )])),
-            ),
-        };
-        frame_content(tag, self.seq, body)
-    }
-}
-
-impl Deserialize for FromNodeFrame {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let (tag, seq, body) = frame_parts(content)?;
-        let map = |body: &Content| -> Result<Vec<(::serde::Key, Content)>, serde::Error> {
-            body.as_map()
-                .map(<[(::serde::Key, Content)]>::to_vec)
-                .ok_or_else(|| {
-                    serde::Error::custom(format!("frame `{tag}` body must be an object"))
-                })
-        };
-        let field =
-            |map: &[(::serde::Key, Content)], name: &str| -> Result<Content, serde::Error> {
-                content_get(map, name).cloned().ok_or_else(|| {
-                    serde::Error::custom(format!("frame `{tag}` body missing `{name}`"))
-                })
-            };
-        let body = match tag {
-            "hello" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::Hello {
-                    proc_index: u32::from_content(&field(&m, "proc_index")?)?,
-                    players: u64::from_content(&field(&m, "players")?)?,
-                }
-            }
-            "barrier_ok" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::BarrierOk {
-                    summary: AsmSummary::from_content(&field(&m, "summary")?)?,
-                }
-            }
-            "round_done" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::RoundDone {
-                    sent: Vec::<Envelope<AsmMsg>>::from_content(&field(&m, "sent")?)?,
-                    summary: AsmSummary::from_content(&field(&m, "summary")?)?,
-                }
-            }
-            "snapshot_data" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::SnapshotData {
-                    finals: Vec::<PlayerFinal>::from_content(&field(&m, "finals")?)?,
-                    resends: u64::from_content(&field(&m, "resends")?)?,
-                    stale: u64::from_content(&field(&m, "stale")?)?,
-                }
-            }
-            "halted" => FromNode::Halted,
-            "nack" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::Nack {
-                    expected: u64::from_content(&field(&m, "expected")?)?,
-                }
-            }
-            "node_error" => {
-                let m = map(require_body(tag, body)?)?;
-                FromNode::NodeError {
-                    detail: String::from_content(&field(&m, "detail")?)?,
-                }
-            }
-            other => return Err(serde::Error::custom(format!("unknown frame `{other}`"))),
-        };
-        Ok(FromNodeFrame { seq, body })
-    }
 }
 
 /// Encodes a frame as its one-line wire form (no trailing newline).

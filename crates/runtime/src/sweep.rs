@@ -10,7 +10,7 @@
 //! structurally identical across worker counts (only the wall-clock
 //! values vary run to run — the counters must not).
 
-use serde::{content_get, Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,7 +18,7 @@ use std::fmt;
 pub const SWEEP_SCHEMA: u64 = 1;
 
 /// One sweep-grid cell: coordinates plus measurements.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
     /// Experiment id (`t1_stability`, `f5_eps_blocking`, ...).
     pub experiment: String,
@@ -38,6 +38,7 @@ pub struct SweepCell {
     /// Omitted from the JSON when `0`, so pre-sharding sweep artifacts
     /// (and the committed perf-gate baseline) parse and regenerate
     /// byte-identically.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub shards: u64,
     /// Wall-clock spent computing the cell, in milliseconds. The only
     /// non-deterministic field.
@@ -51,60 +52,8 @@ pub struct SweepCell {
     pub blocking_fraction: f64,
 }
 
-// Hand-written (not derived) so `shards` can be omitted when 0: the
-// vendored serde derive has no `default`/`skip_serializing_if`, and the
-// column must not perturb existing sweep artifacts.
-impl Serialize for SweepCell {
-    fn to_content(&self) -> Content {
-        let mut m: Vec<(::serde::Key, Content)> = vec![
-            (
-                ::serde::Key::from("experiment"),
-                self.experiment.to_content(),
-            ),
-            (::serde::Key::from("family"), self.family.to_content()),
-            (::serde::Key::from("n"), self.n.to_content()),
-            (::serde::Key::from("eps"), self.eps.to_content()),
-            (::serde::Key::from("seed"), self.seed.to_content()),
-        ];
-        if self.shards > 0 {
-            m.push((::serde::Key::from("shards"), self.shards.to_content()));
-        }
-        m.push((::serde::Key::from("wall_ms"), self.wall_ms.to_content()));
-        m.push((::serde::Key::from("rounds"), self.rounds.to_content()));
-        m.push((::serde::Key::from("messages"), self.messages.to_content()));
-        m.push((
-            ::serde::Key::from("blocking_fraction"),
-            self.blocking_fraction.to_content(),
-        ));
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for SweepCell {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for SweepCell"))?;
-        let field = |name: &str| {
-            content_get(map, name)
-                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}` in SweepCell")))
-        };
-        Ok(SweepCell {
-            experiment: String::from_content(field("experiment")?)?,
-            family: String::from_content(field("family")?)?,
-            n: u64::from_content(field("n")?)?,
-            eps: f64::from_content(field("eps")?)?,
-            seed: u64::from_content(field("seed")?)?,
-            shards: match content_get(map, "shards") {
-                Some(c) => u64::from_content(c)?,
-                None => 0,
-            },
-            wall_ms: f64::from_content(field("wall_ms")?)?,
-            rounds: u64::from_content(field("rounds")?)?,
-            messages: u64::from_content(field("messages")?)?,
-            blocking_fraction: f64::from_content(field("blocking_fraction")?)?,
-        })
-    }
+fn is_zero(shards: &u64) -> bool {
+    *shards == 0
 }
 
 impl SweepCell {

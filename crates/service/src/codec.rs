@@ -15,20 +15,16 @@
 //! on JSON forever, so every pre-codec client keeps working unchanged.
 //!
 //! The binary grammar itself lives in [`serde::bin`] (see that module's
-//! docs for the tag table), which offers two routes through it:
-//! transcoding a [`Content`] tree
-//! ([`encode_content`]/[`decode_content`] here), and the direct
-//! `write_bin`/`read_bin` streaming path that every protocol type
-//! implements (generated by the derive, hand-written for the envelopes).
-//! The hot request/response path uses the direct route — no intermediate
-//! tree, no `serde_json` — while staying byte-identical to the
-//! transcoding route by construction. Both codecs share every envelope
-//! validation rule (strict unknown-key rejection, per-op body dispatch,
-//! first-wins duplicate keys), which is what the cross-codec equivalence
-//! test pins.
+//! docs for the tag table). Every protocol type streams through it with
+//! the derived `write_bin`/`read_bin`: no intermediate tree and no
+//! `serde_json` on this path. The derive generates both codecs from one
+//! definition per message, so they share every envelope validation rule
+//! (strict unknown-key rejection, per-op body dispatch, first-wins
+//! duplicate keys, which error wins) — the cross-codec parity table in
+//! this module's tests pins that.
 
 use crate::protocol::{self, Request, Response};
-use serde::{bin, Content, Deserialize, Serialize};
+use serde::{bin, Deserialize, Serialize};
 
 /// The two wire codecs a connection can speak.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,41 +55,9 @@ impl CodecKind {
     }
 }
 
-/// A failed binary decode (truncated input, bad tag, trailing garbage).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecodeError(pub String);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Appends the binary encoding of `content` to `out`.
-pub fn encode_content(content: &Content, out: &mut Vec<u8>) {
-    bin::write_content(content, out);
-}
-
-/// Decodes one binary [`Content`] value, requiring the payload to be
-/// consumed exactly (trailing bytes are an error, like trailing JSON).
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] on truncation, unknown tags, invalid UTF-8,
-/// over-deep nesting, or trailing bytes.
-pub fn decode_content(bytes: &[u8]) -> Result<Content, DecodeError> {
-    let mut reader = bin::Reader::new(bytes);
-    let content = bin::read_content(&mut reader).map_err(|e| DecodeError(e.to_string()))?;
-    reader.finish().map_err(|e| DecodeError(e.to_string()))?;
-    Ok(content)
-}
-
 /// Encodes a protocol value as an *unframed* payload in `kind`: the JSON
-/// line bytes (no trailing newline) or the binary content bytes (no
-/// length prefix). The binary arm streams the value directly
-/// (`write_bin`), skipping the `Content` tree.
+/// line bytes (no trailing newline) or the binary payload bytes (no
+/// length prefix), streamed by `write_bin`.
 pub fn encode_payload<T: Serialize>(kind: CodecKind, value: &T) -> Vec<u8> {
     match kind {
         CodecKind::Json => protocol::render(value).into_bytes(),
@@ -130,8 +94,8 @@ pub fn encode_frame<T: Serialize>(kind: CodecKind, value: &T) -> Vec<u8> {
     frame_payload(kind, &encode_payload(kind, value))
 }
 
-/// Parses an unframed payload directly (`read_bin`), requiring exact
-/// consumption like [`decode_content`].
+/// Parses an unframed binary payload (`read_bin`), requiring exact
+/// consumption: trailing bytes are an error, like trailing JSON.
 fn parse_bin_payload<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     let mut reader = bin::Reader::new(payload);
     let value = T::read_bin(&mut reader).map_err(|e| e.to_string())?;
@@ -140,8 +104,7 @@ fn parse_bin_payload<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
 }
 
 /// Parses an unframed request payload in `kind`. Both codecs run the
-/// same [`Request`] validation rules: the binary path streams through
-/// `Request::read_bin`, which mirrors `from_content` check for check.
+/// same derived [`Request`] validation rules.
 ///
 /// # Errors
 ///
@@ -176,14 +139,8 @@ pub fn parse_response_payload(kind: CodecKind, payload: &[u8]) -> Result<Respons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{HelloBody, Op};
-    use serde::bin::{TAG_NULL, TAG_SEQ, TAG_STR};
-
-    fn round_trip(content: Content) {
-        let mut bytes = Vec::new();
-        encode_content(&content, &mut bytes);
-        assert_eq!(decode_content(&bytes).unwrap(), content, "{bytes:?}");
-    }
+    use crate::protocol::{HelloBody, MetricsBody, Op, Reply, SolveBody};
+    use serde::{Content, Key};
 
     #[test]
     fn codec_names_round_trip() {
@@ -192,93 +149,6 @@ mod tests {
         }
         assert!(CodecKind::parse("msgpack").is_none());
         assert_eq!(CodecKind::default(), CodecKind::Json);
-    }
-
-    #[test]
-    fn every_content_kind_round_trips() {
-        round_trip(Content::Null);
-        round_trip(Content::Bool(false));
-        round_trip(Content::Bool(true));
-        round_trip(Content::UInt(0));
-        round_trip(Content::UInt(u64::MAX));
-        round_trip(Content::Int(-1));
-        round_trip(Content::Int(i64::MIN));
-        round_trip(Content::Float(0.5));
-        round_trip(Content::Float(f64::NEG_INFINITY));
-        round_trip(Content::Str(String::new()));
-        round_trip(Content::Str("βинary ✓".to_string()));
-        round_trip(Content::Seq(vec![
-            Content::UInt(1),
-            Content::Null,
-            Content::Seq(vec![Content::Bool(true)]),
-        ]));
-        round_trip(Content::Map(vec![
-            (::serde::Key::from("a"), Content::UInt(300)),
-            (
-                ::serde::Key::from("nested"),
-                Content::Map(vec![(::serde::Key::from("x"), Content::Float(1.25))]),
-            ),
-        ]));
-    }
-
-    #[test]
-    fn varint_boundaries_round_trip() {
-        for v in [0u64, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            round_trip(Content::UInt(v));
-        }
-        for v in [0i64, -1, -64, -65, i64::MAX, i64::MIN] {
-            assert_eq!(bin::unzigzag(bin::zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn truncated_payloads_are_rejected_not_panicked() {
-        let mut bytes = Vec::new();
-        encode_content(
-            &Content::Map(vec![(
-                ::serde::Key::from("key"),
-                Content::Str("value".to_string()),
-            )]),
-            &mut bytes,
-        );
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_content(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = Vec::new();
-        encode_content(&Content::Null, &mut bytes);
-        bytes.push(0);
-        let e = decode_content(&bytes).unwrap_err();
-        assert!(e.to_string().contains("trailing"), "{e}");
-    }
-
-    #[test]
-    fn unknown_tag_and_bad_utf8_are_rejected() {
-        assert!(decode_content(&[9]).is_err());
-        // TAG_STR, length 1, invalid UTF-8 byte.
-        assert!(decode_content(&[TAG_STR, 1, 0xff]).is_err());
-    }
-
-    #[test]
-    fn hostile_counts_do_not_overallocate() {
-        // Seq claiming u64::MAX items with an empty remainder.
-        let mut bytes = vec![TAG_SEQ];
-        bin::write_varint(&mut bytes, u64::MAX);
-        assert!(decode_content(&bytes).is_err());
-        // Deep nesting beyond MAX_DEPTH.
-        let mut deep = Vec::new();
-        for _ in 0..(bin::MAX_DEPTH + 2) {
-            deep.push(TAG_SEQ);
-            deep.push(1);
-        }
-        deep.push(TAG_NULL);
-        assert!(decode_content(&deep).is_err());
     }
 
     #[test]
@@ -309,165 +179,376 @@ mod tests {
         );
     }
 
-    #[test]
-    fn binary_rejects_unknown_envelope_keys_like_json() {
-        // Same strictness as the JSON path: a salted envelope key fails.
-        let content = Content::Map(vec![
-            (::serde::Key::from("id"), Content::UInt(1)),
-            (::serde::Key::from("op"), Content::Str("health".to_string())),
-            (::serde::Key::from("extra"), Content::UInt(1)),
-        ]);
-        let mut bytes = Vec::new();
-        encode_content(&content, &mut bytes);
-        let e = parse_request_payload(CodecKind::Binary, &bytes).unwrap_err();
-        assert!(e.contains("extra"), "{e}");
+    fn solve_request() -> Request {
+        Request {
+            id: Some(1),
+            op: Op::Solve(SolveBody {
+                instance: crate::protocol::InstanceSpec::Generator(
+                    asm_instance::generators::GeneratorConfig::Complete { n: 3, seed: 7 },
+                ),
+                algorithm: "asm".to_string(),
+                eps: 0.125,
+                delta: 0.05,
+                seed: 42,
+                backend: "hkp".to_string(),
+                deadline_ms: 0,
+                cycles: 0,
+            }),
+        }
     }
 
-    /// The direct `write_bin`/`read_bin` route and the `Content`
-    /// transcoding route must agree byte for byte in both directions.
+    /// An envelope's binary bytes, hand-built so they can lie.
+    fn raw_envelope(op: &str, body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bin::write_map_head(&mut bytes, 3);
+        bin::write_key(&mut bytes, "id");
+        bin::write_uint(&mut bytes, 1);
+        bin::write_key(&mut bytes, "op");
+        bin::write_str(&mut bytes, op);
+        bin::write_key(&mut bytes, "body");
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
     #[test]
-    fn direct_and_transcoded_binary_routes_agree() {
-        use crate::protocol::{
-            AnalyzeResult, BatchItemResult, DeadlineInfo, ErrorInfo, HealthInfo, InstanceSpec,
-            OverloadInfo, Reply, SolveBody,
+    fn truncated_payloads_are_rejected_not_panicked() {
+        let request = encode_payload(CodecKind::Binary, &solve_request());
+        for cut in 0..request.len() {
+            assert!(parse_request_payload(CodecKind::Binary, &request[..cut]).is_err());
+        }
+        let response = Response {
+            id: Some(1),
+            reply: Reply::Hello(crate::protocol::HelloInfo {
+                codec: "binary".to_string(),
+            }),
         };
-        let requests = vec![
-            Request {
-                id: Some(1),
-                op: Op::Solve(SolveBody {
-                    instance: InstanceSpec::Generator(
-                        asm_instance::generators::GeneratorConfig::Complete { n: 3, seed: 7 },
-                    ),
-                    algorithm: "asm".to_string(),
-                    eps: 0.125,
-                    delta: 0.05,
-                    seed: 42,
-                    backend: "hkp".to_string(),
-                    deadline_ms: 0,
-                    cycles: 0,
-                }),
-            },
-            Request {
-                id: None,
-                op: Op::Health,
-            },
-            Request {
-                id: Some(u64::MAX),
-                op: Op::metrics(),
-            },
-        ];
-        for req in &requests {
-            let direct = encode_payload(CodecKind::Binary, req);
-            let mut transcoded = Vec::new();
-            encode_content(&req.to_content(), &mut transcoded);
-            assert_eq!(direct, transcoded, "request {req:?}");
-            // And reading back through both routes agrees.
-            let via_tree = Request::from_content(&decode_content(&direct).unwrap()).unwrap();
-            let via_direct = parse_request_payload(CodecKind::Binary, &direct).unwrap();
-            assert_eq!(via_tree, via_direct);
-            assert_eq!(&via_direct, req);
+        let response = encode_payload(CodecKind::Binary, &response);
+        for cut in 0..response.len() {
+            assert!(parse_response_payload(CodecKind::Binary, &response[..cut]).is_err());
         }
-        let responses = vec![
-            Response {
-                id: Some(2),
-                reply: Reply::Analyzed(AnalyzeResult {
-                    matched: 3,
-                    num_edges: 21,
-                    blocking_pairs: 0,
-                    unmatched_men: 4,
-                    unmatched_women: 0,
-                    eps_blocking_pairs: 0,
-                    one_minus_eps_stable: true,
-                }),
-            },
-            Response {
-                id: None,
-                reply: Reply::Error(ErrorInfo::new(protocol::kind::MALFORMED, "nope")),
-            },
-            Response {
-                id: Some(3),
-                reply: Reply::Overloaded(OverloadInfo::shed(64, 64)),
-            },
-            Response {
-                id: Some(4),
-                reply: Reply::Overloaded(OverloadInfo::new(8, 8)),
-            },
-            Response {
-                id: Some(5),
-                reply: Reply::Health(HealthInfo {
-                    schema: 3,
-                    accepting: true,
-                    workers: 2,
-                    queue_capacity: 64,
-                    queue_depth: 0,
-                    shards: 2,
-                }),
-            },
-            Response {
-                id: Some(6),
-                reply: Reply::ShuttingDown,
-            },
-        ];
-        for resp in &responses {
-            let direct = encode_payload(CodecKind::Binary, resp);
-            let mut transcoded = Vec::new();
-            encode_content(&resp.to_content(), &mut transcoded);
-            assert_eq!(direct, transcoded, "response {resp:?}");
-            let via_tree = Response::from_content(&decode_content(&direct).unwrap()).unwrap();
-            let via_direct = parse_response_payload(CodecKind::Binary, &direct).unwrap();
-            assert_eq!(via_tree, via_direct);
-            assert_eq!(&via_direct, resp);
-        }
-        // Batch items too (they carry their own mini-envelope).
-        let item = BatchItemResult::DeadlineExceeded(DeadlineInfo { deadline_ms: 5 });
-        let mut direct = Vec::new();
-        item.write_bin(&mut direct);
-        let mut transcoded = Vec::new();
-        encode_content(&item.to_content(), &mut transcoded);
-        assert_eq!(direct, transcoded);
     }
 
-    /// Order-independence and duplicate handling of the direct binary
-    /// reader match the tree route: fields may arrive in any order
-    /// (`body` before `op`), duplicates are first-wins.
     #[test]
-    fn direct_reader_accepts_reordered_fields_like_the_tree_route() {
-        let content = Content::Map(vec![
-            (
-                ::serde::Key::from("body"),
-                Content::Map(vec![(
-                    ::serde::Key::from("codec"),
-                    Content::Str("binary".to_string()),
-                )]),
-            ),
-            (::serde::Key::from("op"), Content::Str("hello".to_string())),
-            (::serde::Key::from("id"), Content::UInt(7)),
-        ]);
-        let mut bytes = Vec::new();
-        encode_content(&content, &mut bytes);
-        let via_tree = Request::from_content(&decode_content(&bytes).unwrap()).unwrap();
-        let via_direct = parse_request_payload(CodecKind::Binary, &bytes).unwrap();
-        assert_eq!(via_tree, via_direct);
-        assert_eq!(
-            via_direct,
-            Request {
-                id: Some(7),
-                op: Op::Hello(HelloBody {
-                    codec: "binary".to_string()
-                }),
-            }
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = encode_payload(CodecKind::Binary, &solve_request());
+        bytes.push(bin::TAG_NULL);
+        let err = parse_request_payload(CodecKind::Binary, &bytes).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn unknown_tag_and_bad_utf8_are_rejected() {
+        let err = parse_request_payload(CodecKind::Binary, &raw_envelope("hello", &[9]));
+        assert_eq!(err.unwrap_err(), "unknown binary content tag 9");
+        let mut bad_key = Vec::new();
+        bin::write_map_head(&mut bad_key, 1);
+        bad_key.extend_from_slice(&[1, 0xff, bin::TAG_NULL]);
+        let err = parse_request_payload(CodecKind::Binary, &bad_key).unwrap_err();
+        assert_eq!(err, "invalid UTF-8 in binary key");
+        let bad_str = raw_envelope(
+            "hello",
+            &[
+                bin::TAG_MAP,
+                1,
+                5,
+                b'c',
+                b'o',
+                b'd',
+                b'e',
+                b'c',
+                bin::TAG_STR,
+                1,
+                0xff,
+            ],
         );
-        // Duplicate `id`: first value wins on both routes.
-        let dup = Content::Map(vec![
-            (::serde::Key::from("id"), Content::UInt(1)),
-            (::serde::Key::from("id"), Content::UInt(2)),
-            (::serde::Key::from("op"), Content::Str("health".to_string())),
-        ]);
-        let mut bytes = Vec::new();
-        encode_content(&dup, &mut bytes);
-        let via_tree = Request::from_content(&decode_content(&bytes).unwrap()).unwrap();
-        let via_direct = parse_request_payload(CodecKind::Binary, &bytes).unwrap();
-        assert_eq!(via_tree.id, Some(1));
-        assert_eq!(via_tree, via_direct);
+        let err = parse_request_payload(CodecKind::Binary, &bad_str).unwrap_err();
+        assert_eq!(err, "invalid UTF-8 in binary string");
+    }
+
+    #[test]
+    fn hostile_counts_do_not_overallocate() {
+        // A body claiming u64::MAX items in a few bytes.
+        let mut body = Vec::new();
+        bin::write_map_head(&mut body, 1);
+        bin::write_key(&mut body, "items");
+        bin::write_seq_head(&mut body, u64::MAX);
+        let err = parse_request_payload(CodecKind::Binary, &raw_envelope("solve_batch", &body));
+        assert_eq!(err.unwrap_err(), "sequence count exceeds payload");
+        // Nesting: `health` ignores its body, so only the depth cap stands
+        // between a deep body and the parser's stack, in either codec.
+        // (Built as text and bytes: a deep tree would overflow the test's
+        // own recursion.)
+        let nested = |levels: usize| {
+            let (open, close) = ("[".repeat(levels), "]".repeat(levels));
+            let json = format!(r#"{{"id":1,"op":"health","body":{open}null{close}}}"#);
+            let mut body = Vec::new();
+            for _ in 0..levels {
+                bin::write_seq_head(&mut body, 1);
+            }
+            body.push(bin::TAG_NULL);
+            (json.into_bytes(), raw_envelope("health", &body))
+        };
+        let health = Ok(Request {
+            id: Some(1),
+            op: Op::Health,
+        });
+        let (json, binary) = nested(8);
+        assert_eq!(parse_request_payload(CodecKind::Json, &json), health);
+        assert_eq!(parse_request_payload(CodecKind::Binary, &binary), health);
+        let (json, binary) = nested(10_000);
+        let err = parse_request_payload(CodecKind::Json, &json).unwrap_err();
+        assert!(
+            err.starts_with("JSON nests deeper than 128 levels"),
+            "{err}"
+        );
+        let err = parse_request_payload(CodecKind::Binary, &binary).unwrap_err();
+        assert_eq!(err, "binary payload nests too deep");
+    }
+
+    fn s(text: &str) -> Content {
+        Content::Str(text.to_string())
+    }
+
+    fn envelope(entries: &[(&str, Content)]) -> Content {
+        Content::Map(
+            entries
+                .iter()
+                .map(|(k, v)| (Key::from(*k), v.clone()))
+                .collect(),
+        )
+    }
+
+    /// JSON text for a tree (its strings need no escaping beyond `Debug`).
+    fn json(c: &Content) -> String {
+        let join = |items: Vec<String>| items.join(",");
+        match c {
+            Content::Null => "null".to_string(),
+            Content::Bool(b) => b.to_string(),
+            Content::UInt(v) => v.to_string(),
+            Content::Int(v) => v.to_string(),
+            Content::Float(v) => v.to_string(),
+            Content::Str(s) => format!("{s:?}"),
+            Content::Seq(items) => format!("[{}]", join(items.iter().map(json).collect())),
+            Content::Map(entries) => format!(
+                "{{{}}}",
+                join(
+                    entries
+                        .iter()
+                        .map(|(k, v)| format!("{:?}:{}", k.as_str(), json(v)))
+                        .collect()
+                )
+            ),
+        }
+    }
+
+    /// A tree as a JSON payload and as a binary payload.
+    fn payloads(tree: &Content) -> [(CodecKind, Vec<u8>); 2] {
+        let mut binary = Vec::new();
+        bin::write_content(tree, &mut binary);
+        [
+            (CodecKind::Json, json(tree).into_bytes()),
+            (CodecKind::Binary, binary),
+        ]
+    }
+
+    /// Every request envelope gives the same `Ok` value or the same error
+    /// text in both codecs, and the table pins which error wins when a
+    /// frame has several faults: non-map, then the first unknown key in
+    /// wire order, then the fields in declaration order (`id`, then the
+    /// `op` tag), then the op's body. Duplicate keys are first-wins.
+    #[test]
+    fn both_codecs_agree_on_every_envelope_fault() {
+        let id = |v: u64| ("id", Content::UInt(v));
+        let op = |tag: &str| ("op", s(tag));
+        let hello = |codec: &str| envelope(&[("codec", s(codec))]);
+        let ok = |id: Option<u64>, op: Op| Ok(Request { id, op });
+        let hello_op = |codec: &str| {
+            Op::Hello(HelloBody {
+                codec: codec.to_string(),
+            })
+        };
+        let unknown = |key: &str| {
+            Err(format!(
+                "unknown field `{key}` in request envelope (expected `id`, `op`, `body`)"
+            ))
+        };
+        let err = |text: &str| Err(text.to_string());
+        let rows: Vec<(&str, Content, Result<Request, String>)> = vec![
+            (
+                "not a map",
+                Content::Seq(vec![Content::UInt(1)]),
+                err("expected a request object"),
+            ),
+            (
+                "a bare string",
+                s("health"),
+                err("expected a request object"),
+            ),
+            (
+                "an unknown envelope key",
+                envelope(&[id(1), op("health"), ("extra", Content::UInt(1))]),
+                unknown("extra"),
+            ),
+            (
+                "a missing id",
+                envelope(&[op("health")]),
+                err("missing field `id` in request"),
+            ),
+            (
+                "a string id",
+                envelope(&[("id", s("7")), op("health")]),
+                err("expected unsigned integer, found string"),
+            ),
+            (
+                "a negative id",
+                envelope(&[("id", Content::Int(-1)), op("health")]),
+                err("expected unsigned integer, found int"),
+            ),
+            (
+                "a null id",
+                envelope(&[("id", Content::Null), op("health")]),
+                ok(None, Op::Health),
+            ),
+            (
+                "a missing op",
+                envelope(&[id(1)]),
+                err("missing field `op` in request"),
+            ),
+            (
+                "a non-string op",
+                envelope(&[id(1), ("op", Content::UInt(5))]),
+                err("field `op` must be a string, found uint"),
+            ),
+            (
+                "an unknown op",
+                envelope(&[id(1), op("dance")]),
+                err("unknown op `dance`"),
+            ),
+            (
+                "a missing body",
+                envelope(&[id(1), op("solve")]),
+                err("op `solve` requires a `body`"),
+            ),
+            (
+                "a body of the wrong kind",
+                envelope(&[id(1), op("hello"), ("body", Content::Seq(vec![]))]),
+                err("expected map for struct HelloBody"),
+            ),
+            (
+                "a body with a bad field",
+                envelope(&[
+                    id(1),
+                    op("hello"),
+                    ("body", envelope(&[("codec", Content::UInt(5))])),
+                ]),
+                err("expected string, found uint"),
+            ),
+            (
+                "a body missing a field",
+                envelope(&[id(1), op("hello"), ("body", envelope(&[]))]),
+                err("missing field `codec` in HelloBody"),
+            ),
+            (
+                "health with a body (accepted, ignored)",
+                envelope(&[id(1), op("health"), ("body", hello("json"))]),
+                ok(Some(1), Op::Health),
+            ),
+            (
+                "a bodyless metrics",
+                envelope(&[id(1), op("metrics")]),
+                ok(Some(1), Op::metrics()),
+            ),
+            (
+                "a metrics detail",
+                envelope(&[
+                    id(1),
+                    op("metrics"),
+                    ("body", envelope(&[("detail", s("stages"))])),
+                ]),
+                ok(
+                    Some(1),
+                    Op::Metrics(MetricsBody {
+                        detail: "stages".to_string(),
+                    }),
+                ),
+            ),
+            (
+                "the body before the op",
+                envelope(&[("body", hello("binary")), op("hello"), id(7)]),
+                ok(Some(7), hello_op("binary")),
+            ),
+            (
+                "duplicate ids",
+                envelope(&[id(1), ("id", s("x")), op("health")]),
+                ok(Some(1), Op::Health),
+            ),
+            (
+                "duplicate ops",
+                envelope(&[id(1), op("health"), op("dance")]),
+                ok(Some(1), Op::Health),
+            ),
+            (
+                "duplicate bodies",
+                envelope(&[
+                    id(1),
+                    op("hello"),
+                    ("body", hello("json")),
+                    ("body", Content::Null),
+                ]),
+                ok(Some(1), hello_op("json")),
+            ),
+            (
+                "a bad id before an unknown key",
+                envelope(&[("id", s("x")), op("health"), ("extra", Content::Null)]),
+                unknown("extra"),
+            ),
+            (
+                "a missing body and an unknown key",
+                envelope(&[id(1), op("solve"), ("bdy", hello("json"))]),
+                unknown("bdy"),
+            ),
+            (
+                "two unknown keys",
+                envelope(&[
+                    ("zzz", Content::Null),
+                    id(1),
+                    ("aaa", Content::Null),
+                    op("health"),
+                ]),
+                unknown("zzz"),
+            ),
+            (
+                "a bad op before a bad id",
+                envelope(&[("op", Content::UInt(5)), ("id", s("x"))]),
+                err("expected unsigned integer, found string"),
+            ),
+            (
+                "a missing id and a missing op",
+                envelope(&[]),
+                err("missing field `id` in request"),
+            ),
+            (
+                "an unknown op and a missing id",
+                envelope(&[op("dance")]),
+                err("missing field `id` in request"),
+            ),
+            (
+                "an unknown op with a bad body",
+                envelope(&[id(1), op("dance"), ("body", Content::UInt(5))]),
+                err("unknown op `dance`"),
+            ),
+            (
+                "a bad id and a bad body",
+                envelope(&[("id", s("x")), op("hello"), ("body", Content::UInt(5))]),
+                err("expected unsigned integer, found string"),
+            ),
+        ];
+        for (row, tree, expected) in rows {
+            let [(_, json), (_, binary)] = payloads(&tree);
+            let via_json = parse_request_payload(CodecKind::Json, &json);
+            let via_binary = parse_request_payload(CodecKind::Binary, &binary);
+            assert_eq!(via_json, via_binary, "{row}: the codecs disagree");
+            assert_eq!(via_json, expected, "{row}");
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! runs a single shard, which keeps the `shards = 1` wire format
 //! byte-identical to the pre-sharding protocol.
 
-use serde::{content_get, Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -338,9 +338,7 @@ impl ShardCounters {
 /// the service runs more than one shard. Counter fields sum exactly to
 /// the aggregate snapshot; `queue_peak` aggregates by max, and
 /// `cache_entries`/`queue_depth` are point-in-time gauges that sum.
-/// Hand-written serde so the `stages` block can be omitted when absent,
-/// keeping the pre-stage sharded wire format byte-identical.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// Shard index (0-based).
     pub shard: u64,
@@ -371,86 +369,12 @@ pub struct ShardSnapshot {
     /// Σ matched pairs over this shard's solved jobs.
     pub matched_total: u64,
     /// This shard's stage-clock books; present only under
-    /// `detail: "stages"`. Sums exactly to the aggregate `stages` block
-    /// across shards (both are recorded at the same flush site).
+    /// `detail: "stages"` (omitted otherwise, keeping the pre-stage
+    /// sharded wire format byte-identical). Sums exactly to the aggregate
+    /// `stages` block across shards (both are recorded at the same flush
+    /// site).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stages: Option<StagesSnapshot>,
-}
-
-/// Flat `u64` field order of [`ShardSnapshot`], shared by its
-/// hand-written serde impls.
-macro_rules! shard_u64_fields {
-    ($macro:ident) => {
-        $macro!(
-            shard,
-            solved,
-            analyzed,
-            overloaded,
-            deadline_exceeded,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            queue_depth,
-            queue_peak,
-            rounds_total,
-            messages_total,
-            blocking_pairs_total,
-            matched_total
-        );
-    };
-}
-
-impl Serialize for ShardSnapshot {
-    fn to_content(&self) -> Content {
-        let mut m: Vec<(::serde::Key, Content)> = Vec::new();
-        macro_rules! push {
-            ($($field:ident),*) => {
-                $(m.push((::serde::Key::from(stringify!($field)), self.$field.to_content()));)*
-            };
-        }
-        shard_u64_fields!(push);
-        if let Some(stages) = &self.stages {
-            m.push((::serde::Key::from("stages"), stages.to_content()));
-        }
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for ShardSnapshot {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ShardSnapshot"))?;
-        let field = |name: &str| {
-            content_get(map, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in ShardSnapshot"))
-            })
-        };
-        macro_rules! get {
-            ($field:ident) => {
-                u64::from_content(field(stringify!($field))?)?
-            };
-        }
-        Ok(ShardSnapshot {
-            shard: get!(shard),
-            solved: get!(solved),
-            analyzed: get!(analyzed),
-            overloaded: get!(overloaded),
-            deadline_exceeded: get!(deadline_exceeded),
-            cache_hits: get!(cache_hits),
-            cache_misses: get!(cache_misses),
-            cache_entries: get!(cache_entries),
-            queue_depth: get!(queue_depth),
-            queue_peak: get!(queue_peak),
-            rounds_total: get!(rounds_total),
-            messages_total: get!(messages_total),
-            blocking_pairs_total: get!(blocking_pairs_total),
-            matched_total: get!(matched_total),
-            stages: match content_get(map, "stages") {
-                Some(c) => Some(StagesSnapshot::from_content(c)?),
-                None => None,
-            },
-        })
-    }
 }
 
 /// The market tier's slice of the books, embedded in [`MetricsSnapshot`]
@@ -492,9 +416,8 @@ pub struct MarketSnapshot {
 /// Counter fields are the backend's own aggregates at merge time; a
 /// backend that was down (or failed the fetch) reports all-zero counters
 /// with its `state`, so the array always has one entry per configured
-/// backend, in hash-slice order. Hand-written serde so the `stages`
-/// block can be omitted when absent.
-#[derive(Clone, Debug, PartialEq)]
+/// backend, in hash-slice order.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BackendSnapshot {
     /// Backend index (0-based, the `instance_hash % backends` slice).
     pub backend: u64,
@@ -531,93 +454,10 @@ pub struct BackendSnapshot {
     /// Σ matched pairs over this backend's solved jobs.
     pub matched_total: u64,
     /// This backend's aggregate stage-clock books at merge time; present
-    /// only under `detail: "stages"` (and all-`None` for a backend whose
-    /// fetch failed).
+    /// only under `detail: "stages"`, and omitted (`None`) otherwise and
+    /// for a backend whose fetch failed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stages: Option<StagesSnapshot>,
-}
-
-/// Flat `u64` field order of [`BackendSnapshot`] after `backend` and
-/// `state`, shared by its hand-written serde impls.
-macro_rules! backend_u64_fields {
-    ($macro:ident) => {
-        $macro!(
-            received,
-            solved,
-            analyzed,
-            overloaded,
-            deadline_exceeded,
-            errors,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            queue_depth,
-            queue_peak,
-            rounds_total,
-            messages_total,
-            blocking_pairs_total,
-            matched_total
-        );
-    };
-}
-
-impl Serialize for BackendSnapshot {
-    fn to_content(&self) -> Content {
-        let mut m: Vec<(::serde::Key, Content)> = vec![
-            (::serde::Key::from("backend"), self.backend.to_content()),
-            (::serde::Key::from("state"), self.state.to_content()),
-        ];
-        macro_rules! push {
-            ($($field:ident),*) => {
-                $(m.push((::serde::Key::from(stringify!($field)), self.$field.to_content()));)*
-            };
-        }
-        backend_u64_fields!(push);
-        if let Some(stages) = &self.stages {
-            m.push((::serde::Key::from("stages"), stages.to_content()));
-        }
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for BackendSnapshot {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for BackendSnapshot"))?;
-        let field = |name: &str| {
-            content_get(map, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in BackendSnapshot"))
-            })
-        };
-        macro_rules! get {
-            ($field:ident) => {
-                u64::from_content(field(stringify!($field))?)?
-            };
-        }
-        Ok(BackendSnapshot {
-            backend: get!(backend),
-            state: String::from_content(field("state")?)?,
-            received: get!(received),
-            solved: get!(solved),
-            analyzed: get!(analyzed),
-            overloaded: get!(overloaded),
-            deadline_exceeded: get!(deadline_exceeded),
-            errors: get!(errors),
-            cache_hits: get!(cache_hits),
-            cache_misses: get!(cache_misses),
-            cache_entries: get!(cache_entries),
-            queue_depth: get!(queue_depth),
-            queue_peak: get!(queue_peak),
-            rounds_total: get!(rounds_total),
-            messages_total: get!(messages_total),
-            blocking_pairs_total: get!(blocking_pairs_total),
-            matched_total: get!(matched_total),
-            stages: match content_get(map, "stages") {
-                Some(c) => Some(StagesSnapshot::from_content(c)?),
-                None => None,
-            },
-        })
-    }
 }
 
 /// The router tier's own counters, embedded in [`MetricsSnapshot`] when
@@ -941,7 +781,7 @@ impl StagesSnapshot {
 
 /// A point-in-time JSON view of [`Metrics`], returned by the `metrics`
 /// request. Schema-versioned: consumers should check `schema` first.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// [`METRICS_SCHEMA`].
     pub schema: u64,
@@ -994,158 +834,25 @@ pub struct MetricsSnapshot {
     /// Aggregate stage-clock books; present only when the `metrics`
     /// request asked for `detail: "stages"` (omitted otherwise, keeping
     /// the default wire format byte-identical to schema 1).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stages: Option<StagesSnapshot>,
-    /// Per-shard books; empty (and omitted from the JSON) when the
+    /// Per-shard books; empty (and omitted from the JSON, keeping the
+    /// single-shard wire format byte-identical to schema 1) when the
     /// service runs a single shard.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub shards: Vec<ShardSnapshot>,
     /// Market-tier books; present once any market activity has occurred
     /// (omitted otherwise, keeping market-free snapshots byte-stable).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub market: Option<MarketSnapshot>,
     /// Per-backend books; present only in snapshots merged by the
     /// router tier (empty and omitted otherwise).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub backends: Vec<BackendSnapshot>,
     /// Router-local counters; present only in snapshots merged by the
     /// router tier (omitted otherwise).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub router: Option<RouterSnapshot>,
-}
-
-/// Field order of the flat `u64` counters, shared by both hand-written
-/// impls below (hand-written so `shards` can be omitted when empty — the
-/// vendored serde derive has no `default`/`skip_serializing_if`, and the
-/// single-shard wire format must stay byte-identical to schema 1 without
-/// shards).
-macro_rules! snapshot_u64_fields {
-    ($macro:ident) => {
-        $macro!(
-            received,
-            malformed,
-            solved,
-            analyzed,
-            health,
-            metrics,
-            shutdown,
-            overloaded,
-            deadline_exceeded,
-            errors,
-            cache_hits,
-            cache_misses
-        );
-    };
-}
-
-macro_rules! snapshot_tail_u64_fields {
-    ($macro:ident) => {
-        $macro!(
-            cache_entries,
-            queue_depth,
-            queue_peak,
-            rounds_total,
-            messages_total,
-            blocking_pairs_total,
-            matched_total,
-            latency_p50_us,
-            latency_p95_us,
-            latency_p99_us
-        );
-    };
-}
-
-impl Serialize for MetricsSnapshot {
-    fn to_content(&self) -> Content {
-        let mut m: Vec<(::serde::Key, Content)> =
-            vec![(::serde::Key::from("schema"), self.schema.to_content())];
-        macro_rules! push {
-            ($($field:ident),*) => {
-                $(m.push((::serde::Key::from(stringify!($field)), self.$field.to_content()));)*
-            };
-        }
-        snapshot_u64_fields!(push);
-        m.push((
-            ::serde::Key::from("cache_hit_rate"),
-            self.cache_hit_rate.to_content(),
-        ));
-        snapshot_tail_u64_fields!(push);
-        if let Some(stages) = &self.stages {
-            m.push((::serde::Key::from("stages"), stages.to_content()));
-        }
-        if !self.shards.is_empty() {
-            m.push((::serde::Key::from("shards"), self.shards.to_content()));
-        }
-        if let Some(market) = &self.market {
-            m.push((::serde::Key::from("market"), market.to_content()));
-        }
-        if !self.backends.is_empty() {
-            m.push((::serde::Key::from("backends"), self.backends.to_content()));
-        }
-        if let Some(router) = &self.router {
-            m.push((::serde::Key::from("router"), router.to_content()));
-        }
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for MetricsSnapshot"))?;
-        let field = |name: &str| {
-            content_get(map, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in MetricsSnapshot"))
-            })
-        };
-        macro_rules! get {
-            ($field:ident) => {
-                u64::from_content(field(stringify!($field))?)?
-            };
-        }
-        Ok(MetricsSnapshot {
-            schema: get!(schema),
-            received: get!(received),
-            malformed: get!(malformed),
-            solved: get!(solved),
-            analyzed: get!(analyzed),
-            health: get!(health),
-            metrics: get!(metrics),
-            shutdown: get!(shutdown),
-            overloaded: get!(overloaded),
-            deadline_exceeded: get!(deadline_exceeded),
-            errors: get!(errors),
-            cache_hits: get!(cache_hits),
-            cache_misses: get!(cache_misses),
-            cache_hit_rate: f64::from_content(field("cache_hit_rate")?)?,
-            cache_entries: get!(cache_entries),
-            queue_depth: get!(queue_depth),
-            queue_peak: get!(queue_peak),
-            rounds_total: get!(rounds_total),
-            messages_total: get!(messages_total),
-            blocking_pairs_total: get!(blocking_pairs_total),
-            matched_total: get!(matched_total),
-            latency_p50_us: get!(latency_p50_us),
-            latency_p95_us: get!(latency_p95_us),
-            latency_p99_us: get!(latency_p99_us),
-            stages: match content_get(map, "stages") {
-                Some(c) => Some(StagesSnapshot::from_content(c)?),
-                None => None,
-            },
-            shards: match content_get(map, "shards") {
-                Some(c) => Vec::<ShardSnapshot>::from_content(c)?,
-                None => Vec::new(),
-            },
-            market: match content_get(map, "market") {
-                Some(c) => Some(MarketSnapshot::from_content(c)?),
-                None => None,
-            },
-            backends: match content_get(map, "backends") {
-                Some(c) => Vec::<BackendSnapshot>::from_content(c)?,
-                None => Vec::new(),
-            },
-            router: match content_get(map, "router") {
-                Some(c) => Some(RouterSnapshot::from_content(c)?),
-                None => None,
-            },
-        })
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,11 @@
 //! must be reflected in `docs/PROTOCOLS.md` (and the schema version
 //! bumped if the shape of a body changed).
 
-use asm_service::{FrameHandler, Service, ServiceConfig};
-use serde::{content_get, Content, Deserialize, Serialize};
+mod common;
+
+use asm_service::{FrameHandler, Service};
+use common::CaseConfig;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// One corpus file: a service configuration and a scripted exchange.
@@ -24,78 +27,6 @@ struct GoldenCase {
     description: String,
     config: CaseConfig,
     steps: Vec<Step>,
-}
-
-/// `ServiceConfig` mirror with wire-friendly integer fields.
-///
-/// Serialized by hand so `shards` is omitted when it is `1`: the
-/// pre-sharding case files carry no `shards` key, and `regen` must keep
-/// rewriting them byte-identically.
-#[derive(Clone, Debug)]
-struct CaseConfig {
-    workers: u64,
-    queue_capacity: u64,
-    cache_capacity: u64,
-    worker_delay_ms: u64,
-    shards: u64,
-}
-
-impl Serialize for CaseConfig {
-    fn to_content(&self) -> Content {
-        let mut map = vec![
-            (::serde::Key::from("workers"), self.workers.to_content()),
-            (
-                ::serde::Key::from("queue_capacity"),
-                self.queue_capacity.to_content(),
-            ),
-            (
-                ::serde::Key::from("cache_capacity"),
-                self.cache_capacity.to_content(),
-            ),
-            (
-                ::serde::Key::from("worker_delay_ms"),
-                self.worker_delay_ms.to_content(),
-            ),
-        ];
-        if self.shards != 1 {
-            map.push((::serde::Key::from("shards"), self.shards.to_content()));
-        }
-        Content::Map(map)
-    }
-}
-
-impl Deserialize for CaseConfig {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a config object"))?;
-        let field = |name: &str| {
-            content_get(map, name)
-                .ok_or_else(|| serde::Error::custom(format!("missing config field `{name}`")))
-        };
-        Ok(CaseConfig {
-            workers: u64::from_content(field("workers")?)?,
-            queue_capacity: u64::from_content(field("queue_capacity")?)?,
-            cache_capacity: u64::from_content(field("cache_capacity")?)?,
-            worker_delay_ms: u64::from_content(field("worker_delay_ms")?)?,
-            shards: match content_get(map, "shards") {
-                Some(c) => u64::from_content(c)?,
-                None => 1,
-            },
-        })
-    }
-}
-
-impl CaseConfig {
-    fn to_service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            workers: self.workers as usize,
-            queue_capacity: self.queue_capacity as usize,
-            cache_capacity: self.cache_capacity as usize,
-            worker_delay_ms: self.worker_delay_ms,
-            shards: self.shards as usize,
-        }
-    }
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]

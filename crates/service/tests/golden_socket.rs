@@ -11,8 +11,11 @@
 //! single `write` call — one TCP segment — proving the reactor splits
 //! coalesced frames and answers them in request order.
 
-use asm_service::{serve, ServiceConfig};
-use serde::{content_get, Content, Deserialize};
+mod common;
+
+use asm_service::serve;
+use common::CaseConfig;
+use serde::Deserialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -28,51 +31,6 @@ struct GoldenCase {
 struct Step {
     send: String,
     expect: String,
-}
-
-/// `ServiceConfig` mirror matching the case-file schema (`shards`
-/// omitted means 1) — same shape `tests/golden.rs` writes.
-#[derive(Clone, Debug)]
-struct CaseConfig {
-    workers: u64,
-    queue_capacity: u64,
-    cache_capacity: u64,
-    worker_delay_ms: u64,
-    shards: u64,
-}
-
-impl Deserialize for CaseConfig {
-    fn from_content(content: &Content) -> Result<Self, serde::Error> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a config object"))?;
-        let field = |name: &str| {
-            content_get(map, name)
-                .ok_or_else(|| serde::Error::custom(format!("missing config field `{name}`")))
-        };
-        Ok(CaseConfig {
-            workers: u64::from_content(field("workers")?)?,
-            queue_capacity: u64::from_content(field("queue_capacity")?)?,
-            cache_capacity: u64::from_content(field("cache_capacity")?)?,
-            worker_delay_ms: u64::from_content(field("worker_delay_ms")?)?,
-            shards: match content_get(map, "shards") {
-                Some(c) => u64::from_content(c)?,
-                None => 1,
-            },
-        })
-    }
-}
-
-impl CaseConfig {
-    fn to_service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            workers: self.workers as usize,
-            queue_capacity: self.queue_capacity as usize,
-            cache_capacity: self.cache_capacity as usize,
-            worker_delay_ms: self.worker_delay_ms,
-            shards: self.shards as usize,
-        }
-    }
 }
 
 fn load_cases() -> Vec<(String, GoldenCase)> {

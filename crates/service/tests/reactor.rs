@@ -10,8 +10,8 @@
 //! aggregates.
 
 use asm_service::{
-    codec, serve, serve_with, CodecKind, MetricsSnapshot, ReactorConfig, Reply, Request, Response,
-    ServiceConfig, StagesSnapshot,
+    codec, serve, serve_router, serve_with, CodecKind, MetricsSnapshot, ReactorConfig, Reply,
+    Request, Response, RouterConfig, ServiceConfig, StagesSnapshot,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -746,4 +746,73 @@ fn oversized_frame_without_newline_drops_the_connection() {
     assert_eq!(snapshot.received, 0, "garbage bytes are not frames");
     assert_books_reconcile(&snapshot);
     handle.wait();
+}
+
+/// A `health` frame whose body nests 10,000 arrays (~20 KB) must be
+/// answered `malformed` with `"id":null`, not overflow the reactor
+/// thread's stack: the JSON parser caps nesting at the binary grammar's
+/// depth. The connection keeps serving and the books reconcile, both
+/// through `asm serve` and through `asm route`.
+#[test]
+fn deeply_nested_frame_is_malformed_not_a_stack_overflow() {
+    let (open, close) = ("[".repeat(10_000), "]".repeat(10_000));
+    let deep = format!(r#"{{"id":1,"op":"health","body":{open}{close}}}"#);
+    let exchange = |addr: std::net::SocketAddr| {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut replies = Vec::new();
+        for line in [deep.as_str(), r#"{"id":2,"op":"health"}"#] {
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            replies.push(reply);
+        }
+        let malformed = r#"{"id":null,"reply":"error","body":{"kind":"malformed","message":"JSON nests deeper than 128 levels at byte "#;
+        assert!(replies[0].starts_with(malformed), "{}", replies[0]);
+        assert!(
+            replies[1].starts_with(r#"{"id":2,"reply":"health","body":{"#),
+            "the connection must keep serving: {}",
+            replies[1]
+        );
+    };
+
+    // Each frame is booked exactly once: the deep one as `malformed`
+    // (plus its `error` reply), the next one as `health`.
+    let backend = serve("127.0.0.1:0", config(0)).unwrap();
+    exchange(backend.addr());
+    let direct = backend.service().metrics().snapshot(0, 0);
+    assert_eq!(
+        (
+            direct.received,
+            direct.malformed,
+            direct.errors,
+            direct.health
+        ),
+        (2, 1, 1, 1)
+    );
+
+    let router = serve_router(
+        "127.0.0.1:0",
+        RouterConfig {
+            backends: vec![backend.addr().to_string()],
+            probe_interval_ms: 0,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    exchange(router.addr());
+    let routed = router.service().router_snapshot();
+    assert_eq!(
+        (routed.received, routed.malformed, routed.errors),
+        (2, 1, 1)
+    );
+    router.shutdown();
+    router.wait();
+    backend.shutdown();
+    let snapshot = backend.service().metrics().snapshot(0, 0);
+    assert_eq!(snapshot.malformed, 1, "the router answers its deep frame");
+    backend.wait();
 }

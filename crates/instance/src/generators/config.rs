@@ -8,7 +8,7 @@
 
 use super::{
     adversarial_chain, almost_regular, complete, erdos_renyi, geometric, master_list, noisy_master,
-    regular, zipf,
+    regular, zipf, MAX_NOISE,
 };
 use crate::Instance;
 use serde::{Deserialize, Serialize};
@@ -99,7 +99,8 @@ pub enum GeneratorConfig {
     NoisyMaster {
         /// Players per side.
         n: usize,
-        /// Expected adjacent swaps per list.
+        /// Adjacent swaps per list, as a multiple of `n`; at most
+        /// [`MAX_NOISE`].
         noise: f64,
         /// Randomness seed.
         seed: u64,
@@ -146,9 +147,8 @@ impl GeneratorConfig {
     /// otherwise reject by panicking, so untrusted recipes can be refused
     /// up front: `d ≤ n` for the degree-bounded families, Zipf `s ≥ 0`,
     /// almost-regular `α ≥ 1`, `d_min > 0` and `⌈α·d_min⌉ ≤ n`,
-    /// Erdős–Rényi `p ∈ [0, 1]`, and noisy-master `noise ≥ 0`. Every real
-    /// parameter must also be finite (an infinite `noise` would never
-    /// finish its swaps).
+    /// Erdős–Rényi `p ∈ [0, 1]`, and noisy-master
+    /// `noise ∈ [0, MAX_NOISE]`. Every real parameter must also be finite.
     ///
     /// # Errors
     ///
@@ -198,7 +198,13 @@ impl GeneratorConfig {
                 "in [0, 1]",
             ),
             GeneratorConfig::NoisyMaster { noise, .. } => {
-                real("noise", noise, noise >= 0.0, "nonnegative")
+                real("noise", noise, noise >= 0.0, "nonnegative")?;
+                if noise > MAX_NOISE {
+                    return Err(format!(
+                        "noise {noise:e} exceeds the noisy-master limit MAX_NOISE = {MAX_NOISE}"
+                    ));
+                }
+                Ok(())
             }
             GeneratorConfig::Complete { .. }
             | GeneratorConfig::Chain { .. }
@@ -414,6 +420,23 @@ mod tests {
                 noise: f64::NAN,
                 seed: 1,
             },
+            GeneratorConfig::NoisyMaster {
+                n: 4,
+                noise: 1025.0,
+                seed: 1,
+            },
+            // Past MAX_NOISE the swap count saturates: without the bound
+            // this recipe would hang its worker instead of panicking.
+            GeneratorConfig::NoisyMaster {
+                n: 2,
+                noise: 1e300,
+                seed: 1,
+            },
+            GeneratorConfig::NoisyMaster {
+                n: 4,
+                noise: f64::INFINITY,
+                seed: 1,
+            },
         ];
         for config in panicking {
             assert!(config.validate().is_err(), "{config}");
@@ -423,14 +446,22 @@ mod tests {
                 "{config} builds, so validate must accept it"
             );
         }
-        // Infinite noise passes the generator's assert but would never
-        // finish its swaps, so it is refused without building.
-        let endless = GeneratorConfig::NoisyMaster {
-            n: 4,
-            noise: f64::INFINITY,
+        assert_eq!(
+            GeneratorConfig::NoisyMaster {
+                n: 1,
+                noise: 1e300,
+                seed: 1
+            }
+            .validate(),
+            Err("noise 1e300 exceeds the noisy-master limit MAX_NOISE = 1024".to_string())
+        );
+        let ceiling = GeneratorConfig::NoisyMaster {
+            n: 3,
+            noise: MAX_NOISE,
             seed: 1,
         };
-        assert!(endless.validate().is_err());
+        assert_eq!(ceiling.validate(), Ok(()));
+        ceiling.build();
         // The almost-regular band is checked exactly as the generator
         // computes it: ceil(1.5 · 3) = 5 fits n = 5.
         let edge = GeneratorConfig::AlmostRegular {

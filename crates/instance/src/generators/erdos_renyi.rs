@@ -12,6 +12,14 @@ use asm_congest::SplitRng;
 /// are irregular (Binomial), some players may be isolated, and α is
 /// typically large.
 ///
+/// # Sampling
+///
+/// Man by man, every woman in index order gets one Bernoulli(`p`) draw,
+/// `num_women · num_men` draws in all (1M at `n = 1024`). Each woman is
+/// written to the man's next row slot and the row length advances by the
+/// draw's outcome, so a coin at `p = 1/2` never steers a branch; the
+/// draws, and the instance, are those of testing each pair in turn.
+///
 /// # Examples
 ///
 /// ```
@@ -29,8 +37,17 @@ pub fn erdos_renyi(num_women: usize, num_men: usize, p: f64, seed: u64) -> Insta
         "edge probability must be in [0, 1]"
     );
     let mut rng = SplitRng::new(seed).split(0x02, (num_women as u64) << 32 | num_men as u64);
+    // `row[..len]` is the current man's row, `row[len]` the latest woman.
+    let mut row = vec![0usize; num_women];
     let men_adj: Vec<Vec<usize>> = (0..num_men)
-        .map(|_| (0..num_women).filter(|_| rng.next_bool(p)).collect())
+        .map(|_| {
+            let mut len = 0;
+            for i in 0..num_women {
+                row[len] = i;
+                len += usize::from(rng.next_bool(p));
+            }
+            row[..len].to_vec()
+        })
         .collect();
     from_men_adjacency(num_women, num_men, men_adj, &mut rng)
 }
@@ -38,6 +55,51 @@ pub fn erdos_renyi(num_women: usize, num_men: usize, p: f64, seed: u64) -> Insta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain rows, filtered with a branch on every coin.
+    /// `erdos_renyi` must build the same instance from the same draws.
+    fn reference_erdos_renyi(num_women: usize, num_men: usize, p: f64, seed: u64) -> Instance {
+        let mut rng = SplitRng::new(seed).split(0x02, (num_women as u64) << 32 | num_men as u64);
+        let men_adj: Vec<Vec<usize>> = (0..num_men)
+            .map(|_| (0..num_women).filter(|_| rng.next_bool(p)).collect())
+            .collect();
+        from_men_adjacency(num_women, num_men, men_adj, &mut rng)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn builds_what_the_filtered_reference_builds(
+            num_women in 0usize..301,
+            num_men in 0usize..301,
+            p_millionths in 0u32..1_000_001,
+            seed in any::<u64>(),
+        ) {
+            let p = f64::from(p_millionths) / 1e6;
+            prop_assert_eq!(
+                erdos_renyi(num_women, num_men, p, seed),
+                reference_erdos_renyi(num_women, num_men, p, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn builds_what_the_reference_builds_at_the_edges() {
+        let sides = [0, 1, 2, 37];
+        for p in [0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0] {
+            for num_women in sides {
+                for num_men in sides {
+                    assert_eq!(
+                        erdos_renyi(num_women, num_men, p, 3),
+                        reference_erdos_renyi(num_women, num_men, p, 3),
+                        "erdos_renyi({num_women}x{num_men}, {p})"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn p_zero_gives_empty_graph() {

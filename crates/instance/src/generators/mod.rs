@@ -31,7 +31,7 @@ pub use complete::complete;
 pub use config::GeneratorConfig;
 pub use erdos_renyi::erdos_renyi;
 pub use geometric::geometric;
-pub use noisy_master::noisy_master;
+pub use noisy_master::{noisy_master, MAX_NOISE};
 pub use regular::regular;
 pub use zipf::zipf;
 
@@ -53,8 +53,12 @@ pub(crate) fn from_men_adjacency(
     rng: &mut SplitRng,
 ) -> Instance {
     let ids = IdSpace::new(num_women, num_men);
+    let mut degree = vec![0usize; num_women];
+    for &i in men_adj.iter().flatten() {
+        degree[i] += 1;
+    }
     // Node-id order: the women's lists, then the men's appended below.
-    let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); num_women];
+    let mut lists: Vec<Vec<NodeId>> = degree.into_iter().map(Vec::with_capacity).collect();
     let mut men_lists: Vec<Vec<NodeId>> = Vec::with_capacity(num_men);
     for (j, adj) in men_adj.into_iter().enumerate() {
         let m = ids.man(j);

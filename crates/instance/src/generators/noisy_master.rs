@@ -3,6 +3,14 @@
 use crate::{Instance, InstanceBuilder};
 use asm_congest::SplitRng;
 
+/// The largest `noise` [`noisy_master`] accepts. Each of the `2n` lists
+/// makes `round(noise · n)` swaps, so the bound keeps the work within
+/// `2 · MAX_NOISE · n²` draws, a constant multiple of the `n²` entries,
+/// as for every other complete-list generator. Without it a huge `noise`
+/// (say `1e300`) saturates the swap count to `usize::MAX` and the
+/// generator never returns.
+pub const MAX_NOISE: f64 = 1024.0;
+
 /// Generates complete preferences interpolating between a shared *master
 /// list* and independent uniform rankings.
 ///
@@ -30,9 +38,10 @@ use asm_congest::SplitRng;
 ///
 /// # Panics
 ///
-/// Panics if `noise` is negative.
+/// Panics if `noise` is negative or above [`MAX_NOISE`].
 pub fn noisy_master(n: usize, noise: f64, seed: u64) -> Instance {
     assert!(noise >= 0.0, "noise must be nonnegative");
+    assert!(noise <= MAX_NOISE, "noise must be at most {MAX_NOISE}");
     let mut rng = SplitRng::new(seed).split(0x08, n as u64);
     let swaps = (noise * n as f64).round() as usize;
 

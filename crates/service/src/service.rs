@@ -1987,6 +1987,13 @@ mod tests {
                 noise: -1.0,
                 seed: 1,
             },
+            // Noise past MAX_NOISE: the swap count would saturate and
+            // hang the worker.
+            GeneratorConfig::NoisyMaster {
+                n: 2,
+                noise: 1e300,
+                seed: 1,
+            },
         ];
         for (i, recipe) in recipes.into_iter().enumerate() {
             let id = 10 * i as u64;

@@ -6,8 +6,8 @@
 //! cells across `N` threads with per-cell derived seeds, so the tables
 //! are byte-identical for every `N` (`--stable-output` additionally
 //! masks wall-clock cells, making whole runs diffable). A machine-
-//! readable `BENCH_sweep.json` is written for the CI perf gate; see
-//! `--sweep-out` / `--no-sweep`.
+//! readable `BENCH_sweep.json` is written too; see `--sweep-out` /
+//! `--no-sweep`.
 fn main() {
     let ids: Vec<&str> = asm_bench::exp::EXPERIMENTS.iter().map(|e| e.id).collect();
     asm_bench::run_binary(&ids);

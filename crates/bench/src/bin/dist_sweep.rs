@@ -15,9 +15,9 @@
 //!     [--families regular,zipf] [--node-bin PATH] [--sweep-out PATH]
 //! ```
 //!
-//! Cells carry their process count in the `shards` column (the sweep
-//! schema's serving-layer dimension). Exit codes: 0 success, 1 a run
-//! failed or diverged, 2 usage error.
+//! Each cell's experiment id carries its process count
+//! (`dist_sweep/4procs`). Exit codes: 0 success, 1 a run failed or
+//! diverged, 2 usage error.
 
 use asm_core::congest::{asm_congest, RunPlan};
 use asm_core::AsmConfig;
@@ -155,8 +155,8 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::from(1);
             }
-            let mut cell = SweepCell::new(ID, family, args.n, args.eps, cell_seed);
-            cell.shards = procs as u64;
+            let id = format!("{ID}/{procs}procs");
+            let mut cell = SweepCell::new(&id, family, args.n, args.eps, cell_seed);
             cell.wall_ms = wall_ms;
             cell.rounds = run.report.stats.rounds;
             cell.messages = run.report.stats.messages;

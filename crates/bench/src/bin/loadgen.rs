@@ -5,7 +5,7 @@
 //! cargo run --release -p asm-bench --bin loadgen -- \
 //!     --addr 127.0.0.1:7464 --requests 10000 --concurrency 8 --seed 1 \
 //!     --verify-metrics --expect-zero-errors --shutdown \
-//!     --report load_report.json --sweep-out loadgen_sweep.json
+//!     --report load_report.json
 //! ```
 //!
 //! Exit codes: 0 success, 1 a requested check failed (protocol errors,
@@ -15,25 +15,23 @@
 //! the router rerouted around a dead backend; the router's merged books
 //! are audited for internal consistency whenever metrics are fetched.
 //! The report's deterministic section depends only on the mix seed (see
-//! `asm_bench::loadgen`); `--sweep-out` writes a `SweepReport` the
-//! perf-gate tooling understands.
+//! `asm_bench::loadgen`).
 
 use asm_bench::churn::{run_churn, verify_market_metrics, ChurnConfig};
 use asm_bench::loadgen::{
     control, fetch_stages, run_mix, verify_metrics, verify_router_books, verify_stage_books,
     MixConfig,
 };
-use asm_service::{Op, Reply, ServiceConfig};
+use asm_service::{Op, Reply};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--requests N] [--concurrency C]
                [--connections N] [--seed S] [--families a,b] [--sizes 16,32] [--algorithms asm,gs]
                [--eps E] [--delta D] [--deadline-ms MS] [--distinct-instances K]
                [--open-rate RPS] [--batch N] [--codec json|binary]
-               [--report PATH] [--sweep-out PATH]
+               [--report PATH]
                [--verify-metrics] [--expect-zero-errors] [--shutdown]
                [--expect-backend-spread] [--expect-failover]
-               [--shards-sweep 1,2,4,8] [--workers N]
                [--churn] [--markets N] [--mutations N] [--resolve-mode auto|warm|cold]
                [--normalized-report PATH]
 
@@ -49,11 +47,6 @@ front tier: spread requires at least two backends to have solved
 something, failover requires the router's failover counter to be
 positive. Both fetch metrics and audit the router's merged books.
 
-With --shards-sweep, loadgen ignores --addr: it starts one in-process
-server per listed shard count (port 0), replays the same mix against
-each, verifies metrics reconciliation, and writes one combined
-SweepReport (cells annotated with their shard count) to --sweep-out.
-
 With --churn, loadgen drives the persistent-market tier instead of the
 solve mix: it creates --markets markets over --families/--sizes, sends
 --mutations seeded single-op mutation+resolve pairs round-robin across
@@ -68,14 +61,11 @@ struct Args {
     addr: String,
     mix: MixConfig,
     report: Option<String>,
-    sweep_out: Option<String>,
     verify: bool,
     expect_zero_errors: bool,
     expect_backend_spread: bool,
     expect_failover: bool,
     shutdown: bool,
-    shards_sweep: Vec<u64>,
-    workers: usize,
     churn: bool,
     markets: u64,
     mutations: u64,
@@ -88,14 +78,11 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7464".to_string(),
         mix: MixConfig::default(),
         report: None,
-        sweep_out: None,
         verify: false,
         expect_zero_errors: false,
         expect_backend_spread: false,
         expect_failover: false,
         shutdown: false,
-        shards_sweep: Vec::new(),
-        workers: 4,
         churn: false,
         markets: 4,
         mutations: 1000,
@@ -148,20 +135,12 @@ fn parse_args() -> Result<Args, String> {
                     ));
                 }
             }
-            "--shards-sweep" => {
-                args.shards_sweep = list(&value("--shards-sweep")?)
-                    .iter()
-                    .map(|s| parsed(s, "--shards-sweep"))
-                    .collect::<Result<_, _>>()?
-            }
-            "--workers" => args.workers = parsed(&value("--workers")?, "--workers")?,
             "--churn" => args.churn = true,
             "--markets" => args.markets = parsed(&value("--markets")?, "--markets")?,
             "--mutations" => args.mutations = parsed(&value("--mutations")?, "--mutations")?,
             "--resolve-mode" => args.resolve_mode = value("--resolve-mode")?,
             "--normalized-report" => args.normalized_report = Some(value("--normalized-report")?),
             "--report" => args.report = Some(value("--report")?),
-            "--sweep-out" => args.sweep_out = Some(value("--sweep-out")?),
             "--verify-metrics" => args.verify = true,
             "--expect-zero-errors" => args.expect_zero_errors = true,
             "--expect-backend-spread" => args.expect_backend_spread = true,
@@ -191,105 +170,6 @@ fn list(text: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect()
-}
-
-/// Self-serve shard sweep: one in-process server per shard count, the
-/// same mix replayed against each, all cells merged into one
-/// `SweepReport` keyed by their `shards` column.
-fn run_shards_sweep(args: &Args) -> ExitCode {
-    let mut combined = asm_runtime::SweepReport::new(args.mix.concurrency as usize, false);
-    let mut failed = false;
-    for &shards in &args.shards_sweep {
-        if shards == 0 {
-            eprintln!("loadgen: --shards-sweep entries must be >= 1");
-            return ExitCode::from(2);
-        }
-        let config = ServiceConfig {
-            workers: args.workers,
-            shards: shards as usize,
-            ..ServiceConfig::default()
-        };
-        let handle = match asm_service::serve("127.0.0.1:0", config) {
-            Ok(handle) => handle,
-            Err(err) => {
-                eprintln!("loadgen: cannot start in-process server: {err}");
-                return ExitCode::from(1);
-            }
-        };
-        let addr = handle.addr().to_string();
-        let report = match run_mix(&addr, &args.mix) {
-            Ok(report) => report,
-            Err(err) => {
-                eprintln!("loadgen: cannot reach in-process server {addr}: {err}");
-                handle.shutdown();
-                handle.wait();
-                return ExitCode::from(1);
-            }
-        };
-        println!(
-            "loadgen: shards={shards} | solved {} | overloaded {} | errors {} | {:.1} ms wall, {:.0} req/s",
-            report.succeeded,
-            report.rejected,
-            report.solve_errors + report.protocol_errors,
-            report.wall.total_ms,
-            report.wall.throughput_rps
-        );
-        match control(&addr, Op::metrics()) {
-            Ok(Reply::Metrics(snapshot)) => {
-                for m in verify_metrics(&report, &snapshot) {
-                    failed = true;
-                    eprintln!("loadgen: shards={shards} metrics mismatch: {m}");
-                }
-            }
-            _ => {
-                failed = true;
-                eprintln!("loadgen: shards={shards}: cannot fetch metrics");
-            }
-        }
-        match fetch_stages(&addr) {
-            Ok(staged) => {
-                for m in verify_stage_books(&staged, None) {
-                    failed = true;
-                    eprintln!("loadgen: shards={shards} stage books mismatch: {m}");
-                }
-            }
-            Err(err) => {
-                failed = true;
-                eprintln!("loadgen: shards={shards}: cannot fetch stage metrics: {err}");
-            }
-        }
-        if args.expect_zero_errors
-            && (report.solve_errors > 0 || report.protocol_errors > 0 || report.rejected > 0)
-        {
-            failed = true;
-            eprintln!(
-                "loadgen: shards={shards}: --expect-zero-errors violated: {} solve errors, {} protocol errors, {} rejected",
-                report.solve_errors, report.protocol_errors, report.rejected
-            );
-        }
-        handle.shutdown();
-        handle.wait();
-        let sweep = report.to_sweep();
-        combined.total_wall_ms += sweep.total_wall_ms;
-        combined.extend(sweep.cells);
-    }
-    if let Some(path) = &args.sweep_out {
-        if let Err(err) = std::fs::write(path, combined.to_json()) {
-            eprintln!("loadgen: cannot write sweep report {path}: {err}");
-            failed = true;
-        } else {
-            println!(
-                "loadgen: wrote {} cells across shard counts {:?} to {path}",
-                combined.cells.len(),
-                args.shards_sweep
-            );
-        }
-    }
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// Churn mode: drive the persistent-market tier with a seeded mutation
@@ -436,9 +316,6 @@ fn main() -> ExitCode {
 
     if args.churn {
         return run_churn_mode(&args);
-    }
-    if !args.shards_sweep.is_empty() {
-        return run_shards_sweep(&args);
     }
 
     let report = match run_mix(&args.addr, &args.mix) {
@@ -587,12 +464,6 @@ fn main() -> ExitCode {
     if let Some(path) = &args.report {
         if let Err(err) = std::fs::write(path, report.to_json()) {
             eprintln!("loadgen: cannot write report {path}: {err}");
-            failed = true;
-        }
-    }
-    if let Some(path) = &args.sweep_out {
-        if let Err(err) = std::fs::write(path, report.to_sweep().to_json()) {
-            eprintln!("loadgen: cannot write sweep report {path}: {err}");
             failed = true;
         }
     }

@@ -9,7 +9,7 @@
 //! [`ExpCtx::exec`], with per-cell seeds derived positionally from
 //! [`SWEEP_BASE_SEED`] — so tables are byte-identical for any `--par`
 //! value — and records a [`SweepCell`] per grid cell for the
-//! `BENCH_sweep.json` artifact the CI perf gate consumes.
+//! `BENCH_sweep.json` artifact.
 
 pub mod f1_ii_decay;
 pub mod f2_amm;

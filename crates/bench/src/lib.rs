@@ -22,15 +22,19 @@
 //! Every binary also writes a machine-readable `BENCH_sweep.json`
 //! (per-cell wall-clock, rounds, messages, blocking fraction — schema in
 //! `asm-runtime`); `--no-sweep` disables it and `--sweep-out PATH` moves
-//! it. The CI perf gate (`perf_gate` binary) compares such a report
-//! against the committed `results/bench_baseline.json`.
+//! it.
+//!
+//! The served system's speed is measured elsewhere: `perfbench/` runs
+//! the repository benchmark against real `asm serve` / `asm route`
+//! processes, and `scripts/perf_ab.py` gates CI on alternating
+//! parent/change pairs of it. This crate's `loadgen` and `churn` modules
+//! drive the CI smokes and supply perfbench's reconciliation checks.
 //!
 //! Criterion wall-clock benchmarks live in `benches/`.
 
 pub mod churn;
 pub mod exp;
 pub mod loadgen;
-pub mod regime;
 mod table;
 
 use asm_runtime::{RunFlags, SweepReport};

@@ -26,7 +26,7 @@
 //! sent must be accounted for, exactly, in the server's books.
 
 use asm_instance::generators::GeneratorConfig;
-use asm_runtime::{derive_seed, SweepCell, SweepReport};
+use asm_runtime::derive_seed;
 use asm_service::{
     codec, CodecKind, MetricsSnapshot, Reply, Request, Response, SolveBody, StageSnapshot,
     StagesSnapshot,
@@ -300,8 +300,7 @@ pub struct LoadReport {
     pub protocol_errors: u64,
     /// The server's shard count, as reported by `health` when the run
     /// started (0 if health could not be queried). Deterministic for a
-    /// fixed server configuration, and carried into the sweep cells so
-    /// shard-count sweeps are comparable side by side.
+    /// fixed server configuration.
     pub shards: u64,
     /// Per-(family, n) sums, aligned with [`MixConfig::coordinates`].
     pub coords: Vec<CoordTotals>,
@@ -342,43 +341,6 @@ impl LoadReport {
     /// Renders as pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("load report serializes")
-    }
-
-    /// Converts to a [`SweepReport`] (experiment `loadgen`), one cell per
-    /// (family, n) coordinate, compatible with the perf-gate tooling.
-    /// `wall_ms` is apportioned by each coordinate's share of solved
-    /// replies — like every sweep cell, it is the one nondeterministic
-    /// field.
-    pub fn to_sweep(&self) -> SweepReport {
-        let mut report = SweepReport::new(self.mix.concurrency as usize, false);
-        let total_solved: u64 = self.coords.iter().map(|c| c.solved).sum();
-        let cells = self
-            .mix
-            .coordinates()
-            .into_iter()
-            .zip(&self.coords)
-            .map(|((family, n), totals)| {
-                let mut cell =
-                    SweepCell::new("loadgen", &family, n as usize, self.mix.eps, self.mix.seed);
-                cell.shards = self.shards;
-                cell.rounds = totals.rounds;
-                cell.messages = totals.messages;
-                cell.blocking_fraction = if totals.num_edges == 0 {
-                    0.0
-                } else {
-                    totals.blocking_pairs as f64 / totals.num_edges as f64
-                };
-                cell.wall_ms = if total_solved == 0 {
-                    0.0
-                } else {
-                    self.wall.total_ms * totals.solved as f64 / total_solved as f64
-                };
-                cell
-            })
-            .collect();
-        report.extend(cells);
-        report.total_wall_ms = self.wall.total_ms;
-        report
     }
 }
 
@@ -525,8 +487,8 @@ pub fn run_mix(addr: &str, mix: &MixConfig) -> std::io::Result<LoadReport> {
         mix.connections.max(1)
     };
     let threads_wanted = mix.concurrency.max(1).min(sockets_total);
-    // Record the server's shard count up front — the report annotates
-    // its sweep cells with it, making shard sweeps self-describing.
+    // Record the server's shard count up front, so the report says
+    // which server shape it measured.
     let shards = match control(addr, asm_service::Op::Health)? {
         Reply::Health(health) => health.shards,
         _ => 0,
@@ -1314,47 +1276,6 @@ mod tests {
         assert_eq!(back, report);
         assert_eq!(back.normalized().wall, WallStats::default());
         assert_eq!(back.normalized(), report.normalized());
-    }
-
-    #[test]
-    fn sweep_conversion_emits_one_cell_per_coordinate() {
-        let mix = MixConfig::default();
-        let mut coords = vec![CoordTotals::default(); mix.coordinates().len()];
-        coords[0] = CoordTotals {
-            solved: 2,
-            rounds: 10,
-            messages: 40,
-            blocking_pairs: 3,
-            num_edges: 30,
-            matched: 20,
-        };
-        let report = LoadReport {
-            schema: LOADGEN_SCHEMA,
-            coords,
-            mix: mix.clone(),
-            sent: 2,
-            succeeded: 2,
-            rejected: 0,
-            deadline_exceeded: 0,
-            solve_errors: 0,
-            protocol_errors: 0,
-            shards: 4,
-            wall: WallStats::default(),
-        };
-        let sweep = report.to_sweep();
-        assert_eq!(sweep.cells.len(), mix.coordinates().len());
-        let cell = sweep
-            .cells
-            .iter()
-            .find(|c| c.rounds == 10)
-            .expect("populated cell present");
-        assert_eq!(cell.experiment, "loadgen");
-        assert_eq!(cell.messages, 40);
-        assert!((cell.blocking_fraction - 0.1).abs() < 1e-12);
-        assert!(
-            sweep.cells.iter().all(|c| c.shards == 4),
-            "every cell carries the server shard count"
-        );
     }
 
     #[test]

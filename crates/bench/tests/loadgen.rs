@@ -68,15 +68,6 @@ fn same_seed_runs_produce_identical_normalized_reports() {
     let second = run();
     assert_ne!(first.wall.total_ms, 0.0);
     assert_eq!(first.normalized(), second.normalized());
-    // The sweep view is deterministic in everything but wall_ms.
-    let mut a = first.to_sweep();
-    let mut b = second.to_sweep();
-    a.total_wall_ms = 0.0;
-    b.total_wall_ms = 0.0;
-    for cell in a.cells.iter_mut().chain(b.cells.iter_mut()) {
-        cell.wall_ms = 0.0;
-    }
-    assert_eq!(a.cells, b.cells);
 }
 
 #[test]

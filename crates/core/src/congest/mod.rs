@@ -536,7 +536,7 @@ where
 
     'outer: for (pi, phase) in plan.schedule.iter().enumerate() {
         for it in 0..phase.iterations {
-            scheduled += k as u64;
+            scheduled = scheduled.saturating_add(k as u64);
             // Global termination detection: if no man passes this gate,
             // none will pass any later (larger) gate.
             let mut summary = driver
@@ -549,11 +549,12 @@ where
                     // later phase — matching the fast engine's nominal
                     // bookkeeping exactly (the conformance harness diffs
                     // the two).
-                    let mut rest: u64 = (phase.iterations - 1 - it) * k as u64;
+                    // Saturating, like the fast engine's count.
+                    let mut rest = (phase.iterations - 1 - it).saturating_mul(k as u64);
                     for ph in &plan.schedule[pi + 1..] {
-                        rest += ph.iterations * k as u64;
+                        rest = rest.saturating_add(ph.iterations.saturating_mul(k as u64));
                     }
-                    scheduled += rest;
+                    scheduled = scheduled.saturating_add(rest);
                     break 'outer;
                 }
                 continue;

@@ -28,7 +28,8 @@ pub struct SchedulePhase {
 /// Early exit: because `|Qᵐ|` never grows and gates never shrink across
 /// the schedule, once no man passes the current gate none will pass any
 /// later one — the remaining schedule is provably silent and is skipped
-/// (accounted in the nominal totals only).
+/// in one step (accounted in the nominal totals only), as the CONGEST
+/// driver does.
 pub(crate) fn run_schedule(
     inst: &Instance,
     config: &AsmConfig,
@@ -44,16 +45,16 @@ pub(crate) fn run_schedule(
     // (gates nondecreasing, |Q| nonincreasing): the rest of the schedule
     // is provably silent and can be skipped without scanning.
     let can_fast_forward = config.early_exit && gates_nondecreasing(schedule);
-    let mut fully_silent = false;
-    for phase in schedule {
+    'schedule: for (pi, phase) in schedule.iter().enumerate() {
         for j in 0..phase.iterations {
-            if !fully_silent && can_fast_forward && !any_participant(inst, &st, phase.gate) {
-                fully_silent = true;
-            }
-            if fully_silent {
-                ctx.scheduled_qms += 1;
-                ctx.scheduled_prs += k as u64;
-                continue;
+            if can_fast_forward && !any_participant(inst, &st, phase.gate) {
+                let rest = schedule[pi + 1..]
+                    .iter()
+                    .fold(phase.iterations - j, |sum, p| {
+                        sum.saturating_add(p.iterations)
+                    });
+                ctx.schedule_quantile_matches(rest, k);
+                break 'schedule;
             }
             let executed = quantile_match(inst, &mut st, &mut ctx, phase.gate);
             if executed > 0 {
@@ -101,7 +102,7 @@ fn finish(inst: &Instance, st: AsmState, ctx: RunCtx) -> AsmReport {
             bad.push(m);
         }
     }
-    let nominal = ctx.scheduled_prs * ctx.pr_nominal_rounds();
+    let nominal = ctx.scheduled_prs.saturating_mul(ctx.pr_nominal_rounds());
     AsmReport {
         matching: st.matching(),
         rounds: ctx.rounds,
@@ -167,6 +168,55 @@ mod tests {
         assert_eq!(a.matching, b.matching);
         assert_eq!(a.rounds, b.rounds, "effective rounds are identical");
         assert_eq!(a.nominal_rounds, b.nominal_rounds);
+    }
+
+    #[test]
+    fn silent_schedule_is_skipped_in_one_step() {
+        // At ε = 1e-4 the schedule holds 4 · 1.28e10 QuantileMatch calls,
+        // of which only the first few communicate: counting the silent
+        // rest one call at a time took minutes.
+        let inst = generators::regular(8, 3, 7);
+        let config = AsmConfig::new(1e-4);
+        let start = std::time::Instant::now();
+        let report = crate::asm(&inst, &config).unwrap();
+        let k = config.quantile_count() as u64;
+        let iterations: u64 = crate::fast::asm_schedule(&config, &inst)
+            .iter()
+            .map(|p| p.iterations)
+            .sum();
+        assert_eq!(iterations, 4 * config.inner_iterations());
+        assert_eq!(report.scheduled_quantile_matches, iterations);
+        assert_eq!(report.scheduled_proposal_rounds, iterations * k);
+        assert!(report.executed_proposal_rounds <= 8);
+        // The CONGEST engine books the same schedule.
+        let greedy = config.with_backend(asm_maximal::MatcherBackend::DetGreedy);
+        let fast = crate::asm(&inst, &greedy).unwrap();
+        let congest = crate::congest::asm_congest(&inst, &greedy).unwrap();
+        assert_eq!(fast.scheduled_proposal_rounds, iterations * k);
+        assert_eq!(congest.scheduled_proposal_rounds, iterations * k);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn schedule_totals_saturate_instead_of_overflowing() {
+        let inst = generators::regular(8, 3, 7);
+        let config = AsmConfig {
+            quantiles: Some(4),
+            ..AsmConfig::new(1.0)
+        };
+        let phase = SchedulePhase {
+            gate: 1,
+            iterations: u64::MAX / 2,
+            label: 0,
+        };
+        let report = run_schedule(&inst, &config, &[phase, phase, phase], false);
+        assert_eq!(report.scheduled_quantile_matches, u64::MAX);
+        assert_eq!(report.scheduled_proposal_rounds, u64::MAX);
+        assert_eq!(report.nominal_rounds, u64::MAX);
     }
 
     #[test]

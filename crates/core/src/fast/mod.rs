@@ -79,6 +79,16 @@ impl RunCtx {
         }
     }
 
+    /// Books `qms` scheduled `QuantileMatch` calls of `k` `ProposalRound`s
+    /// each. Saturating, like the CONGEST driver's count, so both engines
+    /// report identical totals and no schedule overflows them.
+    pub(crate) fn schedule_quantile_matches(&mut self, qms: u64, k: usize) {
+        self.scheduled_qms = self.scheduled_qms.saturating_add(qms);
+        self.scheduled_prs = self
+            .scheduled_prs
+            .saturating_add(qms.saturating_mul(k as u64));
+    }
+
     /// Worst-case rounds of one maximal-matching invocation under the
     /// nominal (no-termination-detection) schedule.
     pub(crate) fn mm_nominal_rounds(&self) -> u64 {
@@ -93,7 +103,7 @@ impl RunCtx {
             // per forest; forests <= max degree <= n.
             MatcherBackend::PanconesiRizzi => 9 * self.n_players as u64 + 32,
             MatcherBackend::IsraeliItai { max_iterations } => {
-                max_iterations * asm_maximal::ROUNDS_PER_MATCHING_ROUND
+                max_iterations.saturating_mul(asm_maximal::ROUNDS_PER_MATCHING_ROUND)
             }
         }
     }
@@ -101,6 +111,6 @@ impl RunCtx {
     /// Nominal rounds of one `ProposalRound`: propose + accept + MM +
     /// reject.
     pub(crate) fn pr_nominal_rounds(&self) -> u64 {
-        3 + self.mm_nominal_rounds()
+        self.mm_nominal_rounds().saturating_add(3)
     }
 }

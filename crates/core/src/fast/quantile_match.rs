@@ -46,8 +46,7 @@ pub(crate) fn quantile_match(
 ) -> u64 {
     let ids = inst.ids();
     let k = st.k;
-    ctx.scheduled_qms += 1;
-    ctx.scheduled_prs += k as u64;
+    ctx.schedule_quantile_matches(1, k);
 
     // Arm active sets: `if p = ∅ then A ← Q_i` for the best nonempty i.
     for m in ids.men() {

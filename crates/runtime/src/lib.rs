@@ -5,7 +5,7 @@
 //! on `std` scoped threads only — the workspace is offline/vendored, so
 //! no rayon, no crossbeam.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`Executor`] — a work-sharded map over an *indexed* input slice.
 //!   Workers steal indices from a shared counter, but results are
@@ -17,8 +17,7 @@
 //!   (experiment, family, n, ε-index, trial), never on which worker ran
 //!   it or in what order — the other half of thread-count invariance.
 //! * [`sweep`] — machine-readable sweep output (`BENCH_sweep.json`):
-//!   per-cell wall-clock, rounds, messages, and blocking fraction, plus
-//!   the baseline-comparison logic behind the CI perf-regression gate.
+//!   per-cell wall-clock, rounds, messages, and blocking fraction.
 //! * [`pool`] — the streaming counterpart to [`Executor`]: a bounded
 //!   [`JobQueue`] whose non-blocking `try_push` is an admission-control
 //!   decision, and a [`WorkerPool`] of long-lived threads that drain it,

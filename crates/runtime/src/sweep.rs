@@ -1,18 +1,16 @@
-//! Machine-readable sweep output and the perf-regression gate.
+//! Machine-readable sweep output.
 //!
-//! Every bench run emits a `BENCH_sweep.json`: one [`SweepCell`] per
-//! sweep-grid cell with its wall-clock and the deterministic counters
-//! (rounds, messages, blocking fraction). CI's `bench-smoke` job feeds
-//! the file to [`compare`] against a committed baseline and fails the
-//! build on wall-clock regressions beyond a tolerance.
+//! Every experiment run emits a `BENCH_sweep.json`: one [`SweepCell`]
+//! per sweep-grid cell with its wall-clock and the deterministic
+//! counters (rounds, messages, blocking fraction). It is a record of one
+//! run, not a gate: the served system's speed is gated by perfbench
+//! parent/change pairs (`scripts/perf_ab.py`).
 //!
 //! Cells are sorted by coordinates before serialization, so the JSON is
 //! structurally identical across worker counts (only the wall-clock
 //! values vary run to run — the counters must not).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::fmt;
 
 /// The current `BENCH_sweep.json` schema version.
 pub const SWEEP_SCHEMA: u64 = 1;
@@ -31,15 +29,6 @@ pub struct SweepCell {
     pub eps: f64,
     /// The derived cell seed actually used.
     pub seed: u64,
-    /// Service shard count the cell was measured against (`0` when the
-    /// experiment has no serving-layer dimension). A coordinate, not a
-    /// measurement: cells at different shard counts are distinct.
-    ///
-    /// Omitted from the JSON when `0`, so pre-sharding sweep artifacts
-    /// (and the committed perf-gate baseline) parse and regenerate
-    /// byte-identically.
-    #[serde(default, skip_serializing_if = "is_zero")]
-    pub shards: u64,
     /// Wall-clock spent computing the cell, in milliseconds. The only
     /// non-deterministic field.
     pub wall_ms: f64,
@@ -52,10 +41,6 @@ pub struct SweepCell {
     pub blocking_fraction: f64,
 }
 
-fn is_zero(shards: &u64) -> bool {
-    *shards == 0
-}
-
 impl SweepCell {
     /// Creates a cell with all measurements zeroed; callers fill in what
     /// their experiment actually measures.
@@ -66,7 +51,6 @@ impl SweepCell {
             n: n as u64,
             eps,
             seed,
-            shards: 0,
             wall_ms: 0.0,
             rounds: 0,
             messages: 0,
@@ -75,14 +59,13 @@ impl SweepCell {
     }
 
     /// The cell's sort/merge key (everything but the measurements).
-    fn key(&self) -> (String, String, u64, u64, u64, u64) {
+    fn key(&self) -> (String, String, u64, u64, u64) {
         (
             self.experiment.clone(),
             self.family.clone(),
             self.n,
             self.eps.to_bits(),
             self.seed,
-            self.shards,
         )
     }
 }
@@ -125,102 +108,6 @@ impl SweepReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("sweep report serializes")
     }
-
-    /// Parses a report from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error message on malformed input or
-    /// an unknown schema version.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let report: SweepReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if report.schema != SWEEP_SCHEMA {
-            return Err(format!(
-                "unsupported sweep schema {} (expected {})",
-                report.schema, SWEEP_SCHEMA
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Total wall-clock per experiment, in milliseconds.
-    pub fn per_experiment_ms(&self) -> BTreeMap<String, f64> {
-        let mut out = BTreeMap::new();
-        for c in &self.cells {
-            *out.entry(c.experiment.clone()).or_insert(0.0) += c.wall_ms;
-        }
-        out
-    }
-}
-
-/// One gate finding: an experiment whose wall-clock regressed, or whose
-/// cells disappeared relative to the baseline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Experiment id.
-    pub experiment: String,
-    /// Baseline wall-clock (ms).
-    pub baseline_ms: f64,
-    /// Current wall-clock (ms); 0.0 for a missing experiment.
-    pub current_ms: f64,
-    /// `current/baseline - 1`; `f64::INFINITY` for a missing experiment.
-    pub ratio: f64,
-}
-
-impl fmt::Display for Regression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.current_ms == 0.0 {
-            write!(
-                f,
-                "{}: missing from current run (baseline {:.1} ms)",
-                self.experiment, self.baseline_ms
-            )
-        } else {
-            write!(
-                f,
-                "{}: {:.1} ms -> {:.1} ms (+{:.0}%)",
-                self.experiment,
-                self.baseline_ms,
-                self.current_ms,
-                self.ratio * 100.0
-            )
-        }
-    }
-}
-
-/// Minimum per-experiment baseline wall-clock (ms) for the gate to judge
-/// it: sub-millisecond experiments are all timer noise.
-pub const GATE_FLOOR_MS: f64 = 5.0;
-
-/// Compares a run against a baseline: any experiment whose total
-/// wall-clock exceeds `baseline * (1 + tolerance)` — or which vanished —
-/// is reported. Experiments faster than [`GATE_FLOOR_MS`] in the
-/// baseline are skipped, as is any experiment new in `current`.
-pub fn compare(baseline: &SweepReport, current: &SweepReport, tolerance: f64) -> Vec<Regression> {
-    let base = baseline.per_experiment_ms();
-    let cur = current.per_experiment_ms();
-    let mut out = Vec::new();
-    for (exp, &base_ms) in &base {
-        if base_ms < GATE_FLOOR_MS {
-            continue;
-        }
-        match cur.get(exp) {
-            None => out.push(Regression {
-                experiment: exp.clone(),
-                baseline_ms: base_ms,
-                current_ms: 0.0,
-                ratio: f64::INFINITY,
-            }),
-            Some(&cur_ms) if cur_ms > base_ms * (1.0 + tolerance) => out.push(Regression {
-                experiment: exp.clone(),
-                baseline_ms: base_ms,
-                current_ms: cur_ms,
-                ratio: cur_ms / base_ms - 1.0,
-            }),
-            Some(_) => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -241,7 +128,7 @@ mod tests {
             cell("t1", "chain", 32, 0.5),
         ]);
         r.total_wall_ms = 2.0;
-        let back = SweepReport::from_json(&r.to_json()).unwrap();
+        let back: SweepReport = serde_json::from_str(&r.to_json()).unwrap();
         assert_eq!(back, r);
     }
 
@@ -255,85 +142,5 @@ mod tests {
         let keys_b: Vec<_> = b.cells.iter().map(|c| c.experiment.clone()).collect();
         assert_eq!(keys_a, keys_b);
         assert_eq!(keys_a, vec!["t1", "t2"]);
-    }
-
-    #[test]
-    fn shards_column_is_omitted_at_zero_and_round_trips_otherwise() {
-        let plain = cell("t1", "complete", 32, 1.0);
-        let json = serde_json::to_string(&plain).unwrap();
-        assert!(!json.contains("shards"), "{json}");
-        let back: SweepCell = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plain);
-
-        let mut sharded = plain.clone();
-        sharded.shards = 4;
-        let json = serde_json::to_string(&sharded).unwrap();
-        assert!(json.contains("\"shards\":4"), "{json}");
-        let back: SweepCell = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sharded);
-    }
-
-    #[test]
-    fn cells_differing_only_in_shards_sort_deterministically() {
-        let mut r = SweepReport::new(1, false);
-        let mut s4 = cell("loadgen", "regular", 32, 2.0);
-        s4.shards = 4;
-        let mut s1 = cell("loadgen", "regular", 32, 1.0);
-        s1.shards = 1;
-        r.extend(vec![s4, s1]);
-        let shards: Vec<u64> = r.cells.iter().map(|c| c.shards).collect();
-        assert_eq!(shards, vec![1, 4]);
-    }
-
-    #[test]
-    fn unknown_schema_is_rejected() {
-        let mut r = SweepReport::new(1, false);
-        r.schema = 99;
-        assert!(SweepReport::from_json(&r.to_json())
-            .unwrap_err()
-            .contains("schema 99"));
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance() {
-        let mut base = SweepReport::new(1, true);
-        base.extend(vec![cell("t1", "-", 32, 100.0)]);
-        let mut cur = SweepReport::new(4, true);
-        cur.extend(vec![cell("t1", "-", 32, 120.0)]);
-        assert!(compare(&base, &cur, 0.25).is_empty());
-    }
-
-    #[test]
-    fn gate_flags_regression_and_missing() {
-        let mut base = SweepReport::new(1, true);
-        base.extend(vec![cell("t1", "-", 32, 100.0), cell("t2", "-", 32, 50.0)]);
-        let mut cur = SweepReport::new(1, true);
-        cur.extend(vec![cell("t1", "-", 32, 140.0)]);
-        let regs = compare(&base, &cur, 0.25);
-        assert_eq!(regs.len(), 2);
-        assert!(regs[0].to_string().contains("+40%"), "{}", regs[0]);
-        assert!(regs[1].to_string().contains("missing"), "{}", regs[1]);
-    }
-
-    #[test]
-    fn gate_ignores_noise_floor_and_new_experiments() {
-        let mut base = SweepReport::new(1, true);
-        base.extend(vec![cell("tiny", "-", 8, 0.2)]);
-        let mut cur = SweepReport::new(1, true);
-        cur.extend(vec![cell("tiny", "-", 8, 4.0), cell("new", "-", 8, 900.0)]);
-        assert!(compare(&base, &cur, 0.25).is_empty());
-    }
-
-    #[test]
-    fn per_experiment_totals_aggregate_cells() {
-        let mut r = SweepReport::new(1, false);
-        r.extend(vec![
-            cell("t1", "a", 32, 1.0),
-            cell("t1", "b", 32, 2.0),
-            cell("t2", "a", 32, 4.0),
-        ]);
-        let totals = r.per_experiment_ms();
-        assert_eq!(totals["t1"], 3.0);
-        assert_eq!(totals["t2"], 4.0);
     }
 }

@@ -37,9 +37,10 @@
 
 use almost_stable::core::baselines::distributed_gs;
 use almost_stable::{
-    almost_regular_asm, asm, generators, rand_asm, AlmostRegularParams, AsmConfig, Instance,
-    InstanceMetrics, MatcherBackend, Matching, RandAsmParams, StabilityReport,
+    almost_regular_asm, asm, rand_asm, AlmostRegularParams, AsmConfig, Instance, InstanceMetrics,
+    MatcherBackend, Matching, RandAsmParams, StabilityReport,
 };
+use asm_instance::generators::GeneratorConfig;
 use asm_matching::{verify_matching, InstabilityMeasures, WelfareReport};
 use asm_service::{RouterConfig, ServiceConfig};
 use std::collections::HashMap;
@@ -228,20 +229,42 @@ fn generate(flags: &HashMap<String, String>) -> CliResult<()> {
     }
     let d: usize = get_parsed(flags, "d", (n / 8).max(2).min(n))?;
     let seed: u64 = get_parsed(flags, "seed", 0)?;
-    let inst = match family {
-        "complete" => generators::complete(n, seed),
-        "erdos-renyi" => generators::erdos_renyi(n, n, get_parsed(flags, "p", 0.25)?, seed),
-        "regular" => generators::regular(n, d, seed),
-        "almost-regular" => {
-            generators::almost_regular(n, d, get_parsed(flags, "alpha", 2.0)?, seed)
-        }
-        "zipf" => generators::zipf(n, d, get_parsed(flags, "s", 1.2)?, seed),
-        "geometric" => generators::geometric(n, d, seed),
-        "chain" => generators::adversarial_chain(n),
-        "master-list" => generators::master_list(n, seed),
-        "noisy-master" => generators::noisy_master(n, get_parsed(flags, "noise", 1.0)?, seed),
+    let config = match family {
+        "complete" => GeneratorConfig::Complete { n, seed },
+        "erdos-renyi" => GeneratorConfig::ErdosRenyi {
+            num_women: n,
+            num_men: n,
+            p: get_parsed(flags, "p", 0.25)?,
+            seed,
+        },
+        "regular" => GeneratorConfig::Regular { n, d, seed },
+        "almost-regular" => GeneratorConfig::AlmostRegular {
+            n,
+            d_min: d,
+            alpha: get_parsed(flags, "alpha", 2.0)?,
+            seed,
+        },
+        "zipf" => GeneratorConfig::Zipf {
+            n,
+            d,
+            s: get_parsed(flags, "s", 1.2)?,
+            seed,
+        },
+        "geometric" => GeneratorConfig::Geometric { n, d, seed },
+        "chain" => GeneratorConfig::Chain { n },
+        "master-list" => GeneratorConfig::MasterList { n, seed },
+        "noisy-master" => GeneratorConfig::NoisyMaster {
+            n,
+            noise: get_parsed(flags, "noise", 1.0)?,
+            seed,
+        },
         other => return Err(CliError::usage(format!("unknown family {other:?}"))),
     };
+    // The service refuses the same recipes; `build` would panic on them.
+    config
+        .validate()
+        .map_err(|e| CliError::usage(format!("--family {family}: {e}")))?;
+    let inst = config.build();
     eprintln!("generated: {}", InstanceMetrics::measure(&inst));
     write_instance(flags, &inst)
 }

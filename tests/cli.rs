@@ -333,6 +333,38 @@ fn exit_codes_distinguish_usage_from_input_from_solve() {
 }
 
 #[test]
+fn generate_refuses_recipes_the_service_refuses() {
+    for (args, reason) in [
+        (
+            vec!["--family", "regular", "--n", "8", "--d", "20"],
+            "cannot exceed n = 8",
+        ),
+        (
+            vec!["--family", "noisy-master", "--n", "8", "--noise", "1e300"],
+            "MAX_NOISE",
+        ),
+        (
+            vec!["--family", "zipf", "--n", "8", "--s", "-1"],
+            "zipf exponent s must be finite and nonnegative",
+        ),
+    ] {
+        let out = asm_bin()
+            .arg("generate")
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("error:") && err.contains(reason),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed an instance");
+    }
+}
+
+#[test]
 fn eps_flag_errors_are_usage_errors() {
     let inst = tmp("eps-exit-code.json");
     let out = asm_bin()

@@ -37,12 +37,10 @@ use asm_core::RunSummary;
 use asm_market::{MarketState, ResolveMode};
 use asm_runtime::derive_seed;
 use asm_service::{
-    MarketCreateBody, MarketDropBody, MarketMutateBody, MarketSnapshot, MetricsSnapshot, Op, Reply,
-    Request, ResolveBody, ResolveResult, Response,
+    codec, Client, CodecKind, MarketCreateBody, MarketDropBody, MarketMutateBody, MarketSnapshot,
+    MetricsSnapshot, Op, Reply, Request, ResolveBody, ResolveResult,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Instant;
 
 /// Schema version of [`ChurnReport`].
@@ -227,48 +225,26 @@ fn median(mut values: Vec<u64>) -> Option<u64> {
     Some(values[values.len() / 2])
 }
 
-/// One line-protocol connection with an id-checked request/reply cycle.
+/// A JSON connection with an id-checked request/reply cycle.
 struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    client: Client,
     next_id: u64,
 }
 
 impl Conn {
-    fn open(addr: &str) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Conn {
-            writer: stream.try_clone()?,
-            reader: BufReader::new(stream),
-            next_id: 0,
-        })
-    }
-
-    /// Sends `op`, reads one reply line, and returns the reply if the
-    /// frame parsed and echoed the request id (`None` = protocol error).
+    /// Sends `op` and returns the reply if the frame parsed and echoed
+    /// the request id (`None` = protocol error).
     fn exchange(&mut self, op: Op) -> std::io::Result<Option<Reply>> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = asm_service::protocol::render(&Request { id: Some(id), op });
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-exchange",
-            ));
-        }
-        let response: Response = match serde_json::from_str(reply.trim_end()) {
-            Ok(response) => response,
-            Err(_) => return Ok(None),
-        };
-        if response.id != Some(id) {
-            return Ok(None);
-        }
-        Ok(Some(response.reply))
+        let json = CodecKind::Json;
+        let reply = self
+            .client
+            .exchange(&codec::encode_payload(json, &Request { id: Some(id), op }))?;
+        Ok(match codec::parse_response_payload(json, &reply) {
+            Ok(response) if response.id == Some(id) => Some(response.reply),
+            _ => None,
+        })
     }
 }
 
@@ -303,7 +279,10 @@ pub fn run_churn(addr: &str, config: &ChurnConfig) -> std::io::Result<ChurnRepor
         wall: ChurnWall::default(),
     };
     let start = Instant::now();
-    let mut conn = Conn::open(addr)?;
+    let mut conn = Conn {
+        client: Client::connect(addr, CodecKind::Json, None)?,
+        next_id: 0,
+    };
     let mut mirrors: Vec<MarketState> = Vec::new();
 
     // Create every market, mirroring it locally, then take the cold

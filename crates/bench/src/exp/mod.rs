@@ -234,11 +234,6 @@ pub fn run_all_ctx(ctx: &ExpCtx) -> Vec<Table> {
     EXPERIMENTS.iter().flat_map(|e| (e.run)(ctx)).collect()
 }
 
-/// Runs the entire suite serially (compatibility entry point).
-pub fn run_all(quick: bool) -> Vec<Table> {
-    run_all_ctx(&ExpCtx::new(quick, Executor::serial(), false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,16 +43,6 @@ use std::io::Write as _;
 
 pub use table::{f2, f4, Table};
 
-/// Parses the common `--quick` flag from the process arguments.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
-}
-
-/// Prints a set of tables with blank-line separation.
-pub fn print_tables(tables: &[Table]) {
-    print!("{}", render_tables(tables, &RunFlags::default()));
-}
-
 /// Renders tables into one buffer in the format `flags` selects
 /// (fixed-width by default, `--markdown`, or `--csv`).
 ///

@@ -21,6 +21,11 @@
 //!   do not back off — the mode that actually exercises admission
 //!   control.
 //!
+//! Every socket is an [`asm_service::Client`], the service crate's one
+//! blocking wire client: it dials, negotiates the codec, frames each
+//! request, and treats a reply cut short by EOF as an error (counted as a
+//! `protocol_error`), never as a short payload.
+//!
 //! The generator can also reconcile its own tallies against the server's
 //! `metrics` counters ([`verify_metrics`]) — every frame the generator
 //! sent must be accounted for, exactly, in the server's books.
@@ -28,12 +33,10 @@
 use asm_instance::generators::GeneratorConfig;
 use asm_runtime::derive_seed;
 use asm_service::{
-    codec, CodecKind, MetricsSnapshot, Reply, Request, Response, SolveBody, StageSnapshot,
+    codec, Client, CodecKind, MetricsSnapshot, Reply, Request, Response, SolveBody, StageSnapshot,
     StagesSnapshot,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,6 +187,17 @@ impl MixConfig {
     /// The number of request indices each frame covers.
     pub fn stride(&self) -> u64 {
         self.batch.max(1)
+    }
+
+    /// The unframed payload, in `kind`, of the frame covering `count`
+    /// indices from `i`: request `i` alone at stride 1, a batch frame
+    /// otherwise.
+    fn payload(&self, kind: CodecKind, i: u64, count: u64) -> Vec<u8> {
+        if self.stride() == 1 {
+            codec::encode_payload(kind, &self.request(i))
+        } else {
+            codec::encode_payload(kind, &self.batch_frame(i, count))
+        }
     }
 
     /// The parsed wire codec.
@@ -501,12 +515,7 @@ pub fn run_mix(addr: &str, mix: &MixConfig) -> std::io::Result<LoadReport> {
         let mut streams = Vec::new();
         let mut s = t;
         while s < sockets_total {
-            let stream = TcpStream::connect(addr)?;
-            // Without TCP_NODELAY each one-line exchange stalls on Nagle +
-            // delayed-ACK (~40 ms), throttling the whole closed loop.
-            stream.set_nodelay(true)?;
-            negotiate(&stream, kind)?;
-            streams.push((s, stream));
+            streams.push((s, Client::connect(addr, kind, None)?));
             s += threads_wanted;
         }
         let mix = mix.clone();
@@ -553,39 +562,24 @@ pub fn run_mix(addr: &str, mix: &MixConfig) -> std::io::Result<LoadReport> {
 /// outstanding from far fewer threads. With one socket per thread this
 /// degenerates to the classic send-then-wait loop.
 fn run_closed(
-    streams: Vec<(u64, TcpStream)>,
+    streams: Vec<(u64, Client)>,
     mix: &MixConfig,
     kind: CodecKind,
     next: &AtomicUsize,
     num_coords: usize,
 ) -> Tally {
     let mut tally = Tally::new(num_coords);
-    let mut conns = Vec::new();
-    for (_, stream) in streams {
-        match stream.try_clone() {
-            Ok(writer) => conns.push((writer, BufReader::new(stream))),
-            Err(_) => tally.protocol_errors += 1,
-        }
-    }
+    let mut conns: Vec<Client> = streams.into_iter().map(|(_, client)| client).collect();
     let stride = mix.stride();
     loop {
         let mut sent: Vec<(usize, u64, u64)> = Vec::new();
-        for (slot, (writer, _)) in conns.iter_mut().enumerate() {
+        for (slot, client) in conns.iter_mut().enumerate() {
             let i = next.fetch_add(stride as usize, Ordering::SeqCst) as u64;
             if i >= mix.requests {
                 break;
             }
             let count = stride.min(mix.requests - i);
-            let frame = if stride == 1 {
-                codec::encode_frame(kind, &mix.request(i))
-            } else {
-                codec::encode_frame(kind, &mix.batch_frame(i, count))
-            };
-            if writer
-                .write_all(&frame)
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            if client.send(&mix.payload(kind, i, count)).is_err() {
                 tally.protocol_errors += 1;
                 continue;
             }
@@ -595,8 +589,7 @@ fn run_closed(
             return tally;
         }
         for (slot, i, count) in sent {
-            let (_, reader) = &mut conns[slot];
-            match read_payload(reader, kind) {
+            match conns[slot].receive() {
                 Err(_) => tally.protocol_errors += 1,
                 Ok(payload) if stride == 1 => tally.classify(mix, i, kind, &payload),
                 Ok(payload) => tally.classify_batch(mix, i, count, kind, &payload),
@@ -609,8 +602,7 @@ fn run_closed(
 struct OpenConn {
     /// Phase offset: global socket index staggers the first send.
     phase: Duration,
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    client: Client,
     /// (index, count) per frame sent, for the in-order reply collection.
     sent: Vec<(u64, u64)>,
     /// Frames sent on this socket so far (its pacing clock).
@@ -623,7 +615,7 @@ struct OpenConn {
 /// fan-out share — sockets' stagger phases are in index order, so
 /// round-robin order is chronological order.
 fn run_open(
-    streams: Vec<(u64, TcpStream)>,
+    streams: Vec<(u64, Client)>,
     mix: &MixConfig,
     kind: CodecKind,
     next: &AtomicUsize,
@@ -631,19 +623,15 @@ fn run_open(
     num_coords: usize,
 ) -> Tally {
     let mut tally = Tally::new(num_coords);
-    let mut conns = Vec::new();
-    for (s, stream) in streams {
-        match stream.try_clone() {
-            Ok(writer) => conns.push(OpenConn {
-                phase: Duration::from_secs_f64(s as f64 / mix.open_rate_rps),
-                writer,
-                reader: BufReader::new(stream),
-                sent: Vec::new(),
-                k: 0,
-            }),
-            Err(_) => tally.protocol_errors += 1,
-        }
-    }
+    let mut conns: Vec<OpenConn> = streams
+        .into_iter()
+        .map(|(s, client)| OpenConn {
+            phase: Duration::from_secs_f64(s as f64 / mix.open_rate_rps),
+            client,
+            sent: Vec::new(),
+            k: 0,
+        })
+        .collect();
     let stride = mix.stride();
     // Each socket carries 1/sockets_total of the aggregate *request*
     // rate; a batch frame covers `stride` requests, so frames pace
@@ -663,17 +651,7 @@ fn run_open(
             if let Some(wait) = at.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
             }
-            let frame = if stride == 1 {
-                codec::encode_frame(kind, &mix.request(i))
-            } else {
-                codec::encode_frame(kind, &mix.batch_frame(i, count))
-            };
-            if conn
-                .writer
-                .write_all(&frame)
-                .and_then(|()| conn.writer.flush())
-                .is_err()
-            {
+            if conn.client.send(&mix.payload(kind, i, count)).is_err() {
                 tally.protocol_errors += 1;
                 continue;
             }
@@ -685,7 +663,7 @@ fn run_open(
     }
     for conn in &mut conns {
         for &(i, count) in &conn.sent {
-            match read_payload(&mut conn.reader, kind) {
+            match conn.client.receive() {
                 Err(_) => tally.protocol_errors += 1,
                 Ok(payload) if stride == 1 => tally.classify(mix, i, kind, &payload),
                 Ok(payload) => tally.classify_batch(mix, i, count, kind, &payload),
@@ -693,101 +671,6 @@ fn run_open(
         }
     }
     tally
-}
-
-/// Largest binary reply the generator will accept — matches the
-/// server's own frame cap, so a sane peer never trips it.
-const MAX_REPLY: usize = 64 * 1024 * 1024;
-
-/// Switches a fresh connection to `kind` when it is not the JSON
-/// default: sends the `hello` frame (in JSON, the codec every
-/// connection starts in) and verifies the ack, which already arrives
-/// framed in the new codec.
-fn negotiate(mut stream: &TcpStream, kind: CodecKind) -> std::io::Result<()> {
-    if kind == CodecKind::Json {
-        return Ok(());
-    }
-    let hello = Request {
-        id: Some(0),
-        op: asm_service::Op::Hello(asm_service::HelloBody {
-            codec: kind.name().to_string(),
-        }),
-    };
-    stream.write_all(&codec::encode_frame(CodecKind::Json, &hello))?;
-    stream.flush()?;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_REPLY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "oversized codec handshake reply",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    match codec::parse_response_payload(kind, &payload) {
-        Ok(Response {
-            reply: Reply::Hello(info),
-            ..
-        }) if info.codec == kind.name() => Ok(()),
-        _ => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("server refused the {} codec handshake", kind.name()),
-        )),
-    }
-}
-
-/// Reads one reply payload (unframed) in `kind` off the reader: a line
-/// minus its newline for JSON, a length-prefixed frame for binary. EOF
-/// mid-reply is an error either way.
-fn read_payload(reader: &mut BufReader<TcpStream>, kind: CodecKind) -> std::io::Result<Vec<u8>> {
-    match kind {
-        CodecKind::Json => {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-exchange",
-                ));
-            }
-            Ok(line.trim_end().to_string().into_bytes())
-        }
-        CodecKind::Binary => {
-            let mut len = [0u8; 4];
-            reader.read_exact(&mut len)?;
-            let len = u32::from_le_bytes(len) as usize;
-            if len > MAX_REPLY {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "oversized binary reply frame",
-                ));
-            }
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload)?;
-            Ok(payload)
-        }
-    }
-}
-
-fn exchange(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    line: &str,
-) -> std::io::Result<String> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    let mut reply = String::new();
-    let n = reader.read_line(&mut reply)?;
-    if n == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the connection mid-exchange",
-        ));
-    }
-    Ok(reply.trim_end().to_string())
 }
 
 /// Sends one control frame (`health`, `metrics`, `shutdown`) and returns
@@ -799,13 +682,10 @@ fn exchange(
 ///
 /// Returns I/O errors, or `InvalidData` if the reply does not parse.
 pub fn control(addr: &str, op: asm_service::Op) -> std::io::Result<Reply> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let line = asm_service::protocol::render(&Request { id: Some(0), op });
-    let reply = exchange(&mut writer, &mut reader, &line)?;
-    let response: Response = serde_json::from_str(&reply).map_err(|err| {
+    let json = CodecKind::Json;
+    let request = codec::encode_payload(json, &Request { id: Some(0), op });
+    let reply = Client::connect(addr, json, None)?.exchange(&request)?;
+    let response = codec::parse_response_payload(json, &reply).map_err(|err| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("unparseable control reply: {err}"),

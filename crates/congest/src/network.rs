@@ -211,11 +211,6 @@ impl<P: Process> Network<P> {
         &mut self.procs
     }
 
-    /// Consumes the network, returning its processes.
-    pub fn into_nodes(self) -> Vec<P> {
-        self.procs
-    }
-
     /// Simulates one synchronous round: deliver all in-flight messages, run
     /// every process, validate and collect the messages they send.
     ///

@@ -1,109 +1,20 @@
-//! Distributed Gale–Shapley and its truncation.
+//! Distributed Gale–Shapley and its truncation: the propose–accept loop
+//! of [`asm_matching::propose_accept`], started empty.
 
-use asm_congest::NodeId;
 use asm_instance::Instance;
-use asm_matching::Matching;
-use serde::{Deserialize, Serialize};
+use asm_matching::{propose_accept, Matching};
 
-/// Result of a (possibly truncated) distributed Gale–Shapley run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GsReport {
-    /// The matching at termination/truncation.
-    pub matching: Matching,
-    /// Proposal cycles executed (each cycle = 2 CONGEST rounds).
-    pub cycles: u64,
-    /// CONGEST communication rounds (`2 · cycles`).
-    pub rounds: u64,
-    /// Total PROPOSE messages sent.
-    pub proposals: u64,
-    /// Whether the process ran to quiescence (true) or hit the truncation
-    /// budget (false).
-    pub converged: bool,
-}
+pub use asm_matching::GsReport;
 
-/// Core synchronous Gale–Shapley loop.
-#[allow(clippy::needless_range_loop)] // parallel arrays indexed by side index
-///
-/// Each 2-round cycle: every free man with an untried woman proposes to the
-/// best woman who has not rejected him; every woman keeps the best of
-/// {current partner} ∪ {proposers} and rejects the rest; rejected men
-/// advance down their lists.
+/// The loop from an empty matching, every man at the top of his list.
 fn run(inst: &Instance, max_cycles: Option<u64>) -> GsReport {
     let ids = inst.ids();
-    let mut matching = Matching::new(ids.num_players());
-    // next[j]: index into man j's list of his current proposal target.
-    let mut next: Vec<usize> = vec![0; ids.num_men()];
-    let mut cycles: u64 = 0;
-    let mut proposals: u64 = 0;
-
-    loop {
-        if let Some(budget) = max_cycles {
-            if cycles >= budget {
-                return GsReport {
-                    rounds: 2 * cycles,
-                    matching,
-                    cycles,
-                    proposals,
-                    converged: false,
-                };
-            }
-        }
-        // Propose round (proposers enumerated in man-id order, as a
-        // CONGEST inbox would deliver them).
-        let mut received: Vec<Vec<NodeId>> = vec![Vec::new(); ids.num_women()];
-        let mut any = false;
-        for j in 0..ids.num_men() {
-            let m = ids.man(j);
-            if matching.is_matched(m) {
-                continue;
-            }
-            if let Some(&w) = inst.prefs(m).ranked().get(next[j]) {
-                received[w.index()].push(m);
-                proposals += 1;
-                any = true;
-            }
-        }
-        if !any {
-            return GsReport {
-                rounds: 2 * cycles,
-                matching,
-                cycles,
-                proposals,
-                converged: true,
-            };
-        }
-        cycles += 1;
-        // Accept/reject round.
-        for i in 0..ids.num_women() {
-            if received[i].is_empty() {
-                continue;
-            }
-            let w = ids.woman(i);
-            let best = *received[i]
-                .iter()
-                .min_by_key(|&&m| inst.rank(w, m).expect("proposer is acceptable"))
-                .expect("nonempty");
-            let keep_current = match matching.partner(w) {
-                Some(p) => inst.rank(w, p) < inst.rank(w, best),
-                None => false,
-            };
-            let winner = if keep_current {
-                matching.partner(w).expect("checked above")
-            } else {
-                if let Some(old) = matching.remove(w) {
-                    // Displaced partner resumes from his next choice.
-                    next[ids.side_index(old)] += 1;
-                }
-                matching.add_pair(best, w).expect("both free");
-                best
-            };
-            for &m in &received[i] {
-                if m != winner {
-                    next[ids.side_index(m)] += 1;
-                }
-            }
-        }
-    }
+    propose_accept(
+        inst,
+        Matching::new(ids.num_players()),
+        vec![0; ids.num_men()],
+        max_cycles,
+    )
 }
 
 /// Runs distributed Gale–Shapley to quiescence, producing the man-optimal

@@ -76,15 +76,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan injects anything.
-    pub fn is_quiet(&self) -> bool {
-        self.drop_p == 0.0
-            && self.dup_p == 0.0
-            && self.delay_p == 0.0
-            && self.partitions.is_empty()
-            && self.kill.is_none()
-    }
-
     /// A seeded lossy transport: drop each frame with probability `p`.
     pub fn lossy(seed: u64, p: f64) -> Self {
         FaultPlan {

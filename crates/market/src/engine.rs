@@ -1,9 +1,10 @@
 //! The incremental propose-accept engine.
 //!
-//! A cold resolve is the standard distributed Gale–Shapley loop: every
-//! man free with pointer at the top of his list. A *warm* resolve
-//! re-enters the same loop from the cached matching, but simply keeping
-//! every clean pair would be unsound: a mutation that frees or
+//! Both resolves run [`asm_matching::propose_accept`], the synchronous
+//! loop of distributed Gale–Shapley, to quiescence. A cold resolve
+//! starts it empty: every man free with pointer at the top of his list.
+//! A *warm* resolve re-enters it from the cached matching, but simply
+//! keeping every clean pair would be unsound: a mutation that frees or
 //! downgrades a woman leaves men whose proposal pointers already passed
 //! her with no way to re-propose, and those skipped edges become
 //! permanent blocking pairs. The fix is a **rewind cascade** run before
@@ -30,7 +31,7 @@
 //! to the *edit's* displacement chain, not the market size.
 
 use asm_instance::Instance;
-use asm_matching::{Matching, StabilityReport};
+use asm_matching::{propose_accept, Matching, StabilityReport};
 use std::collections::BTreeSet;
 
 /// Dirty-fraction ceiling for `auto` warm starts: above this fraction
@@ -44,12 +45,12 @@ pub struct ResolveReport {
     /// The stable matching produced (node-id space of the resolved
     /// instance: women first, then men).
     pub matching: Matching,
-    /// Proposal cycles executed by the re-entered loop (each cycle =
-    /// 2 CONGEST rounds). A no-op warm resolve reports 0.
+    /// Proposal cycles executed by the loop (each cycle = 2 CONGEST
+    /// rounds). A no-op warm resolve reports 0.
     pub cycles: u64,
     /// Propose-accept communication rounds (`2 · cycles`).
     pub rounds: u64,
-    /// PROPOSE messages sent by the re-entered loop.
+    /// PROPOSE messages sent by the loop.
     pub proposals: u64,
     /// Whether the warm path ran (false = cold solve).
     pub warm: bool,
@@ -66,14 +67,14 @@ pub struct ResolveReport {
     pub epoch: u64,
 }
 
-/// Mutable loop state: the matching plus each man's proposal pointer.
+/// Where the loop starts: the matching plus each man's proposal pointer.
 struct LoopState {
     matching: Matching,
     /// `next[j]`: index into man `j`'s list of his current target.
     next: Vec<usize>,
 }
 
-/// Cold solve: the standard Gale–Shapley loop from scratch.
+/// Cold solve: the loop from scratch.
 pub(crate) fn resolve_cold(inst: &Instance) -> ResolveReport {
     let state = LoopState {
         matching: Matching::new(inst.ids().num_players()),
@@ -233,79 +234,17 @@ fn rewind_cascade(
     LoopState { matching, next }
 }
 
-/// The synchronous propose-accept loop (the cycle structure of
-/// `asm_core::baselines::distributed_gs`, generalized to start from any
-/// invariant-respecting state). Runs to quiescence.
+/// Runs the propose–accept loop from `state` to quiescence and audits
+/// the result.
 fn run_loop(inst: &Instance, state: LoopState, warm: bool) -> ResolveReport {
-    let ids = inst.ids();
-    let LoopState {
-        mut matching,
-        mut next,
-    } = state;
-    let mut cycles: u64 = 0;
-    let mut proposals: u64 = 0;
-
-    loop {
-        // Propose round (man-id order, as a CONGEST inbox delivers).
-        let mut received: Vec<Vec<usize>> = vec![Vec::new(); ids.num_women()];
-        let mut any = false;
-        #[allow(clippy::needless_range_loop)] // j indexes men and pointers alike
-        for j in 0..ids.num_men() {
-            let m = ids.man(j);
-            if matching.is_matched(m) {
-                continue;
-            }
-            if let Some(&w) = inst.prefs(m).ranked().get(next[j]) {
-                received[ids.side_index(w)].push(j);
-                proposals += 1;
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-        cycles += 1;
-        // Accept/reject round.
-        #[allow(clippy::needless_range_loop)] // i indexes women and inboxes alike
-        for i in 0..ids.num_women() {
-            if received[i].is_empty() {
-                continue;
-            }
-            let w = ids.woman(i);
-            let best = *received[i]
-                .iter()
-                .min_by_key(|&&j| inst.rank(w, ids.man(j)).expect("proposer is acceptable"))
-                .expect("nonempty");
-            let keep_current = match matching.partner(w) {
-                Some(p) => inst.rank(w, p) < inst.rank(w, ids.man(best)),
-                None => false,
-            };
-            let winner = if keep_current {
-                ids.side_index(matching.partner(w).expect("checked above"))
-            } else {
-                if let Some(old) = matching.remove(w) {
-                    next[ids.side_index(old)] += 1;
-                }
-                matching
-                    .add_pair(ids.man(best), w)
-                    .expect("both free after removal");
-                best
-            };
-            for &j in &received[i] {
-                if j != winner {
-                    next[j] += 1;
-                }
-            }
-        }
-    }
-
-    let stability = StabilityReport::analyze(inst, &matching);
+    let run = propose_accept(inst, state.matching, state.next, None);
+    let stability = StabilityReport::analyze(inst, &run.matching);
     ResolveReport {
-        matched: matching.len() as u64,
-        matching,
-        cycles,
-        rounds: 2 * cycles,
-        proposals,
+        matched: run.matching.len() as u64,
+        matching: run.matching,
+        cycles: run.cycles,
+        rounds: run.rounds,
+        proposals: run.proposals,
         warm,
         fallback: false,
         blocking_pairs: stability.blocking_pairs as u64,
@@ -325,14 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn cold_resolve_matches_distributed_gs() {
+    fn cold_resolve_matches_centralized_gs() {
         for seed in 0..6 {
             let inst = generators::erdos_renyi(12, 12, 0.5, seed);
-            let gs = asm_core::baselines::distributed_gs(&inst);
+            let central = asm_matching::man_optimal_stable(&inst);
             let cold = resolve_cold(&inst);
-            assert_eq!(cold.matching, gs.matching, "seed {seed}");
-            assert_eq!(cold.cycles, gs.cycles, "seed {seed}");
-            assert_eq!(cold.proposals, gs.proposals, "seed {seed}");
+            assert_eq!(cold.matching, central.matching, "seed {seed}");
+            assert_eq!(cold.rounds, 2 * cold.cycles, "seed {seed}");
             assert_eq!(cold.blocking_pairs, 0, "GS converges stable");
         }
     }

@@ -1,4 +1,6 @@
-//! Centralized (extended) Gale–Shapley — ground truth and baseline.
+//! Gale–Shapley: the centralized algorithm (ground truth and baseline)
+//! and the synchronous propose–accept loop of its distributed
+//! interpretation.
 
 use crate::Matching;
 use asm_instance::{Instance, Rank};
@@ -123,6 +125,118 @@ pub fn woman_optimal_stable(inst: &Instance) -> GsOutcome {
     }
 }
 
+/// Result of a (possibly truncated) run of the synchronous propose–accept
+/// loop ([`propose_accept`]).
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GsReport {
+    /// The matching at termination/truncation.
+    pub matching: Matching,
+    /// Proposal cycles executed (each cycle = 2 CONGEST rounds).
+    pub cycles: u64,
+    /// CONGEST communication rounds (`2 · cycles`).
+    pub rounds: u64,
+    /// Total PROPOSE messages sent.
+    pub proposals: u64,
+    /// Whether the process ran to quiescence (true) or hit the truncation
+    /// budget (false).
+    pub converged: bool,
+}
+
+/// The synchronous propose–accept loop of distributed Gale–Shapley,
+/// started from `matching` with man `j` pointing at index `next[j]` of
+/// his list.
+///
+/// Each 2-round cycle: every free man with an untried woman proposes to
+/// the best woman who has not rejected him; every woman keeps the best of
+/// {current partner} ∪ {proposers} and rejects the rest; rejected and
+/// displaced men advance down their lists. The loop stops at quiescence,
+/// or before the first cycle past `max_cycles`.
+///
+/// From an empty matching with every pointer at 0 this is distributed
+/// Gale–Shapley, which converges to [`man_optimal_stable`]. Any other
+/// start must respect the loop's invariant — every woman a man's pointer
+/// has passed holds a partner she prefers to him — for quiescence to
+/// mean stability.
+///
+/// # Panics
+///
+/// If `matching` is sized for fewer players than the instance has, or
+/// `next` has fewer entries than there are men.
+pub fn propose_accept(
+    inst: &Instance,
+    mut matching: Matching,
+    mut next: Vec<usize>,
+    max_cycles: Option<u64>,
+) -> GsReport {
+    let ids = inst.ids();
+    let mut cycles: u64 = 0;
+    let mut proposals: u64 = 0;
+    let converged = loop {
+        if max_cycles.is_some_and(|budget| cycles >= budget) {
+            break false;
+        }
+        // Propose round (man-id order, as a CONGEST inbox delivers).
+        let mut received: Vec<Vec<usize>> = vec![Vec::new(); ids.num_women()];
+        let mut any = false;
+        #[allow(clippy::needless_range_loop)] // j indexes men and pointers alike
+        for j in 0..ids.num_men() {
+            let m = ids.man(j);
+            if matching.is_matched(m) {
+                continue;
+            }
+            if let Some(&w) = inst.prefs(m).ranked().get(next[j]) {
+                received[ids.side_index(w)].push(j);
+                proposals += 1;
+                any = true;
+            }
+        }
+        if !any {
+            break true;
+        }
+        cycles += 1;
+        // Accept/reject round.
+        #[allow(clippy::needless_range_loop)] // i indexes women and inboxes alike
+        for i in 0..ids.num_women() {
+            if received[i].is_empty() {
+                continue;
+            }
+            let w = ids.woman(i);
+            let best = *received[i]
+                .iter()
+                .min_by_key(|&&j| inst.rank(w, ids.man(j)).expect("proposer is acceptable"))
+                .expect("nonempty");
+            let keep_current = match matching.partner(w) {
+                Some(p) => inst.rank(w, p) < inst.rank(w, ids.man(best)),
+                None => false,
+            };
+            let winner = if keep_current {
+                ids.side_index(matching.partner(w).expect("checked above"))
+            } else {
+                if let Some(old) = matching.remove(w) {
+                    // Displaced partner resumes from his next choice.
+                    next[ids.side_index(old)] += 1;
+                }
+                matching
+                    .add_pair(ids.man(best), w)
+                    .expect("both free after removal");
+                best
+            };
+            for &j in &received[i] {
+                if j != winner {
+                    next[j] += 1;
+                }
+            }
+        }
+    };
+    GsReport {
+        matching,
+        cycles,
+        rounds: 2 * cycles,
+        proposals,
+        converged,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +327,29 @@ mod tests {
                     (a, b) => assert_eq!(a.is_some(), b.is_some()),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn propose_accept_from_empty_reaches_the_man_optimal_matching() {
+        for seed in 0..5 {
+            let inst = generators::erdos_renyi(14, 14, 0.5, seed);
+            let ids = inst.ids();
+            let start = || (Matching::new(ids.num_players()), vec![0; ids.num_men()]);
+            let (matching, next) = start();
+            let run = propose_accept(&inst, matching, next, None);
+            assert!(run.converged);
+            assert_eq!(run.rounds, 2 * run.cycles);
+            assert_eq!(
+                run.matching,
+                man_optimal_stable(&inst).matching,
+                "seed {seed}"
+            );
+            // A budget of exactly the cycles it took stops before the
+            // quiescence check, so the run does not count as converged.
+            let (matching, next) = start();
+            let cut = propose_accept(&inst, matching, next, Some(run.cycles));
+            assert_eq!((cut.matching, cut.converged), (run.matching, false));
         }
     }
 

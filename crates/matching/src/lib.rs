@@ -13,7 +13,9 @@
 //! The crate also provides the centralized extended Gale–Shapley algorithm
 //! ([`man_optimal_stable`]) as ground truth (its output is exactly stable)
 //! and as the classical baseline the paper's distributed algorithms are
-//! measured against.
+//! measured against, plus the one synchronous propose–accept loop
+//! ([`propose_accept`]) behind distributed and truncated Gale–Shapley and
+//! the market tier's cold and warm resolves.
 //!
 //! # Examples
 //!
@@ -53,7 +55,9 @@ pub use blocking::{
 };
 pub use enumerate::enumerate_stable_matchings;
 pub use error::MatchingError;
-pub use gale_shapley::{man_optimal_stable, woman_optimal_stable, GsOutcome};
+pub use gale_shapley::{
+    man_optimal_stable, propose_accept, woman_optimal_stable, GsOutcome, GsReport,
+};
 pub use instability::InstabilityMeasures;
 pub use matching::Matching;
 pub use rotations::{eliminate_rotation, exposed_rotation, rotation_chain, Rotation};

@@ -153,15 +153,6 @@ impl Matching {
             p.filter(|&v| u < v).map(|v| (u, v))
         })
     }
-
-    /// Iterates over matched nodes.
-    pub fn matched_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.partner
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| NodeId::new(i as u32))
-    }
 }
 
 impl FromIterator<(NodeId, NodeId)> for Matching {

@@ -1,29 +1,10 @@
 //! Pluggable maximal-matching backends.
 
 use crate::{
-    bipartite_proposal, det_greedy, det_greedy_run, hkp_oracle, israeli_itai, panconesi_rizzi,
-    MatchingOutcome,
+    bipartite_proposal, det_greedy, hkp_oracle, israeli_itai, panconesi_rizzi, MatchingOutcome,
 };
 use asm_congest::{NodeId, SplitRng};
 use serde::{Deserialize, Serialize};
-
-/// One backend invocation with its per-round progression exposed.
-///
-/// The iterative matchers (`DetGreedy`, `IsraeliItai`) report how many
-/// vertices were still active before each top-level iteration; the
-/// conformance oracles use the series to check monotone progress and
-/// that truncation flags (`outcome.maximal`) agree with the residual
-/// count. Backends without an iterative graph-level form (`HkpOracle`,
-/// `BipartiteProposal`, `PanconesiRizzi`) leave the series empty.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BackendRun {
-    /// Final matching outcome, as [`MatcherBackend::run`] returns.
-    pub outcome: MatchingOutcome,
-    /// `survivors[i]` = active vertices before iteration `i`; the final
-    /// entry records the count after the last executed iteration. Empty
-    /// for untraced backends.
-    pub survivors: Vec<usize>,
-}
 
 /// The maximal-matching subroutine used inside `ProposalRound` (step 3).
 ///
@@ -82,40 +63,6 @@ impl MatcherBackend {
             MatcherBackend::IsraeliItai { max_iterations } => {
                 israeli_itai(edges, max_iterations, rng, tag_base).outcome
             }
-        }
-    }
-
-    /// As [`MatcherBackend::run`], but also exposing the per-round
-    /// survivor series where the backend has one (see [`BackendRun`]).
-    ///
-    /// Guaranteed to produce the same [`MatchingOutcome`] as `run` for
-    /// the same arguments.
-    pub fn run_traced(
-        &self,
-        n_global: usize,
-        edges: &[(NodeId, NodeId)],
-        rng: &SplitRng,
-        tag_base: u64,
-    ) -> BackendRun {
-        match *self {
-            MatcherBackend::DetGreedy => {
-                let r = det_greedy_run(edges);
-                BackendRun {
-                    outcome: r.outcome,
-                    survivors: r.survivors,
-                }
-            }
-            MatcherBackend::IsraeliItai { max_iterations } => {
-                let r = israeli_itai(edges, max_iterations, rng, tag_base);
-                BackendRun {
-                    outcome: r.outcome,
-                    survivors: r.survivors,
-                }
-            }
-            other => BackendRun {
-                outcome: other.run(n_global, edges, rng, tag_base),
-                survivors: Vec::new(),
-            },
         }
     }
 

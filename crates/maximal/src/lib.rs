@@ -48,7 +48,7 @@ mod sequential;
 mod subgraph;
 
 pub use amm::{amm, iterations_for_amm, violator_fraction};
-pub use backend::{BackendRun, MatcherBackend};
+pub use backend::MatcherBackend;
 pub use bipartite::{bipartite_proposal, ROUNDS_PER_PROPOSAL_CYCLE};
 pub use det_greedy::{det_greedy, det_greedy_run, GreedyRun, ROUNDS_PER_CYCLE};
 pub use hkp_oracle::{hkp_charged_rounds, hkp_oracle};

@@ -3,6 +3,11 @@
 //!
 //! ## Connection pool and at-most-once retry
 //!
+//! Every connection is a [`Client`], the crate's one blocking wire
+//! client, so a backend reply counts only when it arrived whole: a
+//! backend that dies mid-write is an exchange error here, and the
+//! router's retry, failover and shed logic takes over.
+//!
 //! Forwarder threads check a connection out of the pool for the length
 //! of one request/response exchange and check it back in afterwards, so
 //! every pooled connection carries at most one in-flight request and
@@ -32,16 +37,13 @@
 //! and returns the backend to `up`, which is what lets cache-warm
 //! routing resume on its hash slice when it comes back.
 
+use crate::client::Client;
 use crate::codec::{self, CodecKind};
-use crate::protocol::{HelloBody, Op, Reply, Request, Response};
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use crate::protocol::{Reply, Response};
+use std::io::{self, ErrorKind};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Cap on a single backend reply's payload, mirroring the reactor's
-/// frame cap: a corrupt binary length prefix must not allocate gigabytes.
-const MAX_REPLY: usize = 64 * 1024 * 1024;
 
 /// Probe-driven liveness of one backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,7 +89,7 @@ struct Liveness {
 pub struct Backend {
     addr: SocketAddr,
     codec: CodecKind,
-    pool: Mutex<Vec<BufReader<TcpStream>>>,
+    pool: Mutex<Vec<Client>>,
     live: Mutex<Liveness>,
     down_after: u32,
     connect_timeout: Duration,
@@ -195,7 +197,7 @@ impl Backend {
         // pool guard alive across the body, deadlocking with `checkin`.
         let pooled = self.pool.lock().expect("pool lock").pop();
         if let Some(mut conn) = pooled {
-            match Self::try_exchange(&mut conn, self.codec, payload) {
+            match conn.exchange(payload) {
                 Ok(reply) => {
                     self.checkin(conn);
                     return Ok(reply);
@@ -203,8 +205,9 @@ impl Backend {
                 Err(_) => *retried = true,
             }
         }
-        let mut fresh = self.dial(self.connect_timeout, self.read_timeout)?;
-        let reply = Self::try_exchange(&mut fresh, self.codec, payload)?;
+        let timeouts = Some((self.connect_timeout, self.read_timeout));
+        let mut fresh = Client::connect(self.addr, self.codec, timeouts)?;
+        let reply = fresh.exchange(payload)?;
         self.checkin(fresh);
         Ok(reply)
     }
@@ -218,9 +221,8 @@ impl Backend {
     /// treat it as failed and failover takes its slice.
     pub fn probe(&self, timeout: Duration) -> bool {
         let attempt = || -> io::Result<bool> {
-            let mut conn = Self::dial_raw(&self.addr, timeout, timeout)?;
-            let raw =
-                Self::try_exchange(&mut conn, CodecKind::Json, b"{\"id\":0,\"op\":\"health\"}")?;
+            let mut conn = Client::connect(self.addr, CodecKind::Json, Some((timeout, timeout)))?;
+            let raw = conn.exchange(b"{\"id\":0,\"op\":\"health\"}")?;
             Ok(matches!(
                 codec::parse_response_payload(CodecKind::Json, &raw),
                 Ok(Response {
@@ -232,103 +234,8 @@ impl Backend {
         attempt().unwrap_or(false)
     }
 
-    /// Dials and, for a binary backend, negotiates the codec so the
-    /// returned connection is ready for payloads in `self.codec`.
-    fn dial(
-        &self,
-        connect_timeout: Duration,
-        read_timeout: Duration,
-    ) -> io::Result<BufReader<TcpStream>> {
-        let mut conn = Self::dial_raw(&self.addr, connect_timeout, read_timeout)?;
-        if self.codec == CodecKind::Binary {
-            Self::handshake(&mut conn)?;
-        }
-        Ok(conn)
-    }
-
-    fn dial_raw(
-        addr: &SocketAddr,
-        connect_timeout: Duration,
-        read_timeout: Duration,
-    ) -> io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect_timeout(addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(read_timeout))?;
-        Ok(BufReader::new(stream))
-    }
-
-    /// Sends the JSON `hello {codec:"binary"}` and checks the ack, which
-    /// the server already frames in the new codec.
-    fn handshake(conn: &mut BufReader<TcpStream>) -> io::Result<()> {
-        let hello = Request {
-            id: Some(0),
-            op: Op::Hello(HelloBody {
-                codec: CodecKind::Binary.name().to_string(),
-            }),
-        };
-        conn.get_ref()
-            .write_all(&codec::encode_frame(CodecKind::Json, &hello))?;
-        let raw = Self::read_reply(conn, CodecKind::Binary)?;
-        match codec::parse_response_payload(CodecKind::Binary, &raw) {
-            Ok(Response {
-                reply: Reply::Hello(info),
-                ..
-            }) if info.codec == CodecKind::Binary.name() => Ok(()),
-            _ => Err(io::Error::new(
-                ErrorKind::InvalidData,
-                "backend refused the binary codec handshake",
-            )),
-        }
-    }
-
-    fn checkin(&self, conn: BufReader<TcpStream>) {
+    fn checkin(&self, conn: Client) {
         self.pool.lock().expect("pool lock").push(conn);
-    }
-
-    /// Frames and writes one payload, then reads exactly one reply.
-    fn try_exchange(
-        conn: &mut BufReader<TcpStream>,
-        kind: CodecKind,
-        payload: &[u8],
-    ) -> io::Result<Vec<u8>> {
-        conn.get_ref()
-            .write_all(&codec::frame_payload(kind, payload))?;
-        Self::read_reply(conn, kind)
-    }
-
-    /// Reads one framed reply and strips the framing.
-    fn read_reply(conn: &mut BufReader<TcpStream>, kind: CodecKind) -> io::Result<Vec<u8>> {
-        match kind {
-            CodecKind::Json => {
-                let mut reply = String::new();
-                let n = conn.read_line(&mut reply)?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "backend closed the connection mid-request",
-                    ));
-                }
-                while reply.ends_with('\n') || reply.ends_with('\r') {
-                    reply.pop();
-                }
-                Ok(reply.into_bytes())
-            }
-            CodecKind::Binary => {
-                let mut prefix = [0u8; 4];
-                conn.read_exact(&mut prefix)?;
-                let declared = u32::from_le_bytes(prefix) as usize;
-                if declared > MAX_REPLY {
-                    return Err(io::Error::new(
-                        ErrorKind::InvalidData,
-                        format!("backend reply declares {declared} bytes (cap {MAX_REPLY})"),
-                    ));
-                }
-                let mut payload = vec![0u8; declared];
-                conn.read_exact(&mut payload)?;
-                Ok(payload)
-            }
-        }
     }
 }
 

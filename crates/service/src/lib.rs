@@ -23,8 +23,9 @@
 //!   without re-running the engine.
 //! * **Observability** ([`metrics`]): lock-free counters and log₂-bucket
 //!   latency quantiles, snapshotted as schema-versioned JSON by the
-//!   `metrics` request, with per-shard counters that sum exactly to the
-//!   aggregates. The counters are exact enough to reconcile against a
+//!   `metrics` request. Each outcome is counted once, in its shard; the
+//!   aggregates are derived from the shard books when read. The
+//!   counters are exact enough to reconcile against a
 //!   load generator's own totals (CI does exactly that).
 //! * **Connection reactor** ([`reactor`]): a single std-only
 //!   poll-based reactor thread multiplexes every connection over
@@ -35,6 +36,8 @@
 //! * **Graceful drain** ([`server`]): shutdown stops admission, drains
 //!   every accepted job, and flushes every in-flight response before
 //!   [`ServerHandle::wait`] returns.
+//! * **Blocking client** ([`client`]): the one dial/negotiate/exchange
+//!   path behind the router's backend pool and the load generators.
 //!
 //! # Quickstart
 //!
@@ -64,6 +67,7 @@
 
 pub mod backend;
 pub mod cache;
+pub mod client;
 pub mod codec;
 pub mod framing;
 pub mod metrics;
@@ -75,6 +79,7 @@ pub mod service;
 
 pub use backend::{Backend, BackendState, Transition};
 pub use cache::{instance_hash, ResultCache, SolveKey};
+pub use client::Client;
 pub use codec::CodecKind;
 pub use metrics::{
     BackendSnapshot, CachePadded, MarketSnapshot, Metrics, MetricsSnapshot, ReactorCounters,

@@ -12,12 +12,17 @@
 //!
 //! ## Per-shard counters
 //!
-//! A sharded service additionally keeps one [`ShardCounters`] per shard.
-//! Every shard-routed outcome is counted in *both* books at the same
-//! call site, so each [`ShardSnapshot`] counter sums exactly to the
-//! aggregate across shards (`queue_peak` is a per-shard high-water mark,
-//! so the aggregate peak is the *max* of the shard peaks, not the sum).
-//! The `shards` array is omitted from the snapshot JSON when the service
+//! Every shard-routed outcome (solved, analyzed, overloaded, expired,
+//! cache hit or miss, the Σ-totals, the queue peak) and every traced
+//! reply's stage row is counted once, in its shard's [`ShardCounters`]
+//! and [`StageBooks`]. The service-wide figures are derived when they are
+//! read ([`Metrics::snapshot`]): counters and gauges sum over the shard
+//! snapshots, `queue_peak` is the *max* of the shard peaks, and the stage
+//! books fold bucket by bucket ([`StagesSnapshot::absorb`]). The shard
+//! books therefore sum to the totals by construction. [`Metrics`] keeps
+//! only what no shard sees: frames received and malformed, control
+//! replies, errors, the market books and the latency histogram. The
+//! `shards` array is omitted from the snapshot JSON when the service
 //! runs a single shard, which keeps the `shards = 1` wire format
 //! byte-identical to the pre-sharding protocol.
 
@@ -30,9 +35,9 @@ use std::time::Instant;
 /// counters updated by different threads never share a line (false
 /// sharing turns independent relaxed increments into coherence-miss
 /// ping-pong). [`ShardCounters`] and [`ReactorCounters`] wrap every
-/// atomic in this; [`Metrics`] deliberately does not — its 25 counters
-/// plus 40 histogram buckets would balloon from ~0.5 KiB to >4 KiB for
-/// counters that are bumped once per *request*, not once per byte.
+/// atomic in this; [`Metrics`] deliberately does not — its 14 counters
+/// plus 40 histogram buckets would balloon from ~0.4 KiB to >3 KiB for
+/// counters that are bumped at most once per *request*, not once per byte.
 /// `Deref` keeps call sites (`counters.solved.fetch_add(..)`) unchanged.
 #[derive(Debug, Default)]
 #[repr(align(64))]
@@ -60,48 +65,28 @@ pub const METRICS_SCHEMA: u64 = 1;
 /// bucket, which absorbs everything ≥ `2^39` µs (~6 days — effectively ∞).
 const LATENCY_BUCKETS: usize = 40;
 
-/// The service's live counters. One instance is shared by the reactor
-/// and every worker; all methods take `&self`.
+/// The service-level counters: what no shard sees. One instance is
+/// shared by the reactor and every worker; all methods take `&self`.
+/// Shard-routed outcomes live in [`ShardCounters`] and are summed into
+/// the snapshot by [`Metrics::snapshot`].
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Frames received (any outcome, including malformed).
     pub received: AtomicU64,
     /// Frames that failed to parse as a request.
     pub malformed: AtomicU64,
-    /// `solve` requests answered `solved`.
-    pub solved: AtomicU64,
-    /// `analyze` requests answered `analyzed`.
-    pub analyzed: AtomicU64,
     /// `health` requests answered.
     pub health: AtomicU64,
     /// `metrics` requests answered.
     pub metrics: AtomicU64,
     /// `shutdown` requests answered.
     pub shutdown: AtomicU64,
-    /// Jobs refused by admission control (`overloaded`).
-    pub overloaded: AtomicU64,
-    /// Jobs expired while queued (`deadline_exceeded`).
-    pub deadline_exceeded: AtomicU64,
     /// `error` replies (invalid params, solver failure, unavailable).
     pub errors: AtomicU64,
-    /// Solve jobs answered from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Solve jobs that had to run the engine.
-    pub cache_misses: AtomicU64,
-    /// High-water mark of the job queue depth.
-    pub queue_peak: AtomicU64,
-    /// Total communication rounds across all solved jobs.
-    pub rounds_total: AtomicU64,
-    /// Total protocol messages across all solved jobs.
-    pub messages_total: AtomicU64,
-    /// Total blocking pairs across all solved jobs.
-    pub blocking_pairs_total: AtomicU64,
-    /// Total matched pairs across all solved jobs.
-    pub matched_total: AtomicU64,
-    /// `market_created` replies. Market counters are aggregate-only: a
+    /// `market_created` replies. Market counters are service-level: a
     /// market's ops all route to one shard by id hash, so per-shard
-    /// market books would merely partition by market id; the aggregate
-    /// is what `loadgen --churn` reconciles.
+    /// market books would merely partition by market id; the total is
+    /// what `loadgen --churn` reconciles.
     pub markets_created: AtomicU64,
     /// `market_dropped` replies.
     pub markets_dropped: AtomicU64,
@@ -138,35 +123,42 @@ impl Metrics {
         counter.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raises the queue high-water mark to at least `depth`.
-    pub fn observe_queue_depth(&self, depth: u64) {
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
     /// Records one completed job's enqueue→reply latency.
     pub fn observe_latency_us(&self, micros: u64) {
         self.latency.observe(micros);
     }
 
-    /// Takes a point-in-time snapshot. The `shards` array starts empty;
-    /// a sharded service appends its [`ShardSnapshot`]s before replying.
-    pub fn snapshot(&self, queue_depth: u64, cache_entries: u64) -> MetricsSnapshot {
+    /// Takes a point-in-time snapshot: the counters kept here plus the
+    /// totals of `shards`. Shard counters and gauges sum, `queue_peak` is
+    /// the max of the shard peaks, and the shard stage books (when
+    /// present) fold bucket by bucket. The `shards` array itself starts
+    /// empty; a sharded service attaches it before replying.
+    pub fn snapshot(&self, shards: &[ShardSnapshot]) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let sum = |f: fn(&ShardSnapshot) -> u64| shards.iter().map(f).sum::<u64>();
         let latency = self.latency.snapshot();
-        let hits = load(&self.cache_hits);
-        let misses = load(&self.cache_misses);
+        let hits = sum(|s| s.cache_hits);
+        let misses = sum(|s| s.cache_misses);
         let lookups = hits + misses;
+        let stages = shards.iter().filter_map(|s| s.stages.as_ref()).fold(
+            None,
+            |total: Option<StagesSnapshot>, books| {
+                let mut total = total.unwrap_or_default();
+                total.absorb(books);
+                Some(total)
+            },
+        );
         MetricsSnapshot {
             schema: METRICS_SCHEMA,
             received: load(&self.received),
             malformed: load(&self.malformed),
-            solved: load(&self.solved),
-            analyzed: load(&self.analyzed),
+            solved: sum(|s| s.solved),
+            analyzed: sum(|s| s.analyzed),
             health: load(&self.health),
             metrics: load(&self.metrics),
             shutdown: load(&self.shutdown),
-            overloaded: load(&self.overloaded),
-            deadline_exceeded: load(&self.deadline_exceeded),
+            overloaded: sum(|s| s.overloaded),
+            deadline_exceeded: sum(|s| s.deadline_exceeded),
             errors: load(&self.errors),
             cache_hits: hits,
             cache_misses: misses,
@@ -175,17 +167,17 @@ impl Metrics {
             } else {
                 hits as f64 / lookups as f64
             },
-            cache_entries,
-            queue_depth,
-            queue_peak: load(&self.queue_peak),
-            rounds_total: load(&self.rounds_total),
-            messages_total: load(&self.messages_total),
-            blocking_pairs_total: load(&self.blocking_pairs_total),
-            matched_total: load(&self.matched_total),
+            cache_entries: sum(|s| s.cache_entries),
+            queue_depth: sum(|s| s.queue_depth),
+            queue_peak: shards.iter().map(|s| s.queue_peak).max().unwrap_or(0),
+            rounds_total: sum(|s| s.rounds_total),
+            messages_total: sum(|s| s.messages_total),
+            blocking_pairs_total: sum(|s| s.blocking_pairs_total),
+            matched_total: sum(|s| s.matched_total),
             latency_p50_us: latency.p50_us,
             latency_p95_us: latency.p95_us,
             latency_p99_us: latency.p99_us,
-            stages: None,
+            stages,
             shards: Vec::new(),
             market: None,
             backends: Vec::new(),
@@ -242,8 +234,8 @@ pub struct ReactorCounters {
     /// Worker completions delivered back to the reactor.
     pub completions: CachePadded<AtomicU64>,
     /// Completions whose connection was already gone when they arrived
-    /// (the outcome was still counted in [`Metrics`] by the worker, so
-    /// the books reconcile; only the response bytes are dropped).
+    /// (the outcome was still counted by the worker, so the books
+    /// reconcile; only the response bytes are dropped).
     pub discarded_completions: CachePadded<AtomicU64>,
     /// Transitions into the stalled state: the reactor stopped reading a
     /// connection because its write buffer or outstanding-reply window
@@ -277,8 +269,8 @@ impl ReactorCounters {
     }
 }
 
-/// Per-shard outcome counters. Incremented at the same call sites as the
-/// aggregate [`Metrics`], so shard counters sum exactly to the totals.
+/// Per-shard outcome counters: the only place a shard-routed outcome is
+/// counted. [`Metrics::snapshot`] derives the service totals from them.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// `solved` replies routed to this shard.
@@ -335,9 +327,9 @@ impl ShardCounters {
 }
 
 /// One shard's slice of the books, embedded in [`MetricsSnapshot`] when
-/// the service runs more than one shard. Counter fields sum exactly to
-/// the aggregate snapshot; `queue_peak` aggregates by max, and
-/// `cache_entries`/`queue_depth` are point-in-time gauges that sum.
+/// the service runs more than one shard. The aggregate snapshot is
+/// derived from these: counter fields and the `cache_entries`/
+/// `queue_depth` gauges sum, `queue_peak` aggregates by max.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// Shard index (0-based).
@@ -370,9 +362,8 @@ pub struct ShardSnapshot {
     pub matched_total: u64,
     /// This shard's stage-clock books; present only under
     /// `detail: "stages"` (omitted otherwise, keeping the pre-stage
-    /// sharded wire format byte-identical). Sums exactly to the aggregate
-    /// `stages` block across shards (both are recorded at the same flush
-    /// site).
+    /// sharded wire format byte-identical). The aggregate `stages` block
+    /// is their bucketwise fold.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stages: Option<StagesSnapshot>,
 }
@@ -597,10 +588,10 @@ pub struct StageSample {
     pub total_us: u64,
 }
 
-/// The six stage books for one accounting domain (the whole service, or
-/// one shard). All six are recorded together, once, when the reactor
-/// flushes the reply frame — so their counts are equal by construction
-/// and a fault that drops the reply leaves no partial row anywhere.
+/// The six stage books of one shard. All six are recorded together,
+/// once, when the reactor flushes the reply frame — so their counts are
+/// equal by construction and a fault that drops the reply leaves no
+/// partial row anywhere.
 #[derive(Debug, Default)]
 pub struct StageBooks {
     /// recv → decoded.
@@ -677,16 +668,14 @@ pub struct StageTrace {
 pub struct FlushPending {
     /// Stamps up to `encoded`.
     pub trace: StageTrace,
-    /// The service-wide books.
-    pub aggregate: Arc<StageBooks>,
     /// The owning shard's books.
-    pub shard: Arc<StageBooks>,
+    pub books: Arc<StageBooks>,
 }
 
 impl FlushPending {
-    /// Books the request into both stage books, with `flushed` as the
-    /// final stamp. Each duration saturates at zero if a stamp pair ever
-    /// reads out of order.
+    /// Books the request into its shard's stage books, with `flushed` as
+    /// the final stamp. Each duration saturates at zero if a stamp pair
+    /// ever reads out of order.
     pub fn record(self, flushed: Instant) {
         let us = |a: Instant, b: Instant| -> u64 {
             b.saturating_duration_since(a)
@@ -702,8 +691,7 @@ impl FlushPending {
             flush_us: us(t.encoded, flushed),
             total_us: us(t.recv, flushed),
         };
-        self.aggregate.record(&sample);
-        self.shard.record(&sample);
+        self.books.record(&sample);
     }
 }
 
@@ -779,8 +767,9 @@ impl StagesSnapshot {
     }
 }
 
-/// A point-in-time JSON view of [`Metrics`], returned by the `metrics`
-/// request. Schema-versioned: consumers should check `schema` first.
+/// A point-in-time JSON view of the books, returned by the `metrics`
+/// request ([`Metrics::snapshot`] over the shard snapshots).
+/// Schema-versioned: consumers should check `schema` first.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// [`METRICS_SCHEMA`].
@@ -862,7 +851,7 @@ mod tests {
     #[test]
     fn fresh_snapshot_is_all_zero() {
         let m = Metrics::new();
-        let snap = m.snapshot(0, 0);
+        let snap = m.snapshot(&[]);
         assert_eq!(snap.schema, METRICS_SCHEMA);
         assert_eq!(snap.received, 0);
         assert_eq!(snap.latency_p99_us, 0);
@@ -873,10 +862,11 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let m = Metrics::new();
         m.incr(&m.received);
-        m.incr(&m.solved);
-        m.add(&m.rounds_total, 17);
         m.observe_latency_us(900);
-        let snap = m.snapshot(2, 1);
+        let counters = ShardCounters::new();
+        counters.solved.fetch_add(1, Ordering::Relaxed);
+        counters.rounds_total.fetch_add(17, Ordering::Relaxed);
+        let snap = m.snapshot(&[counters.snapshot(0, 2, 1)]);
         let line = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&line).unwrap();
         assert_eq!(back, snap);
@@ -885,7 +875,7 @@ mod tests {
     #[test]
     fn shards_array_is_omitted_when_empty_and_round_trips_otherwise() {
         let m = Metrics::new();
-        let plain = m.snapshot(0, 0);
+        let plain = m.snapshot(&[]);
         let line = serde_json::to_string(&plain).unwrap();
         assert!(!line.contains("shards"), "{line}");
         let back: MetricsSnapshot = serde_json::from_str(&line).unwrap();
@@ -894,7 +884,7 @@ mod tests {
         let counters = ShardCounters::new();
         counters.solved.store(3, Ordering::Relaxed);
         counters.queue_peak.store(2, Ordering::Relaxed);
-        let mut sharded = m.snapshot(0, 0);
+        let mut sharded = m.snapshot(&[]);
         sharded.shards = vec![
             counters.snapshot(0, 1, 4),
             ShardCounters::new().snapshot(1, 0, 0),
@@ -914,7 +904,7 @@ mod tests {
     fn market_block_appears_only_after_market_activity_and_round_trips() {
         let m = Metrics::new();
         assert_eq!(m.market_snapshot(0), None);
-        let plain = m.snapshot(0, 0);
+        let plain = m.snapshot(&[]);
         let line = serde_json::to_string(&plain).unwrap();
         assert!(!line.contains("market"), "{line}");
 
@@ -922,7 +912,7 @@ mod tests {
         m.incr(&m.warm_resolves);
         m.add(&m.warm_rounds_total, 3);
         m.add(&m.market_mutations, 2);
-        let mut active = m.snapshot(0, 0);
+        let mut active = m.snapshot(&[]);
         active.market = m.market_snapshot(1);
         let line = serde_json::to_string(&active).unwrap();
         assert!(
@@ -940,12 +930,12 @@ mod tests {
     #[test]
     fn backends_and_router_are_omitted_when_absent_and_round_trip() {
         let m = Metrics::new();
-        let plain = m.snapshot(0, 0);
+        let plain = m.snapshot(&[]);
         let line = serde_json::to_string(&plain).unwrap();
         assert!(!line.contains("backends"), "{line}");
         assert!(!line.contains("router"), "{line}");
 
-        let mut merged = m.snapshot(0, 0);
+        let mut merged = m.snapshot(&[]);
         merged.backends = vec![BackendSnapshot {
             backend: 0,
             state: "up".to_string(),
@@ -1012,7 +1002,7 @@ mod tests {
         for _ in 0..10 {
             m.observe_latency_us(1500);
         }
-        let snap = m.snapshot(0, 0);
+        let snap = m.snapshot(&[]);
         assert_eq!(snap.latency_p50_us, 4);
         assert_eq!(snap.latency_p95_us, 2048);
         assert_eq!(snap.latency_p99_us, 2048);
@@ -1127,10 +1117,9 @@ mod tests {
     }
 
     #[test]
-    fn flush_pending_records_into_aggregate_and_shard_books() {
+    fn flush_pending_records_into_its_shard_books() {
         use std::time::Duration;
-        let aggregate = Arc::new(StageBooks::new());
-        let shard = Arc::new(StageBooks::new());
+        let books = Arc::new(StageBooks::new());
         let t0 = Instant::now();
         let at = |us: u64| t0 + Duration::from_micros(us);
         let pending = FlushPending {
@@ -1142,26 +1131,23 @@ mod tests {
                 solved: at(1040),
                 encoded: at(1050),
             },
-            aggregate: Arc::clone(&aggregate),
-            shard: Arc::clone(&shard),
+            books: Arc::clone(&books),
         };
         pending.record(at(1060));
-        for books in [&aggregate, &shard] {
-            let snap = books.snapshot();
-            assert_eq!(snap.decode.total_us, 10);
-            assert_eq!(snap.queue.total_us, 28);
-            assert_eq!(snap.solve.total_us, 1000);
-            assert_eq!(snap.encode.total_us, 10);
-            assert_eq!(snap.flush.total_us, 10);
-            assert_eq!(snap.total.total_us, 1060);
-            assert_eq!(snap.total.count, 1);
-        }
+        let snap = books.snapshot();
+        assert_eq!(snap.decode.total_us, 10);
+        assert_eq!(snap.queue.total_us, 28);
+        assert_eq!(snap.solve.total_us, 1000);
+        assert_eq!(snap.encode.total_us, 10);
+        assert_eq!(snap.flush.total_us, 10);
+        assert_eq!(snap.total.total_us, 1060);
+        assert_eq!(snap.total.count, 1);
     }
 
     #[test]
     fn stages_block_is_omitted_by_default_and_round_trips_otherwise() {
         let m = Metrics::new();
-        let plain = m.snapshot(0, 0);
+        let plain = m.snapshot(&[]);
         let line = serde_json::to_string(&plain).unwrap();
         assert!(!line.contains("stages"), "{line}");
 
@@ -1174,7 +1160,7 @@ mod tests {
             flush_us: 5,
             total_us: 15,
         });
-        let mut detailed = m.snapshot(0, 0);
+        let mut detailed = m.snapshot(&[]);
         detailed.stages = Some(books.snapshot());
         let line = serde_json::to_string(&detailed).unwrap();
         assert!(
@@ -1196,22 +1182,45 @@ mod tests {
     }
 
     #[test]
-    fn queue_peak_is_monotone() {
-        let m = Metrics::new();
-        m.observe_queue_depth(3);
-        m.observe_queue_depth(1);
-        m.observe_queue_depth(7);
-        m.observe_queue_depth(2);
-        assert_eq!(m.snapshot(0, 0).queue_peak, 7);
-    }
+    fn snapshot_derives_totals_from_the_shards() {
+        let sample = |solve_us| StageSample {
+            solve_us,
+            total_us: solve_us + 5,
+            ..StageSample::default()
+        };
+        let (a, b) = (ShardCounters::new(), ShardCounters::new());
+        let (a_books, b_books) = (StageBooks::new(), StageBooks::new());
+        a.solved.fetch_add(3, Ordering::Relaxed);
+        a.cache_hits.fetch_add(2, Ordering::Relaxed);
+        a.cache_misses.fetch_add(1, Ordering::Relaxed);
+        a.queue_peak.fetch_max(7, Ordering::Relaxed);
+        a_books.record(&sample(300));
+        b.solved.fetch_add(1, Ordering::Relaxed);
+        b.overloaded.fetch_add(4, Ordering::Relaxed);
+        b.matched_total.fetch_add(9, Ordering::Relaxed);
+        b.queue_peak.fetch_max(2, Ordering::Relaxed);
+        b_books.record(&sample(70_000));
+        b_books.record(&sample(50));
+        let mut shards = [a.snapshot(0, 1, 5), b.snapshot(1, 2, 0)];
+        let plain = Metrics::new().snapshot(&shards);
+        assert_eq!(plain.solved, 4);
+        assert_eq!(plain.overloaded, 4);
+        assert_eq!(plain.matched_total, 9);
+        assert_eq!((plain.cache_hits, plain.cache_misses), (2, 1));
+        assert!((plain.cache_hit_rate - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((plain.queue_depth, plain.cache_entries), (3, 5));
+        assert_eq!(plain.queue_peak, 7, "peaks aggregate by max");
+        assert_eq!(plain.stages, None, "no shard carried stage books");
 
-    #[test]
-    fn cache_hit_rate_counts_lookups() {
-        let m = Metrics::new();
-        m.incr(&m.cache_hits);
-        m.incr(&m.cache_hits);
-        m.incr(&m.cache_misses);
-        let snap = m.snapshot(0, 0);
-        assert!((snap.cache_hit_rate - 2.0 / 3.0).abs() < 1e-12);
+        // Stage books fold exactly as if recorded into one book.
+        let both = StageBooks::new();
+        for us in [300, 70_000, 50] {
+            both.record(&sample(us));
+        }
+        shards[0].stages = Some(a_books.snapshot());
+        shards[1].stages = Some(b_books.snapshot());
+        let detailed = Metrics::new().snapshot(&shards);
+        assert_eq!(detailed.stages, Some(both.snapshot()));
+        assert_eq!(Metrics::new().snapshot(&[]).queue_peak, 0);
     }
 }

@@ -58,8 +58,9 @@ use crate::metrics::{
     StagesSnapshot,
 };
 use crate::protocol::{
-    kind, BatchBody, BatchItemResult, BatchResult, ErrorInfo, HealthInfo, InstanceSpec,
-    MetricsBody, Op, OverloadInfo, Reply, Request, Response, SolveBody, PROTOCOL_SCHEMA,
+    kind, AnalyzeBody, BatchBody, BatchItemResult, BatchResult, ErrorInfo, HealthInfo,
+    InstanceSpec, MarketCreateBody, MarketDropBody, MarketMutateBody, MetricsBody, Op,
+    OverloadInfo, Reply, Request, ResolveBody, Response, SolveBody, PROTOCOL_SCHEMA,
 };
 use crate::reactor::ReactorConfig;
 use crate::server::{spawn_server, ServerHandle};
@@ -429,25 +430,47 @@ impl Router {
         }
     }
 
-    /// One exchange against backend `idx` with at-most-once pooled
-    /// retry, driving the state machine and the retry counter.
-    fn try_group(&self, idx: usize, payload: &[u8]) -> Result<Vec<u8>, ()> {
-        let backend = &self.backends[idx];
+    /// One exchange against `backend` with at-most-once pooled retry,
+    /// driving the state machine and the retry counter. The exchange
+    /// succeeds when `pick` accepts the reply payload.
+    fn exchange_with<T>(
+        &self,
+        backend: &Backend,
+        payload: &[u8],
+        pick: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
         let mut retried = false;
         let result = backend.exchange(payload, &mut retried);
         if retried {
             self.counters.incr(&self.counters.retried);
         }
-        match result {
-            Ok(raw) => {
-                self.note(backend.record_success());
-                Ok(raw)
-            }
-            Err(_) => {
-                self.note(backend.record_failure());
-                Err(())
-            }
-        }
+        let picked = result.ok().and_then(pick);
+        self.note(match picked {
+            Some(_) => backend.record_success(),
+            None => backend.record_failure(),
+        });
+        picked
+    }
+
+    /// [`exchange_with`](Router::exchange_with) backend `idx`, taking any
+    /// whole reply.
+    fn try_group(&self, idx: usize, payload: &[u8]) -> Option<Vec<u8>> {
+        self.exchange_with(&self.backends[idx], payload, Some)
+    }
+
+    /// A control exchange with `backend`: its reply when it parses in
+    /// the backend codec and `pick` accepts it.
+    fn fetch<T>(
+        &self,
+        backend: &Backend,
+        op: Op,
+        pick: impl FnOnce(Reply) -> Option<T>,
+    ) -> Option<T> {
+        self.exchange_with(backend, &self.control_payload(op), |raw| {
+            codec::parse_response_payload(self.backend_codec, &raw)
+                .ok()
+                .and_then(|response| pick(response.reply))
+        })
     }
 
     /// Forwards a raw `solve`/`analyze` payload, failing over around the
@@ -458,14 +481,14 @@ impl Router {
         let mut failed = vec![false; n];
         while let Some(idx) = self.pick_backend(primary, &failed) {
             match self.try_group(idx, raw) {
-                Ok(reply) => {
+                Some(reply) => {
                     self.counters.incr(&self.counters.routed);
                     if idx != primary {
                         self.counters.incr(&self.counters.failovers);
                     }
                     return self.reframe_reply(reply, id, client);
                 }
-                Err(()) => failed[idx] = true,
+                None => failed[idx] = true,
             }
         }
         self.counters.incr(&self.counters.sheds);
@@ -524,11 +547,11 @@ impl Router {
             if active.len() == 1 && groups[active[0]].len() == total {
                 let idx = active[0];
                 match self.try_group(idx, raw) {
-                    Ok(reply) => {
+                    Some(reply) => {
                         self.count_group(&groups[idx], &primaries, idx);
                         return self.reframe_reply(reply, id, client);
                     }
-                    Err(()) => {
+                    None => {
                         failed[idx] = true;
                         continue; // same pending set, re-pick candidates
                     }
@@ -547,11 +570,11 @@ impl Router {
                     },
                 );
                 match self.try_group(idx, &sub) {
-                    Ok(reply) => {
+                    Some(reply) => {
                         self.count_group(group, &primaries, idx);
                         fill_batch_slots(&mut slots, group, &reply, self.backend_codec);
                     }
-                    Err(()) => {
+                    None => {
                         failed[idx] = true;
                         next_pending.extend_from_slice(group);
                     }
@@ -592,35 +615,21 @@ impl Router {
             shards: 0,
         };
         let mut reached = 0usize;
-        let payload = self.control_payload(Op::Health);
         for backend in &self.backends {
             if backend.state() == BackendState::Down {
                 continue;
             }
-            let mut retried = false;
-            let result = backend.exchange(&payload, &mut retried);
-            if retried {
-                self.counters.incr(&self.counters.retried);
-            }
-            match result.ok().and_then(|raw| {
-                match codec::parse_response_payload(self.backend_codec, &raw) {
-                    Ok(Response {
-                        reply: Reply::Health(h),
-                        ..
-                    }) => Some(h),
-                    _ => None,
-                }
-            }) {
-                Some(h) => {
-                    self.note(backend.record_success());
-                    reached += 1;
-                    info.accepting = info.accepting && h.accepting;
-                    info.workers += h.workers;
-                    info.queue_capacity += h.queue_capacity;
-                    info.queue_depth += h.queue_depth;
-                    info.shards += h.shards;
-                }
-                None => self.note(backend.record_failure()),
+            let health = self.fetch(backend, Op::Health, |reply| match reply {
+                Reply::Health(h) => Some(h),
+                _ => None,
+            });
+            if let Some(h) = health {
+                reached += 1;
+                info.accepting = info.accepting && h.accepting;
+                info.workers += h.workers;
+                info.queue_capacity += h.queue_capacity;
+                info.queue_depth += h.queue_depth;
+                info.shards += h.shards;
             }
         }
         if reached == 0 {
@@ -628,37 +637,6 @@ impl Router {
             info.shards = 1; // keep the single-shard wire shape
         }
         Reply::Health(info)
-    }
-
-    fn fetch_metrics(&self, backend: &Backend, detail: &str) -> Option<MetricsSnapshot> {
-        let mut retried = false;
-        // An empty detail renders the bodyless `metrics` request — the
-        // exact control payload the router always sent, byte for byte.
-        let payload = self.control_payload(Op::Metrics(MetricsBody {
-            detail: detail.to_string(),
-        }));
-        let result = backend.exchange(&payload, &mut retried);
-        if retried {
-            self.counters.incr(&self.counters.retried);
-        }
-        match result.ok().and_then(|raw| {
-            match codec::parse_response_payload(self.backend_codec, &raw) {
-                Ok(Response {
-                    reply: Reply::Metrics(snap),
-                    ..
-                }) => Some(*snap),
-                _ => None,
-            }
-        }) {
-            Some(snap) => {
-                self.note(backend.record_success());
-                Some(snap)
-            }
-            None => {
-                self.note(backend.record_failure());
-                None
-            }
-        }
     }
 
     /// Merges `metrics` across the fleet: counters add, `queue_peak` and
@@ -678,7 +656,7 @@ impl Router {
     fn merged_metrics(&self, detail: &str) -> Reply {
         let with_stages = detail == "stages";
         let router_snap = self.counters.snapshot();
-        let mut merged = Metrics::new().snapshot(0, 0);
+        let mut merged = Metrics::new().snapshot(&[]);
         if with_stages {
             // Present (all-zero) even when no backend is reachable: the
             // client asked for the block, and absorb folds into it.
@@ -692,7 +670,15 @@ impl Router {
             let snap = if backend.state() == BackendState::Down {
                 None
             } else {
-                self.fetch_metrics(backend, detail)
+                // An empty detail renders the bodyless `metrics` request —
+                // the exact control payload the router always sent.
+                let op = Op::Metrics(MetricsBody {
+                    detail: detail.to_string(),
+                });
+                self.fetch(backend, op, |reply| match reply {
+                    Reply::Metrics(snap) => Some(*snap),
+                    _ => None,
+                })
             };
             backends_arr.push(backend_slice(i as u64, backend.state(), snap.as_ref()));
             let Some(snap) = snap else { continue };
@@ -795,6 +781,12 @@ impl FrameHandler for Router {
         }
         self.counters.incr(&self.counters.received);
         let id = request.id;
+        // Data ops are refused once shutdown begins, before any forward
+        // work is built; control ops keep answering drain observers.
+        let control = matches!(request.op, Op::Shutdown | Op::Health | Op::Metrics(_));
+        if !control && !self.is_accepting() {
+            return FrameOutcome::Reply(self.refuse_unavailable(id, client));
+        }
         // The payload forwarded to a backend: the client's bytes
         // verbatim when the codecs match (byte-identity relay), a
         // re-encode otherwise.
@@ -834,28 +826,13 @@ impl FrameHandler for Router {
                     detail: body.detail,
                 }
             }
-            Op::Solve(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
+            Op::Solve(SolveBody { instance, .. }) | Op::Analyze(AnalyzeBody { instance, .. }) => {
                 Work::Forward {
                     raw,
-                    hash: instance_hash(&body.instance),
-                }
-            }
-            Op::Analyze(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
-                Work::Forward {
-                    raw,
-                    hash: instance_hash(&body.instance),
+                    hash: instance_hash(&instance),
                 }
             }
             Op::SolveBatch(batch) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
                 if batch.items.is_empty() {
                     return reply_inline(Reply::SolvedBatch(BatchResult { items: Vec::new() }));
                 }
@@ -867,44 +844,14 @@ impl FrameHandler for Router {
             // Market ops route by the market id's label hash — the same
             // affinity rule the backend's shards use, so one market's
             // lifetime pins to one backend (and one shard within it).
-            Op::MarketCreate(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
-                Work::Forward {
-                    raw,
-                    hash: label_hash(&body.market),
-                }
-            }
-            Op::MarketMutate(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
-                Work::Forward {
-                    raw,
-                    hash: label_hash(&body.market),
-                }
-            }
-            Op::Resolve(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
-                Work::Forward {
-                    raw,
-                    hash: label_hash(&body.market),
-                }
-            }
-            Op::MarketDrop(body) => {
-                if !self.is_accepting() {
-                    return FrameOutcome::Reply(self.refuse_unavailable(id, client));
-                }
-                Work::Forward {
-                    raw,
-                    hash: label_hash(&body.market),
-                }
-            }
+            Op::MarketCreate(MarketCreateBody { market, .. })
+            | Op::MarketMutate(MarketMutateBody { market, .. })
+            | Op::Resolve(ResolveBody { market, .. })
+            | Op::MarketDrop(MarketDropBody { market }) => Work::Forward {
+                raw,
+                hash: label_hash(&market),
+            },
         };
-        let control = matches!(work, Work::Health | Work::Metrics { .. });
         let job = RouterJob::Client {
             token,
             seq,
@@ -1190,11 +1137,17 @@ mod tests {
         assert_eq!(out, "{\"id\":1,\"reply\":\"shutting_down\"}");
         assert!(!router.is_accepting());
         let line = "{\"id\":2,\"op\":\"solve\",\"body\":{\"instance\":{\"Generator\":{\"Regular\":{\"n\":6,\"d\":2,\"seed\":1}}},\"algorithm\":\"gs\",\"eps\":0.5,\"delta\":0.1,\"seed\":1,\"backend\":\"greedy\",\"deadline_ms\":0,\"cycles\":0}}";
-        let out = router.handle_line(line);
-        assert!(
-            out.contains("\"kind\":\"unavailable\"") && out.contains("service is shutting down"),
-            "{out}"
-        );
+        // An empty batch is refused too: the drain check comes first.
+        let empty = "{\"id\":3,\"op\":\"solve_batch\",\"body\":{\"items\":[]}}";
+        for line in [line, empty] {
+            let out = router.handle_line(line);
+            assert!(
+                out.contains("\"kind\":\"unavailable\"")
+                    && out.contains("service is shutting down"),
+                "{out}"
+            );
+        }
+        assert_eq!(router.router_snapshot().errors, 2);
         router.join_work();
     }
 
@@ -1212,7 +1165,7 @@ mod tests {
                        \"message\":\"unknown codec `xml` (expected json or binary)\"}}";
         assert_eq!(replies("xml"), [refusal, refusal]);
         // Negotiation is connection plumbing: neither tier books it.
-        assert_eq!(service.metrics().snapshot(0, 0).received, 0);
+        assert_eq!(service.snapshot(false).received, 0);
         assert_eq!(router.router_snapshot().received, 0);
         service.join();
         router.join_work();

@@ -58,7 +58,9 @@
 use crate::cache::{instance_hash, ResultCache, SolveKey};
 use crate::codec::{self, CodecKind};
 use crate::framing::Frame;
-use crate::metrics::{FlushPending, Metrics, ShardCounters, StageBooks, StageTrace};
+use crate::metrics::{
+    FlushPending, Metrics, MetricsSnapshot, ShardCounters, StageBooks, StageTrace,
+};
 use crate::protocol::{
     kind, Algorithm, AnalyzeBody, AnalyzeResult, BatchItemResult, BatchResult, DeadlineInfo,
     ErrorInfo, HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody, MarketCreatedInfo,
@@ -312,8 +314,7 @@ impl ReplyAddr {
                 solved: timing.solved,
                 encoded: Instant::now(),
             },
-            aggregate: Arc::clone(&service.stages),
-            shard: Arc::clone(&service.shards[shard].stages),
+            books: Arc::clone(&service.shards[shard].stages),
         });
         self.sink.complete(self.token, self.seq, bytes, trace);
     }
@@ -499,8 +500,6 @@ pub struct Service {
     shards: Vec<Shard>,
     pool: Mutex<Option<WorkerPool>>,
     metrics: Arc<Metrics>,
-    /// Service-wide stage books (per-shard books live on each [`Shard`]).
-    stages: Arc<StageBooks>,
     accepting: AtomicBool,
 }
 
@@ -538,7 +537,6 @@ impl Service {
             shards,
             pool: Mutex::new(Some(pool)),
             metrics,
-            stages: Arc::new(StageBooks::new()),
             accepting: AtomicBool::new(true),
         })
     }
@@ -595,30 +593,34 @@ impl Service {
             }
         };
         self.metrics.incr(&self.metrics.metrics);
-        let mut snap = self
-            .metrics
-            .snapshot(self.total_queue_depth(), self.total_cache_entries());
-        if self.shards.len() > 1 {
-            snap.shards = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let mut shard =
-                        s.counters
-                            .snapshot(i as u64, s.queue.len() as u64, s.cache.len() as u64);
-                    if with_stages {
-                        shard.stages = Some(s.stages.snapshot());
-                    }
-                    shard
-                })
-                .collect();
-        }
-        if with_stages {
-            snap.stages = Some(self.stages.snapshot());
+        Reply::Metrics(Box::new(self.snapshot(with_stages)))
+    }
+
+    /// The books a `metrics` reply carries (with each shard's stage books
+    /// when `with_stages`), without counting a `metrics` request. The
+    /// totals are derived from the shard snapshots; the `shards` array is
+    /// attached only when more than one shard runs.
+    pub fn snapshot(&self, with_stages: bool) -> MetricsSnapshot {
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut shard =
+                    s.counters
+                        .snapshot(i as u64, s.queue.len() as u64, s.cache.len() as u64);
+                if with_stages {
+                    shard.stages = Some(s.stages.snapshot());
+                }
+                shard
+            })
+            .collect();
+        let mut snap = self.metrics.snapshot(&shards);
+        if shards.len() > 1 {
+            snap.shards = shards;
         }
         snap.market = self.metrics.market_snapshot(self.total_markets_open());
-        Reply::Metrics(Box::new(snap))
+        snap
     }
 
     fn shutdown_reply(&self) -> Reply {
@@ -699,10 +701,6 @@ impl Service {
         self.shards.iter().map(|s| s.queue.len() as u64).sum()
     }
 
-    fn total_cache_entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache.len() as u64).sum()
-    }
-
     fn total_markets_open(&self) -> u64 {
         self.shards.iter().map(|s| s.registry.len() as u64).sum()
     }
@@ -739,7 +737,6 @@ impl Service {
             }
             Err(PushError::Full(job)) => {
                 job.disarm();
-                self.metrics.incr(&self.metrics.overloaded);
                 self.metrics.incr(&s.counters.overloaded);
                 Some(Reply::Overloaded(self.overload_info(shard)))
             }
@@ -862,10 +859,8 @@ impl Service {
         Reply::SolvedBatch(BatchResult { items: merged })
     }
 
-    /// Records a post-push queue depth in both books (aggregate peak is
-    /// the max over shard observations).
+    /// Raises `shard`'s queue high-water mark to a post-push depth.
     fn observe_depth(&self, shard: usize, depth: usize) {
-        self.metrics.observe_queue_depth(depth as u64);
         self.shards[shard]
             .counters
             .queue_peak
@@ -877,29 +872,22 @@ impl Service {
         OverloadInfo::new(q.capacity() as u64, q.len() as u64)
     }
 
-    /// Attributes a worker-produced reply to the outcome counters —
-    /// aggregate and shard books at the same site, so shard counters sum
-    /// exactly to the totals (the invariant `loadgen` verifies against
-    /// `metrics`).
+    /// Attributes a worker-produced reply to the outcome counters: shard
+    /// outcomes to the shard's books (the totals are their sums), the
+    /// rest to the service-level [`Metrics`].
     fn count_reply(&self, shard: usize, reply: &Reply) {
         let m = &self.metrics;
         let c = &self.shards[shard].counters;
         match reply {
             Reply::Solved(result) => self.count_solved(shard, result),
-            Reply::Analyzed(_) => {
-                m.incr(&m.analyzed);
-                m.incr(&c.analyzed);
-            }
-            Reply::DeadlineExceeded(_) => {
-                m.incr(&m.deadline_exceeded);
-                m.incr(&c.deadline_exceeded);
-            }
-            // Errors are deliberately aggregate-only: malformed frames,
+            Reply::Analyzed(_) => m.incr(&c.analyzed),
+            Reply::DeadlineExceeded(_) => m.incr(&c.deadline_exceeded),
+            // Errors are deliberately service-level: malformed frames,
             // invalid parameters, and shutdown refusals never reach a
             // shard, so a shard `errors` column could not sum to the
-            // aggregate.
+            // total.
             Reply::Error(_) => m.incr(&m.errors),
-            // Market counters are aggregate-only too: one market pins to
+            // Market counters are service-level too: one market pins to
             // one shard, so shard columns would partition by market id.
             Reply::MarketCreated(_) => m.incr(&m.markets_created),
             Reply::MarketMutated(info) => m.add(&m.market_mutations, info.applied),
@@ -928,14 +916,8 @@ impl Service {
         let c = &self.shards[shard].counters;
         match item {
             BatchItemResult::Solved(result) => self.count_solved(shard, result),
-            BatchItemResult::Overloaded(_) => {
-                m.incr(&m.overloaded);
-                m.incr(&c.overloaded);
-            }
-            BatchItemResult::DeadlineExceeded(_) => {
-                m.incr(&m.deadline_exceeded);
-                m.incr(&c.deadline_exceeded);
-            }
+            BatchItemResult::Overloaded(_) => m.incr(&c.overloaded),
+            BatchItemResult::DeadlineExceeded(_) => m.incr(&c.deadline_exceeded),
             BatchItemResult::Error(_) => m.incr(&m.errors),
         }
     }
@@ -943,23 +925,16 @@ impl Service {
     fn count_solved(&self, shard: usize, result: &SolveResult) {
         let m = &self.metrics;
         let c = &self.shards[shard].counters;
-        m.incr(&m.solved);
         m.incr(&c.solved);
-        m.add(&m.rounds_total, result.rounds);
         m.add(&c.rounds_total, result.rounds);
-        m.add(&m.messages_total, result.messages);
         m.add(&c.messages_total, result.messages);
-        m.add(&m.blocking_pairs_total, result.blocking_pairs);
         m.add(&c.blocking_pairs_total, result.blocking_pairs);
-        m.add(&m.matched_total, result.matched);
         m.add(&c.matched_total, result.matched);
-        if result.cached {
-            m.incr(&m.cache_hits);
-            m.incr(&c.cache_hits);
+        m.incr(if result.cached {
+            &c.cache_hits
         } else {
-            m.incr(&m.cache_misses);
-            m.incr(&c.cache_misses);
-        }
+            &c.cache_misses
+        });
     }
 
     /// Whether new solve/analyze jobs are admitted.
@@ -984,11 +959,6 @@ impl Service {
         if let Some(pool) = pool {
             pool.join();
         }
-    }
-
-    /// The live metrics handle (for tests and embedding).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// The service configuration.
@@ -1539,7 +1509,7 @@ mod tests {
         assert!(b.cached);
         assert_eq!(a.matching, b.matching);
         assert_eq!(a.rounds, b.rounds);
-        let snap = service.metrics().snapshot(0, 0);
+        let snap = service.snapshot(false);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
         service.join();
@@ -1558,7 +1528,7 @@ mod tests {
                 other => panic!("expected invalid error, got {other:?}"),
             }
         }
-        assert_eq!(service.metrics().snapshot(0, 0).errors, 3);
+        assert_eq!(service.snapshot(false).errors, 3);
         service.join();
     }
 
@@ -1567,7 +1537,7 @@ mod tests {
         let service = service();
         let out = service.handle_line("{not json");
         assert!(out.starts_with("{\"id\":null,\"reply\":\"error\""), "{out}");
-        let snap = service.metrics().snapshot(0, 0);
+        let snap = service.snapshot(false);
         assert_eq!(snap.malformed, 1);
         assert_eq!(snap.errors, 1);
         service.join();
@@ -1629,7 +1599,7 @@ mod tests {
             Reply::Overloaded(info) => assert_eq!(info.queue_capacity, 0),
             other => panic!("expected overloaded, got {other:?}"),
         }
-        assert_eq!(service.metrics().snapshot(0, 0).overloaded, 1);
+        assert_eq!(service.snapshot(false).overloaded, 1);
         service.join();
     }
 
@@ -1715,7 +1685,7 @@ mod tests {
             .filter(|r| matches!(r, Reply::Error(e) if e.kind == kind::UNAVAILABLE))
             .count();
         assert_eq!(solved + refused, 8, "{replies:?}");
-        let snap = service.metrics().snapshot(0, 0);
+        let snap = service.snapshot(false);
         assert_eq!(snap.solved as usize, solved);
     }
 
@@ -1754,7 +1724,7 @@ mod tests {
         };
         assert!(last.cached, "duplicate item must hit the shard cache");
         assert_eq!(last.matching, first.matching);
-        let snap = service.metrics().snapshot(0, 0);
+        let snap = service.snapshot(false);
         assert_eq!(snap.solved, 3);
         assert_eq!(snap.errors, 1);
         assert_eq!(snap.cache_hits, 1);
@@ -1783,7 +1753,7 @@ mod tests {
             .items
             .iter()
             .all(|i| matches!(i, BatchItemResult::Overloaded(_))));
-        assert_eq!(service.metrics().snapshot(0, 0).overloaded, 3);
+        assert_eq!(service.snapshot(false).overloaded, 3);
         service.join();
     }
 

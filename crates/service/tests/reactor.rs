@@ -143,7 +143,7 @@ fn partial_frames_arriving_byte_at_a_time_are_reassembled() {
     drop(writer);
     drop(reader);
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 2);
     assert_eq!(snapshot.health, 1);
     assert_eq!(snapshot.solved, 1);
@@ -189,7 +189,7 @@ fn pipelined_mixed_frames_answer_in_request_order() {
     drop(writer);
     drop(reader);
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 3);
     assert_eq!(snapshot.solved, 2);
     assert_eq!(snapshot.health, 1);
@@ -235,7 +235,7 @@ fn mid_frame_disconnect_discards_the_partial_frame() {
     drop(writer);
     drop(reader);
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 1, "the partial frame must not count");
     assert_eq!(snapshot.malformed, 0);
     assert_eq!(snapshot.health, 1);
@@ -293,7 +293,7 @@ fn slow_reader_backpressure_bounds_server_buffering() {
     drop(writer);
     drop(reader);
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, FRAMES);
     assert_eq!(snapshot.solved, FRAMES);
     assert_books_reconcile(&snapshot);
@@ -352,7 +352,7 @@ fn abrupt_disconnect_during_drain_still_drains() {
         .expect("wait() hung: drain never completed after the abrupt disconnect");
     assert_eq!(served, 3);
 
-    let snapshot = service.metrics().snapshot(0, 0);
+    let snapshot = service.snapshot(false);
     assert_eq!(snapshot.received, 3);
     assert_eq!(snapshot.solved, 1, "the orphaned solve still completed");
     assert_eq!(snapshot.health, 1);
@@ -444,7 +444,7 @@ fn negotiated_binary_pipeline_answers_in_order_and_reconciles() {
     drop(writer);
     drop(reader);
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     // The hello is connection plumbing: the reactor saw 4 frames, the
     // service books only 3 — negotiation never touches the books.
     assert_eq!(counters.get(&counters.frames), 4);
@@ -485,7 +485,7 @@ fn oversized_binary_length_prefix_drops_the_connection() {
     assert!(counters.get(&counters.resets) > 0);
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 0, "a rejected prefix is not a frame");
     assert_books_reconcile(&snapshot);
     handle.wait();
@@ -521,7 +521,7 @@ fn truncated_binary_frame_at_eof_counts_a_reset() {
     );
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 0, "the truncated frame must not count");
     assert_books_reconcile(&snapshot);
     handle.wait();
@@ -582,7 +582,7 @@ fn pipelined_segment_stage_books_count_only_traced_flushed_replies() {
     );
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_books_reconcile(&snapshot);
     handle.wait();
 }
@@ -632,7 +632,7 @@ fn backpressure_stall_still_books_every_drained_reply() {
     assert_eq!(stages.flush.count, FRAMES);
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.solved, FRAMES);
     assert_books_reconcile(&snapshot);
     handle.wait();
@@ -690,7 +690,7 @@ fn disconnect_faults_never_leave_dangling_stage_rows() {
         counters.get(&counters.discarded_completions) >= 1
     });
     wait_for("doomed solve still counted", &|| {
-        handle.service().metrics().snapshot(0, 0).solved == 2
+        handle.service().snapshot(false).solved == 2
     });
     assert_stage_rows(handle.addr(), 1);
 
@@ -708,7 +708,7 @@ fn disconnect_faults_never_leave_dangling_stage_rows() {
     assert_stage_rows(handle.addr(), 1);
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.solved, 2);
     assert_books_reconcile(&snapshot);
     handle.wait();
@@ -742,7 +742,7 @@ fn oversized_frame_without_newline_drops_the_connection() {
     assert!(counters.get(&counters.resets) > 0);
 
     handle.shutdown();
-    let snapshot = handle.service().metrics().snapshot(0, 0);
+    let snapshot = handle.service().snapshot(false);
     assert_eq!(snapshot.received, 0, "garbage bytes are not frames");
     assert_books_reconcile(&snapshot);
     handle.wait();
@@ -783,7 +783,7 @@ fn deeply_nested_frame_is_malformed_not_a_stack_overflow() {
     // (plus its `error` reply), the next one as `health`.
     let backend = serve("127.0.0.1:0", config(0)).unwrap();
     exchange(backend.addr());
-    let direct = backend.service().metrics().snapshot(0, 0);
+    let direct = backend.service().snapshot(false);
     assert_eq!(
         (
             direct.received,
@@ -812,7 +812,7 @@ fn deeply_nested_frame_is_malformed_not_a_stack_overflow() {
     router.shutdown();
     router.wait();
     backend.shutdown();
-    let snapshot = backend.service().metrics().snapshot(0, 0);
+    let snapshot = backend.service().snapshot(false);
     assert_eq!(snapshot.malformed, 1, "the router answers its deep frame");
     backend.wait();
 }

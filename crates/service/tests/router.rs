@@ -247,6 +247,56 @@ fn pooled_connection_death_retries_exactly_once() {
     router.join_work();
 }
 
+/// A fake backend that answers every request with a `solved` reply cut
+/// off before its newline and then closes: a backend killed mid-write.
+fn truncating_backend() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let mut line = String::new();
+            if BufReader::new(&stream).read_line(&mut line).unwrap_or(0) > 0 {
+                let _ =
+                    (&stream).write_all(b"{\"id\":1,\"reply\":\"solved\",\"body\":{\"matched\":3");
+            }
+        }
+    });
+    addr
+}
+
+/// A reply cut short by EOF is a failed exchange, never a success to
+/// relay: alone, the truncating backend gets the request shed; beside a
+/// healthy backend, the request fails over and gets the real reply.
+#[test]
+fn truncated_backend_reply_fails_over_or_sheds() {
+    let cut = truncating_backend();
+    let router = router_over(&[cut], 3);
+    let out = router.handle_line(&solve_line(1, 7));
+    assert!(
+        out.contains("\"reply\":\"overloaded\"") && out.contains("\"reason\":\"router\""),
+        "{out}"
+    );
+    let snap = router.router_snapshot();
+    assert_eq!((snap.routed, snap.sheds, snap.failovers), (0, 1, 0));
+    assert_eq!(router.backend_states(), vec![BackendState::Suspect]);
+    router.join_work();
+
+    let healthy = serve("127.0.0.1:0", backend_config()).unwrap();
+    let direct = Service::start(backend_config());
+    let router = router_over(&[cut, healthy.addr()], 3);
+    // A request whose hash slice belongs to the truncating backend.
+    let seed = (0..).find(|&s| router.route_index(&spec(s)) == 0).unwrap();
+    let line = solve_line(1, seed);
+    assert_eq!(router.handle_line(&line), direct.handle_line(&line));
+    let snap = router.router_snapshot();
+    assert_eq!((snap.routed, snap.sheds, snap.failovers), (1, 0, 1));
+    router.join_work();
+    direct.join();
+    healthy.shutdown();
+    healthy.wait();
+}
+
 // ------------------------------------------------------ probe transitions
 
 /// up → suspect → down under failed probes, and back up when the
@@ -616,7 +666,7 @@ fn json_client_through_binary_backends_is_byte_identical() {
         );
     }
     // Both backends served real (binary-framed) work.
-    let served = |b: &asm_service::ServerHandle| b.service().metrics().snapshot(0, 0).received;
+    let served = |b: &asm_service::ServerHandle| b.service().snapshot(false).received;
     assert!(served(&b0) > 0, "backend 0 idle");
     assert!(served(&b1) > 0, "backend 1 idle");
 

@@ -60,7 +60,7 @@ fn run_workload(shards: usize, specs: &[InstanceSpec]) -> (u64, u64) {
         let out = service.handle_line(&solve_line(i as u64, spec.clone()));
         assert!(out.contains("\"reply\":\"solved\""), "{out}");
     }
-    let snap = service.metrics().snapshot(0, 0);
+    let snap = service.snapshot(false);
     service.join();
     (snap.cache_hits, snap.solved)
 }

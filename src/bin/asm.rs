@@ -125,18 +125,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits `--key value` argument pairs after the subcommand.
-fn parse_flags(args: &[String]) -> CliResult<HashMap<String, String>> {
+/// Splits `--key value` argument pairs after the subcommand. A flag
+/// outside `known` (the ones the subcommand reads), or given twice, is a
+/// usage error.
+fn parse_flags(args: &[String], known: &[&str]) -> CliResult<HashMap<String, String>> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| CliError::usage(format!("expected --flag, got {:?}", args[i])))?;
+        if !known.contains(&key) {
+            return Err(CliError::usage(format!("unknown flag --{key}")));
+        }
         let value = args
             .get(i + 1)
             .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(CliError::usage(format!("--{key} given twice")));
+        }
         i += 2;
     }
     Ok(flags)
@@ -167,16 +174,57 @@ fn run() -> CliResult<()> {
         println!("{USAGE}");
         return Ok(());
     }
-    let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "generate" => generate(&flags),
-        "solve" => solve(&flags),
-        "analyze" => analyze(&flags),
-        "info" => info(&flags),
-        "serve" => serve(&flags),
-        "route" => route(&flags),
-        other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
-    }
+    type Subcommand = fn(&HashMap<String, String>) -> CliResult<()>;
+    let (known, subcommand): (&[&str], Subcommand) = match command.as_str() {
+        "generate" => (
+            &[
+                "family", "n", "d", "p", "alpha", "s", "noise", "seed", "out",
+            ],
+            generate,
+        ),
+        "solve" => (
+            &[
+                "input",
+                "algorithm",
+                "eps",
+                "delta",
+                "seed",
+                "backend",
+                "out",
+            ],
+            solve,
+        ),
+        "analyze" => (&["input", "matching", "eps"], analyze),
+        "info" => (&["input"], info),
+        "serve" => (
+            &[
+                "addr",
+                "workers",
+                "queue-capacity",
+                "cache-capacity",
+                "worker-delay-ms",
+                "shards",
+            ],
+            serve,
+        ),
+        "route" => (
+            &[
+                "addr",
+                "backends",
+                "forwarders",
+                "queue-capacity",
+                "probe-interval-ms",
+                "probe-timeout-ms",
+                "down-after",
+                "connect-timeout-ms",
+                "read-timeout-ms",
+                "backend-codec",
+            ],
+            route,
+        ),
+        other => return Err(CliError::usage(format!("unknown subcommand {other:?}"))),
+    };
+    subcommand(&parse_flags(&args[1..], known)?)
 }
 
 fn load_instance(flags: &HashMap<String, String>) -> CliResult<Instance> {

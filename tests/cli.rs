@@ -272,6 +272,36 @@ fn bad_invocations_fail_with_usage() {
 }
 
 #[test]
+fn unknown_and_repeated_flags_are_usage_errors() {
+    let inst = tmp("flags-inst.json");
+    let out = asm_bin()
+        .args(["generate", "--family", "regular", "--n", "8", "--d", "3"])
+        .args(["--out", inst.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let path = inst.to_str().unwrap();
+    for (args, named) in [
+        // A typo must not silently solve at the default eps.
+        (vec!["solve", "--input", path, "--epss", "0.001"], "--epss"),
+        (vec!["info", "--input", path, "--bogus", "1"], "--bogus"),
+        // A flag another subcommand reads is still unknown here.
+        (vec!["info", "--input", path, "--eps", "0.5"], "--eps"),
+        (vec!["info", "--input", path, "--input", path], "--input"),
+    ] {
+        let out = asm_bin().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(named),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&inst).ok();
+}
+
+#[test]
 fn exit_codes_distinguish_usage_from_input_from_solve() {
     // Usage errors: exit 2.
     for args in [

@@ -26,13 +26,12 @@ use asm_service::{Op, Reply};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--requests N] [--concurrency C]
-               [--connections N] [--seed S] [--families a,b] [--sizes 16,32] [--algorithms asm,gs]
-               [--eps E] [--delta D] [--deadline-ms MS] [--distinct-instances K]
+               [--connections N] [--seed S]
                [--open-rate RPS] [--batch N] [--codec json|binary]
                [--report PATH]
                [--verify-metrics] [--expect-zero-errors] [--shutdown]
                [--expect-backend-spread] [--expect-failover]
-               [--churn] [--markets N] [--mutations N] [--resolve-mode auto|warm|cold]
+               [--churn] [--markets N] [--mutations N]
                [--normalized-report PATH]
 
 --connections N fans N sockets out across the --concurrency threads
@@ -48,14 +47,15 @@ something, failover requires the router's failover counter to be
 positive. Both fetch metrics and audit the router's merged books.
 
 With --churn, loadgen drives the persistent-market tier instead of the
-solve mix: it creates --markets markets over --families/--sizes, sends
---mutations seeded single-op mutation+resolve pairs round-robin across
-them (verifying every resolve against the conformance oracles and a
-local cold solve of the same mutated instance), drops the markets, and
-reports warm vs cold convergence. --verify-metrics reconciles against
-the server's market counters; --report writes the full ChurnReport and
---normalized-report a wall-clock-free view two same-seed runs must
-reproduce byte-identically.";
+solve mix: it creates --markets markets over the mix's families and
+sizes, sends --mutations seeded single-op mutation+resolve pairs
+(resolve mode auto) round-robin across them (verifying every resolve
+against the conformance oracles and a local cold solve of the same
+mutated instance), drops the markets, and reports warm vs cold
+convergence. --verify-metrics reconciles against the server's market
+counters; --report writes the full ChurnReport and --normalized-report
+a wall-clock-free view two same-seed runs must reproduce
+byte-identically.";
 
 struct Args {
     addr: String,
@@ -69,7 +69,6 @@ struct Args {
     churn: bool,
     markets: u64,
     mutations: u64,
-    resolve_mode: String,
     normalized_report: Option<String>,
 }
 
@@ -86,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
         churn: false,
         markets: 4,
         mutations: 1000,
-        resolve_mode: "auto".to_string(),
         normalized_report: None,
     };
     let mut it = std::env::args().skip(1);
@@ -105,23 +103,6 @@ fn parse_args() -> Result<Args, String> {
                 args.mix.connections = parsed(&value("--connections")?, "--connections")?
             }
             "--seed" => args.mix.seed = parsed(&value("--seed")?, "--seed")?,
-            "--families" => args.mix.families = list(&value("--families")?),
-            "--sizes" => {
-                args.mix.sizes = list(&value("--sizes")?)
-                    .iter()
-                    .map(|s| parsed(s, "--sizes"))
-                    .collect::<Result<_, _>>()?
-            }
-            "--algorithms" => args.mix.algorithms = list(&value("--algorithms")?),
-            "--eps" => args.mix.eps = parsed(&value("--eps")?, "--eps")?,
-            "--delta" => args.mix.delta = parsed(&value("--delta")?, "--delta")?,
-            "--deadline-ms" => {
-                args.mix.deadline_ms = parsed(&value("--deadline-ms")?, "--deadline-ms")?
-            }
-            "--distinct-instances" => {
-                args.mix.distinct_instances =
-                    parsed(&value("--distinct-instances")?, "--distinct-instances")?
-            }
             "--open-rate" => {
                 args.mix.open_rate_rps = parsed(&value("--open-rate")?, "--open-rate")?
             }
@@ -138,7 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--churn" => args.churn = true,
             "--markets" => args.markets = parsed(&value("--markets")?, "--markets")?,
             "--mutations" => args.mutations = parsed(&value("--mutations")?, "--mutations")?,
-            "--resolve-mode" => args.resolve_mode = value("--resolve-mode")?,
             "--normalized-report" => args.normalized_report = Some(value("--normalized-report")?),
             "--report" => args.report = Some(value("--report")?),
             "--verify-metrics" => args.verify = true,
@@ -149,9 +129,6 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if args.mix.families.is_empty() || args.mix.sizes.is_empty() || args.mix.algorithms.is_empty() {
-        return Err("families, sizes, and algorithms must be non-empty".to_string());
     }
     if args.churn && args.markets == 0 {
         return Err("--churn needs --markets >= 1".to_string());
@@ -164,14 +141,6 @@ fn parsed<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("flag {flag}: cannot parse `{text}`"))
 }
 
-fn list(text: &str) -> Vec<String> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
 /// Churn mode: drive the persistent-market tier with a seeded mutation
 /// stream and report warm-vs-cold convergence (see `asm_bench::churn`).
 fn run_churn_mode(args: &Args) -> ExitCode {
@@ -182,7 +151,7 @@ fn run_churn_mode(args: &Args) -> ExitCode {
         families: args.mix.families.clone(),
         sizes: args.mix.sizes.clone(),
         eps: args.mix.eps,
-        mode: args.resolve_mode.clone(),
+        mode: "auto".to_string(),
     };
     // Reconciliation is a delta over whatever market activity the
     // server saw before this run, so repeated runs against one

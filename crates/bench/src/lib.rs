@@ -29,8 +29,6 @@
 //! processes, and `scripts/perf_ab.py` gates CI on alternating
 //! parent/change pairs of it. This crate's `loadgen` and `churn` modules
 //! drive the CI smokes and supply perfbench's reconciliation checks.
-//!
-//! Criterion wall-clock benchmarks live in `benches/`.
 
 pub mod churn;
 pub mod exp;
@@ -64,16 +62,28 @@ pub fn render_tables(tables: &[Table], flags: &RunFlags) -> String {
     out
 }
 
+/// The flags [`run_binary`] accepts (see [`RunFlags`]).
+const USAGE: &str = "accepted flags: --quick (-q), --par N, --csv, --markdown, --stable-output, \
+                     --sweep-out PATH, --no-sweep";
+
 /// Entry point shared by all 16 experiment binaries: parses [`RunFlags`]
 /// from the command line, runs `ids` on the deterministic executor,
 /// prints each experiment's tables through a buffered single write, and
-/// emits the `BENCH_sweep.json` report.
+/// emits the `BENCH_sweep.json` report. An unknown or malformed flag
+/// prints an error naming it and exits with status 2 before any
+/// experiment runs.
 ///
 /// # Panics
 ///
 /// Panics if an id is not in the registry or stdout goes away mid-write.
 pub fn run_binary(ids: &[&str]) {
-    let flags = RunFlags::from_env();
+    let flags = match RunFlags::from_env() {
+        Ok(flags) => flags,
+        Err(message) => {
+            eprintln!("error: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let report = run_experiments(ids, &flags);
     if let Some(path) = &flags.sweep_out {
         std::fs::write(path, report.to_json())

@@ -17,8 +17,7 @@ use crate::oracle::{
 };
 use asm_congest::NetStats;
 use asm_core::congest::{
-    almost_regular_asm_congest_with, asm_congest_with, rand_asm_congest_with, CongestRunError,
-    ExecOptions,
+    almost_regular_asm_congest, asm_congest, rand_asm_congest, CongestRunError,
 };
 use asm_core::{
     almost_regular_asm, asm, rand_asm, AlmostRegularParams, AsmConfig, RandAsmParams, RunSummary,
@@ -206,24 +205,6 @@ pub fn diff_summaries(fast: &RunSummary, congest: &RunSummary) -> Vec<String> {
 // it is a cold path (a failure ends the test), so its size is irrelevant.
 #[allow(clippy::result_large_err)]
 pub fn run_case(case: &DiffCase) -> Result<DiffReport, ConformanceFailure> {
-    run_case_with_exec(case, ExecOptions::serial())
-}
-
-/// [`run_case`] with an explicit CONGEST execution mode — the *backend
-/// axis* for the parallel round-stepper: the fast engine is unchanged,
-/// while the CONGEST side steps all nodes of a round across
-/// `exec.workers` threads. Conformance is defined identically, so any
-/// scheduling-dependent behavior in the parallel stepper surfaces as an
-/// ordinary engine mismatch or oracle violation.
-///
-/// # Errors
-///
-/// As for [`run_case`].
-#[allow(clippy::result_large_err)]
-pub fn run_case_with_exec(
-    case: &DiffCase,
-    exec: ExecOptions,
-) -> Result<DiffReport, ConformanceFailure> {
     let inst = case.instance();
     let mut mismatches: Vec<String> = Vec::new();
     let mut violations: Vec<Violation> = Vec::new();
@@ -268,15 +249,15 @@ pub fn run_case_with_exec(
             let config = AsmConfig::new(case.epsilon)
                 .with_seed(case.seed)
                 .with_backend(case.backend);
-            Some(asm_congest_with(&inst, &config, exec))
+            Some(asm_congest(&inst, &config))
         }
         Algorithm::RandAsm => {
             let params = RandAsmParams::new(case.epsilon, case.delta).with_seed(case.seed);
-            Some(rand_asm_congest_with(&inst, &params, exec))
+            Some(rand_asm_congest(&inst, &params))
         }
         Algorithm::AlmostRegular => {
             let params = AlmostRegularParams::new(case.epsilon, case.delta).with_seed(case.seed);
-            Some(almost_regular_asm_congest_with(&inst, &params, exec))
+            Some(almost_regular_asm_congest(&inst, &params))
         }
     };
 

@@ -52,15 +52,11 @@ pub mod replay;
 pub mod shrink;
 
 pub use differential::{
-    diff_summaries, run_case, run_case_with_exec, Algorithm, ConformanceFailure, DiffCase,
-    DiffReport,
+    diff_summaries, run_case, Algorithm, ConformanceFailure, DiffCase, DiffReport,
 };
 pub use mutate::Mutation;
 pub use oracle::{check_congest_run, check_summary, Violation};
-pub use replay::{
-    assert_conforms, assert_conforms_with_exec, emit_failure, load_cases, replay_out_dir,
-    ReplayCase,
-};
+pub use replay::{assert_conforms, emit_failure, load_cases, replay_out_dir, ReplayCase};
 pub use shrink::shrink_case;
 
 use std::path::PathBuf;

@@ -141,21 +141,7 @@ pub fn load_cases(dir: &Path) -> io::Result<Vec<(PathBuf, ReplayCase)>> {
 ///
 /// Panics with the serialized failure when the case does not conform.
 pub fn assert_conforms(case: DiffCase) -> DiffReport {
-    assert_conforms_with_exec(case, asm_core::congest::ExecOptions::serial())
-}
-
-/// [`assert_conforms`] against the parallel CONGEST round-stepper: the
-/// same oracle stack, with the engine stepping each round's nodes across
-/// `exec.workers` threads.
-///
-/// # Panics
-///
-/// As for [`assert_conforms`].
-pub fn assert_conforms_with_exec(
-    case: DiffCase,
-    exec: asm_core::congest::ExecOptions,
-) -> DiffReport {
-    match crate::differential::run_case_with_exec(&case, exec) {
+    match crate::differential::run_case(&case) {
         Ok(report) => report,
         Err(failure) => {
             let where_written = match emit_failure(&failure) {

@@ -44,8 +44,8 @@ pub enum CongestError {
         /// Second endpoint.
         v: NodeId,
     },
-    /// The round budget of [`crate::Network::run_phase`] was exhausted while
-    /// messages were still in flight.
+    /// The round budget of [`crate::Network::run_until_quiescent`] was
+    /// exhausted while messages were still in flight.
     PhaseBudgetExhausted {
         /// The budget that was exceeded.
         budget: u64,

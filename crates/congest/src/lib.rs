@@ -14,12 +14,6 @@
 //!   ([`Topology`]); sending to a non-neighbor is an error;
 //! * complexity is measured in rounds ([`NetStats`]).
 //!
-//! The engine supports *quiescence fast-forwarding* ([`Network::run_phase`])
-//! so that worst-case round schedules with long silent suffixes — pervasive
-//! in the paper's algorithms, whose loop bounds are conservative — can be
-//! simulated in time proportional to the communication that actually
-//! happens, while still reporting the nominal schedule length.
-//!
 //! # Examples
 //!
 //! A protocol is a type implementing [`Process`]; the [`Network`] couples
@@ -84,7 +78,6 @@ mod network;
 mod node;
 mod rng;
 mod stats;
-mod trace;
 
 pub use driver::RoundDriver;
 pub use error::CongestError;
@@ -94,4 +87,3 @@ pub use network::{Network, Process, RoundOutcome};
 pub use node::NodeId;
 pub use rng::SplitRng;
 pub use stats::NetStats;
-pub use trace::{Trace, TraceEvent};

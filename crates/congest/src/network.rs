@@ -1,8 +1,6 @@
 //! The synchronous round engine.
 
-use crate::{
-    CongestError, Envelope, NetStats, NodeId, Outbox, Payload, Topology, Trace, TraceEvent,
-};
+use crate::{CongestError, Envelope, NetStats, NodeId, Outbox, Payload, Topology};
 
 /// A processor participating in a synchronous CONGEST execution.
 ///
@@ -12,12 +10,12 @@ use crate::{
 /// three-stage round structure of Peleg's CONGEST model as used in Section
 /// 2.2 of the paper.
 ///
-/// **Event-driven contract.** For the quiescence fast-forwarding of
-/// [`Network::run_phase`] to be sound, a process may send messages only (a)
+/// **Event-driven contract.** For [`Network::run_until_quiescent`] to stop
+/// soundly at the first silent round, a process may send messages only (a)
 /// in the round a *phase* begins (the driver flips phase state between
-/// `run_phase` calls), or (b) in reaction to messages received. Under this
-/// contract a globally silent round implies silence until the next phase
-/// boundary, so skipping the rest of the phase cannot change any state.
+/// runs), or (b) in reaction to messages received. Under this contract a
+/// globally silent round implies silence until the next phase boundary, so
+/// stopping there cannot change any state.
 pub trait Process {
     /// Message type exchanged by this protocol.
     type Msg: Payload;
@@ -96,12 +94,6 @@ pub struct Network<P: Process> {
     in_flight: u64,
     stats: NetStats,
     bit_budget: Option<usize>,
-    trace: Option<Trace>,
-    /// `stats.messages` at the moment tracing was enabled, so the trace's
-    /// [`Trace::total_recorded`] can be reconciled against the delivery
-    /// counter even when tracing starts mid-run.
-    trace_baseline: u64,
-    parallelism: usize,
 }
 
 impl<P: Process> Network<P> {
@@ -126,24 +118,7 @@ impl<P: Process> Network<P> {
             in_flight: 0,
             stats: NetStats::default(),
             bit_budget: None,
-            trace: None,
-            trace_baseline: 0,
-            parallelism: 1,
         })
-    }
-
-    /// Sets the worker count [`Network::step_par`] uses (clamped to
-    /// ≥ 1; 1 means fully serial). Purely an execution knob: the
-    /// simulated protocol, its statistics, and its trace are identical
-    /// for every value.
-    pub fn set_parallelism(&mut self, workers: usize) -> &mut Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Enforces the CONGEST per-message budget: any payload whose
@@ -155,18 +130,6 @@ impl<P: Process> Network<P> {
         self
     }
 
-    /// Enables tracing of the most recent `capacity` message deliveries.
-    pub fn set_trace_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.trace = Some(Trace::with_capacity(capacity));
-        self.trace_baseline = self.stats.messages;
-        self
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -175,11 +138,6 @@ impl<P: Process> Network<P> {
     /// Cumulative execution statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Number of messages currently in flight (sent, not yet delivered).
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
     }
 
     /// Immutable access to the process at `id`.
@@ -218,7 +176,13 @@ impl<P: Process> Network<P> {
     ///
     /// Fails if a process sends to a non-neighbor or exceeds the bit budget.
     pub fn step(&mut self) -> Result<RoundOutcome, CongestError> {
-        let delivered = self.begin_round();
+        let delivered = self.in_flight;
+        self.stats.messages += delivered;
+        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(delivered);
+        for env in self.inboxes.iter().flatten() {
+            self.stats.bits += env.payload.bits() as u64;
+            self.stats.max_message_bits = self.stats.max_message_bits.max(env.payload.bits());
+        }
 
         // Stage 1+2+3 per node: receive, compute, send. Sends are buffered
         // into `staged` so no node sees a message sent this same round.
@@ -230,113 +194,6 @@ impl<P: Process> Network<P> {
             staged.extend(outbox.into_queued());
         }
 
-        self.finish_round(staged, delivered)
-    }
-
-    /// Simulates one synchronous round with node computation fanned out
-    /// over the worker count set by [`Network::set_parallelism`].
-    ///
-    /// Nodes hold disjoint state, so within a round they may step in any
-    /// order; the round boundary is the only synchronization point the
-    /// CONGEST model has. To keep the execution bit-identical to
-    /// [`Network::step`], each node's outgoing messages are collected
-    /// into a per-node slot and merged **in node-id order** — exactly
-    /// the order the serial loop produces — before delivery. Delivery
-    /// accounting (trace, bit statistics) also happens in node-id order,
-    /// on the calling thread.
-    ///
-    /// With parallelism 1 this *is* [`Network::step`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::step`].
-    pub fn step_par(&mut self) -> Result<RoundOutcome, CongestError>
-    where
-        P: Send,
-        P::Msg: Send,
-    {
-        if self.parallelism <= 1 {
-            return self.step();
-        }
-        let delivered = self.begin_round();
-
-        let n = self.procs.len();
-        let workers = self.parallelism.min(n.max(1));
-        let chunk = n.div_ceil(workers);
-        // One outbox slot per node, filled by whichever worker owns the
-        // node's contiguous chunk; merged below in node order.
-        let mut slots: Vec<Vec<Envelope<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-        std::thread::scope(|scope| {
-            let proc_chunks = self.procs.chunks_mut(chunk);
-            let inbox_chunks = self.inboxes.chunks_mut(chunk);
-            let slot_chunks = slots.chunks_mut(chunk);
-            for (ci, ((procs, inboxes), out)) in
-                proc_chunks.zip(inbox_chunks).zip(slot_chunks).enumerate()
-            {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    for (off, (proc_, inbox_slot)) in
-                        procs.iter_mut().zip(inboxes.iter_mut()).enumerate()
-                    {
-                        let inbox = std::mem::take(inbox_slot);
-                        let mut outbox = Outbox::new(NodeId::new((base + off) as u32));
-                        proc_.on_round(&inbox, &mut outbox);
-                        out[off] = outbox.into_queued();
-                    }
-                });
-            }
-        });
-
-        let mut staged: Vec<Envelope<P::Msg>> = Vec::new();
-        for slot in slots {
-            staged.extend(slot);
-        }
-        self.finish_round(staged, delivered)
-    }
-
-    /// Delivery accounting at the top of a round: message counters,
-    /// per-payload bit statistics, and the trace, all in node-id order.
-    fn begin_round(&mut self) -> u64 {
-        let round = self.stats.rounds;
-        let delivered = self.in_flight;
-        self.stats.messages += delivered;
-        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(delivered);
-        for inbox in &self.inboxes {
-            if let Some(trace) = self.trace.as_mut() {
-                for env in inbox {
-                    trace.record(TraceEvent {
-                        round,
-                        src: env.src,
-                        dst: env.dst,
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-            }
-            for env in inbox {
-                self.stats.bits += env.payload.bits() as u64;
-                self.stats.max_message_bits = self.stats.max_message_bits.max(env.payload.bits());
-            }
-        }
-        if let Some(trace) = self.trace.as_ref() {
-            // Every delivery since tracing began must have been recorded
-            // exactly once; the in-flight counter and the trace are
-            // independent books over the same deliveries.
-            debug_assert_eq!(
-                trace.total_recorded(),
-                self.stats.messages - self.trace_baseline,
-                "trace records diverged from delivery accounting"
-            );
-        }
-        delivered
-    }
-
-    /// Validates and enqueues the round's staged messages for delivery
-    /// next round.
-    fn finish_round(
-        &mut self,
-        staged: Vec<Envelope<P::Msg>>,
-        delivered: u64,
-    ) -> Result<RoundOutcome, CongestError> {
         let sent = staged.len() as u64;
         for env in staged {
             if !self.topo.has_edge(env.src, env.dst) {
@@ -362,44 +219,7 @@ impl<P: Process> Network<P> {
         Ok(RoundOutcome { delivered, sent })
     }
 
-    /// Runs one protocol *phase* with a nominal round budget.
-    ///
-    /// Executes rounds until the network goes silent (a round that neither
-    /// delivered nor sent any message), then credits the unused remainder of
-    /// `budget` to [`NetStats::silent_rounds_skipped`]. Under the
-    /// event-driven contract on [`Process`] this is observationally
-    /// equivalent to simulating all `budget` rounds.
-    ///
-    /// Returns the number of rounds actually simulated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CongestError::PhaseBudgetExhausted`] if messages are still
-    /// in flight after `budget` rounds, and propagates validation errors
-    /// from [`Network::step`].
-    pub fn run_phase(&mut self, budget: u64) -> Result<u64, CongestError> {
-        let mut used = 0;
-        while used < budget {
-            let outcome = self.step()?;
-            used += 1;
-            if !outcome.active() {
-                // This round was itself silent; don't bill it.
-                used -= 1;
-                self.stats.rounds -= 1;
-                break;
-            }
-            if outcome.sent == 0 {
-                break; // Delivered the last in-flight messages; now silent.
-            }
-        }
-        if self.in_flight > 0 {
-            return Err(CongestError::PhaseBudgetExhausted { budget });
-        }
-        self.stats.silent_rounds_skipped += budget - used;
-        Ok(used)
-    }
-
-    /// Runs until a fully silent round, without crediting skipped rounds.
+    /// Runs until a fully silent round.
     ///
     /// Returns the number of active rounds simulated.
     ///
@@ -499,21 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn run_phase_credits_skipped_rounds() {
-        let mut net = echo_net(2, vec![(0, 1)], &[(0, 1)]);
-        let used = net.run_phase(50).unwrap();
-        assert!(used < 50);
-        assert_eq!(net.stats().nominal_rounds(), 50);
-        // A second phase with nothing to do costs zero simulated rounds.
-        let used2 = net.run_phase(10).unwrap();
-        assert_eq!(used2, 0);
-        assert_eq!(net.stats().nominal_rounds(), 60);
-    }
-
-    #[test]
     fn phase_budget_exhaustion_is_detected() {
         let mut net = echo_net(2, vec![(0, 1)], &[(0, 1_000_000)]);
-        let err = net.run_phase(3).unwrap_err();
+        let err = net.run_until_quiescent(3).unwrap_err();
         assert!(matches!(
             err,
             CongestError::PhaseBudgetExhausted { budget: 3 }
@@ -554,23 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_deliveries() {
-        let mut net = echo_net(2, vec![(0, 1)], &[(0, 1)]);
-        net.set_trace_capacity(16);
-        net.run_until_quiescent(10).unwrap();
-        let trace = net.trace().unwrap();
-        assert_eq!(trace.events().len(), 2);
-        assert!(trace.events()[0].payload.contains("Num"));
-    }
-
-    #[test]
-    fn round_outcomes_reconcile_with_trace_totals() {
+    fn round_outcomes_reconcile_with_delivery_totals() {
         // Book 1: per-round `RoundOutcome::{delivered,sent}`.
-        // Book 2: the trace, which records each delivery exactly once.
-        // Book 3: `NetStats::messages`. All three must agree, and each
-        // round's `sent` must come back as the next round's `delivered`.
+        // Book 2: `NetStats::messages`. Both must agree, and each round's
+        // `sent` must come back as the next round's `delivered`.
         let mut net = echo_net(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)], &[(0, 3), (2, 2)]);
-        net.set_trace_capacity(1024);
         let mut outcomes = Vec::new();
         loop {
             let outcome = net.step().unwrap();
@@ -582,46 +378,12 @@ mod tests {
         let delivered_total: u64 = outcomes.iter().map(|o| o.delivered).sum();
         let sent_total: u64 = outcomes.iter().map(|o| o.sent).sum();
         assert_eq!(delivered_total, net.stats().messages);
-        assert_eq!(net.trace().unwrap().total_recorded(), delivered_total);
         // Everything sent was eventually delivered (the run drained).
         assert_eq!(sent_total, delivered_total);
         // One-round delay: round r's sends are round r+1's deliveries.
         for pair in outcomes.windows(2) {
             assert_eq!(pair[0].sent, pair[1].delivered);
         }
-    }
-
-    #[test]
-    fn trace_enabled_mid_run_reconciles_from_its_baseline() {
-        let mut net = echo_net(2, vec![(0, 1)], &[(0, 4)]);
-        net.step().unwrap(); // round 0: send
-        net.step().unwrap(); // round 1: first delivery (pre-trace)
-        let pre = net.stats().messages;
-        assert!(pre > 0, "some deliveries happened before tracing started");
-        net.set_trace_capacity(8);
-        let mut post = 0;
-        loop {
-            let outcome = net.step().unwrap();
-            post += outcome.delivered;
-            if !outcome.active() {
-                break;
-            }
-        }
-        assert_eq!(net.trace().unwrap().total_recorded(), post);
-        assert_eq!(net.stats().messages, pre + post);
-    }
-
-    #[test]
-    fn trace_reconciliation_survives_eviction() {
-        // Capacity 1 forces eviction on nearly every delivery; the
-        // reconciliation uses total_recorded (events + dropped), which
-        // must keep matching the delivery counter regardless.
-        let mut net = echo_net(2, vec![(0, 1)], &[(0, 6)]);
-        net.set_trace_capacity(1);
-        while net.step().unwrap().active() {}
-        let trace = net.trace().unwrap();
-        assert!(trace.dropped() > 0);
-        assert_eq!(trace.total_recorded(), net.stats().messages);
     }
 
     #[test]
@@ -645,61 +407,5 @@ mod tests {
     fn unused_id_field_is_set() {
         let net = echo_net(2, vec![(0, 1)], &[]);
         assert_eq!(net.node(NodeId::new(1)).id, NodeId::new(1));
-    }
-
-    /// Runs the same echo protocol serially and with `workers` threads;
-    /// every statistic, trace event, and final node state must agree.
-    fn assert_par_equivalent(workers: usize) {
-        let n = 12;
-        let edges: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| vec![(i, (i + 1) % n as u32), (i, (i + 3) % n as u32)])
-            .filter(|(a, b)| a != b)
-            .collect();
-        let initial: Vec<(u32, u64)> = (0..n as u32).map(|i| (i, u64::from(i) % 5)).collect();
-
-        let mut serial = echo_net(n, edges.clone(), &initial);
-        serial.set_trace_capacity(1024);
-        while serial.step().unwrap().active() {}
-
-        let mut par = echo_net(n, edges, &initial);
-        par.set_trace_capacity(1024);
-        par.set_parallelism(workers);
-        while par.step_par().unwrap().active() {}
-
-        assert_eq!(serial.stats(), par.stats(), "workers = {workers}");
-        assert_eq!(
-            serial.trace().unwrap().events(),
-            par.trace().unwrap().events(),
-            "workers = {workers}"
-        );
-        for i in 0..n {
-            let id = NodeId::new(i as u32);
-            assert_eq!(serial.node(id).received, par.node(id).received);
-        }
-    }
-
-    #[test]
-    fn step_par_is_bit_identical_to_step() {
-        for workers in [1, 2, 3, 8, 64] {
-            assert_par_equivalent(workers);
-        }
-    }
-
-    #[test]
-    fn parallelism_clamps_to_one() {
-        let mut net = echo_net(2, vec![(0, 1)], &[]);
-        net.set_parallelism(0);
-        assert_eq!(net.parallelism(), 1);
-        net.set_parallelism(7);
-        assert_eq!(net.parallelism(), 7);
-    }
-
-    #[test]
-    fn step_par_validates_like_step() {
-        let mut net = echo_net(2, vec![(0, 1)], &[(0, u64::MAX)]);
-        net.set_bit_budget(16);
-        net.set_parallelism(4);
-        let err = net.step_par().unwrap_err();
-        assert!(matches!(err, CongestError::MessageTooLarge { .. }));
     }
 }

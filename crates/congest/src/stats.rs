@@ -4,19 +4,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cumulative statistics for a simulated network execution.
-///
-/// `rounds` counts every synchronous communication round that was actually
-/// simulated. `silent_rounds_skipped` counts rounds the simulator
-/// fast-forwarded because no message was in flight and (by the event-driven
-/// protocol contract, see [`crate::Network::run_phase`]) none could be sent
-/// before the next phase boundary; `rounds + silent_rounds_skipped` is the
-/// *nominal* schedule length a worst-case deployment would use.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Rounds actually simulated (at least one node stepped).
     pub rounds: u64,
-    /// Rounds skipped by quiescence fast-forwarding.
-    pub silent_rounds_skipped: u64,
     /// Total messages delivered.
     pub messages: u64,
     /// Total payload bits delivered.
@@ -27,36 +18,12 @@ pub struct NetStats {
     pub max_messages_per_round: u64,
 }
 
-impl NetStats {
-    /// Total rounds of the nominal (non-fast-forwarded) schedule.
-    pub fn nominal_rounds(&self) -> u64 {
-        self.rounds + self.silent_rounds_skipped
-    }
-
-    /// Merges another run's statistics into this one (round counts add,
-    /// maxima take the max).
-    pub fn absorb(&mut self, other: &NetStats) {
-        self.rounds += other.rounds;
-        self.silent_rounds_skipped += other.silent_rounds_skipped;
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.max_messages_per_round = self
-            .max_messages_per_round
-            .max(other.max_messages_per_round);
-    }
-}
-
 impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} rounds ({} nominal), {} msgs, {} bits, max msg {} bits",
-            self.rounds,
-            self.nominal_rounds(),
-            self.messages,
-            self.bits,
-            self.max_message_bits
+            "{} rounds, {} msgs, {} bits, max msg {} bits",
+            self.rounds, self.messages, self.bits, self.max_message_bits
         )
     }
 }
@@ -64,33 +31,6 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_adds_and_maxes() {
-        let mut a = NetStats {
-            rounds: 10,
-            silent_rounds_skipped: 5,
-            messages: 100,
-            bits: 1000,
-            max_message_bits: 16,
-            max_messages_per_round: 30,
-        };
-        let b = NetStats {
-            rounds: 1,
-            silent_rounds_skipped: 2,
-            messages: 3,
-            bits: 4,
-            max_message_bits: 64,
-            max_messages_per_round: 2,
-        };
-        a.absorb(&b);
-        assert_eq!(a.rounds, 11);
-        assert_eq!(a.nominal_rounds(), 18);
-        assert_eq!(a.messages, 103);
-        assert_eq!(a.bits, 1004);
-        assert_eq!(a.max_message_bits, 64);
-        assert_eq!(a.max_messages_per_round, 30);
-    }
 
     #[test]
     fn display_mentions_rounds_and_bits() {

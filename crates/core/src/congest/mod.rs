@@ -117,40 +117,6 @@ impl From<CongestError> for CongestRunError {
     }
 }
 
-/// Execution knobs for the CONGEST engine that do not affect the
-/// simulated protocol.
-///
-/// `workers > 1` steps all nodes of each synchronous round concurrently
-/// via [`asm_congest::Network::step_par`]; the message-merge order is
-/// deterministic (node-id order), so the resulting [`CongestReport`] is
-/// identical for every worker count — the conformance harness asserts
-/// this across 1/2/8 workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Worker threads for the round stepper (clamped to ≥ 1).
-    pub workers: usize,
-}
-
-impl ExecOptions {
-    /// Serial execution (the default).
-    pub fn serial() -> Self {
-        ExecOptions { workers: 1 }
-    }
-
-    /// Parallel execution with the given worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        ExecOptions {
-            workers: workers.max(1),
-        }
-    }
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions::serial()
-    }
-}
-
 /// The per-message payload allowance (in bits) the CONGEST engine
 /// enforces for a network of `num_players` nodes: a constant tag budget
 /// plus one node-id width — `O(log n)`, as the model requires.
@@ -179,21 +145,7 @@ pub fn payload_bit_budget(num_players: usize) -> usize {
 /// charged sequential oracle, not a protocol), or on network-level
 /// protocol violations.
 pub fn asm_congest(inst: &Instance, config: &AsmConfig) -> Result<CongestReport, CongestRunError> {
-    asm_congest_with(inst, config, ExecOptions::serial())
-}
-
-/// [`asm_congest()`] with explicit [`ExecOptions`] (parallel stepping).
-///
-/// # Errors
-///
-/// As for [`asm_congest()`].
-pub fn asm_congest_with(
-    inst: &Instance,
-    config: &AsmConfig,
-    exec: ExecOptions,
-) -> Result<CongestReport, CongestRunError> {
-    let plan = RunPlan::asm(inst, config)?;
-    run_local(inst, &plan, exec)
+    run_local(inst, &RunPlan::asm(inst, config)?)
 }
 
 /// Runs `RandASM` (Theorem 5) on the message-passing engine: the same
@@ -207,21 +159,7 @@ pub fn rand_asm_congest(
     inst: &Instance,
     params: &RandAsmParams,
 ) -> Result<CongestReport, CongestRunError> {
-    rand_asm_congest_with(inst, params, ExecOptions::serial())
-}
-
-/// [`rand_asm_congest()`] with explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// As for [`asm_congest()`].
-pub fn rand_asm_congest_with(
-    inst: &Instance,
-    params: &RandAsmParams,
-    exec: ExecOptions,
-) -> Result<CongestReport, CongestRunError> {
-    let plan = RunPlan::rand_asm(inst, params)?;
-    run_local(inst, &plan, exec)
+    run_local(inst, &RunPlan::rand_asm(inst, params)?)
 }
 
 /// Runs `AlmostRegularASM` (Theorem 6) on the message-passing engine: the
@@ -236,21 +174,7 @@ pub fn almost_regular_asm_congest(
     inst: &Instance,
     params: &AlmostRegularParams,
 ) -> Result<CongestReport, CongestRunError> {
-    almost_regular_asm_congest_with(inst, params, ExecOptions::serial())
-}
-
-/// [`almost_regular_asm_congest()`] with explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// As for [`asm_congest()`].
-pub fn almost_regular_asm_congest_with(
-    inst: &Instance,
-    params: &AlmostRegularParams,
-    exec: ExecOptions,
-) -> Result<CongestReport, CongestRunError> {
-    let plan = RunPlan::almost_regular(inst, params)?;
-    run_local(inst, &plan, exec)
+    run_local(inst, &RunPlan::almost_regular(inst, params)?)
 }
 
 /// A fully resolved execution plan for the CONGEST engine: the validated
@@ -444,18 +368,13 @@ impl LocalDriver {
     /// # Errors
     ///
     /// As for [`congest_backend`], plus network construction failures.
-    pub fn new(
-        inst: &Instance,
-        config: &AsmConfig,
-        exec: ExecOptions,
-    ) -> Result<Self, CongestRunError> {
+    pub fn new(inst: &Instance, config: &AsmConfig) -> Result<Self, CongestRunError> {
         let n = inst.ids().num_players();
         let players = build_players(inst, config, 0..n as u32)?;
         let mut net = Network::new(inst.topology(), players)?;
         // The CONGEST allowance: most payloads are constant-size tags,
         // but the Panconesi–Rizzi colors legitimately carry O(log n) bits.
         net.set_bit_budget(payload_bit_budget(n));
-        net.set_parallelism(exec.workers);
         Ok(LocalDriver { net, last_gate: 0 })
     }
 }
@@ -477,7 +396,7 @@ impl RoundDriver for LocalDriver {
     }
 
     fn step(&mut self) -> Result<(RoundOutcome, AsmSummary), CongestError> {
-        let outcome = self.net.step_par()?;
+        let outcome = self.net.step()?;
         Ok((outcome, summarize_players(self.net.nodes(), self.last_gate)))
     }
 
@@ -490,12 +409,8 @@ impl RoundDriver for LocalDriver {
 }
 
 /// Runs `plan` against the local in-process executor.
-fn run_local(
-    inst: &Instance,
-    plan: &RunPlan,
-    exec: ExecOptions,
-) -> Result<CongestReport, CongestRunError> {
-    let driver = LocalDriver::new(inst, &plan.config, exec)?;
+fn run_local(inst: &Instance, plan: &RunPlan) -> Result<CongestReport, CongestRunError> {
+    let driver = LocalDriver::new(inst, &plan.config)?;
     run_plan_with_driver(inst, plan, driver).map_err(|e| match e {
         DriveError::Setup(e) => e,
         DriveError::MmBudgetExhausted { budget } => {

@@ -16,18 +16,6 @@ use asm_congest::NodeId;
 /// CONGEST rounds per greedy cycle (CAND, MATCHED).
 pub const ROUNDS_PER_CYCLE: u64 = 2;
 
-/// Result of a greedy run with the per-cycle survivor series exposed
-/// (the deterministic counterpart of [`crate::IiRun`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GreedyRun {
-    /// Matching found, rounds consumed, maximality flag.
-    pub outcome: MatchingOutcome,
-    /// `survivors[i]` = active vertices *before* cycle `i`;
-    /// `survivors[0] = |V₀|`, and the final entry (always 0 — the greedy
-    /// runs to maximality) records the count after the last cycle.
-    pub survivors: Vec<usize>,
-}
-
 /// Runs the deterministic greedy matcher to maximality.
 ///
 /// # Examples
@@ -43,14 +31,8 @@ pub struct GreedyRun {
 /// assert!(is_maximal_in(&edges, &out.pairs));
 /// ```
 pub fn det_greedy(edges: &[(NodeId, NodeId)]) -> MatchingOutcome {
-    det_greedy_run(edges).outcome
-}
-
-/// As [`det_greedy`], also returning the per-cycle survivor series.
-pub fn det_greedy_run(edges: &[(NodeId, NodeId)]) -> GreedyRun {
     let mut g = SubGraph::from_edges(edges);
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut survivors = vec![g.num_vertices()];
     let mut cycles: u64 = 0;
     while !g.is_empty() {
         cycles += 1;
@@ -70,17 +52,13 @@ pub fn det_greedy_run(edges: &[(NodeId, NodeId)]) -> GreedyRun {
         pairs.extend(matched.iter().copied());
         let removed: Vec<NodeId> = matched.iter().flat_map(|&(a, b)| [a, b]).collect();
         g.remove_vertices(&removed);
-        survivors.push(g.num_vertices());
     }
     pairs.sort_unstable();
-    GreedyRun {
-        outcome: MatchingOutcome {
-            pairs,
-            rounds: cycles * ROUNDS_PER_CYCLE,
-            iterations: cycles,
-            maximal: true,
-        },
-        survivors,
+    MatchingOutcome {
+        pairs,
+        rounds: cycles * ROUNDS_PER_CYCLE,
+        iterations: cycles,
+        maximal: true,
     }
 }
 

@@ -50,7 +50,7 @@ mod subgraph;
 pub use amm::{amm, iterations_for_amm, violator_fraction};
 pub use backend::MatcherBackend;
 pub use bipartite::{bipartite_proposal, ROUNDS_PER_PROPOSAL_CYCLE};
-pub use det_greedy::{det_greedy, det_greedy_run, GreedyRun, ROUNDS_PER_CYCLE};
+pub use det_greedy::{det_greedy, ROUNDS_PER_CYCLE};
 pub use hkp_oracle::{hkp_charged_rounds, hkp_oracle};
 pub use israeli_itai::{
     israeli_itai, iterations_for_maximal, matching_round, IiRun, ROUNDS_PER_MATCHING_ROUND,

@@ -41,15 +41,22 @@ impl Default for RunFlags {
 impl RunFlags {
     /// Parses the process arguments ([`std::env::args`], program name
     /// included).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As for [`RunFlags::parse`].
+    pub fn from_env() -> Result<Self, String> {
         Self::parse(std::env::args().skip(1))
     }
 
     /// Parses an explicit argument list (no program name).
     ///
-    /// Unknown flags are ignored (individual binaries may add their
-    /// own), and a malformed `--par` value falls back to 1.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// # Errors
+    ///
+    /// A message naming the flag, when a flag is unknown, when `--par` or
+    /// `--sweep-out` has no value, or when `--par`'s value is not a
+    /// non-negative integer.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut flags = RunFlags::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -60,22 +67,21 @@ impl RunFlags {
                 "--stable-output" => flags.stable_output = true,
                 "--no-sweep" => flags.sweep_out = None,
                 "--par" => {
-                    let requested = args.next().and_then(|v| v.parse::<usize>().ok());
-                    flags.par = match requested {
-                        Some(0) => crate::Executor::available(),
-                        Some(n) => n,
-                        None => 1,
+                    let value = args.next().ok_or("flag --par requires a value")?;
+                    flags.par = match value.parse::<usize>() {
+                        Ok(0) => crate::Executor::available(),
+                        Ok(n) => n,
+                        Err(_) => return Err(format!("flag --par: cannot parse `{value}`")),
                     };
                 }
                 "--sweep-out" => {
-                    if let Some(path) = args.next() {
-                        flags.sweep_out = Some(path);
-                    }
+                    let path = args.next().ok_or("flag --sweep-out requires a value")?;
+                    flags.sweep_out = Some(path);
                 }
-                _ => {}
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        flags
+        Ok(flags)
     }
 
     /// Builds the executor this run asked for.
@@ -89,6 +95,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> RunFlags {
+        try_parse(args).expect("flags parse")
+    }
+
+    fn try_parse(args: &[&str]) -> Result<RunFlags, String> {
         RunFlags::parse(args.iter().map(|s| s.to_string()))
     }
 
@@ -122,9 +132,19 @@ mod tests {
     }
 
     #[test]
-    fn malformed_par_falls_back_to_serial() {
-        assert_eq!(parse(&["--par", "lots"]).par, 1);
-        assert_eq!(parse(&["--par"]).par, 1);
+    fn malformed_or_missing_values_are_errors() {
+        assert_eq!(
+            try_parse(&["--par", "lots"]).unwrap_err(),
+            "flag --par: cannot parse `lots`"
+        );
+        assert_eq!(
+            try_parse(&["--par"]).unwrap_err(),
+            "flag --par requires a value"
+        );
+        assert_eq!(
+            try_parse(&["--sweep-out"]).unwrap_err(),
+            "flag --sweep-out requires a value"
+        );
     }
 
     #[test]
@@ -133,7 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        assert!(parse(&["--frobnicate", "-q"]).quick);
+    fn unknown_flags_are_errors() {
+        assert_eq!(
+            try_parse(&["-q", "--frobnicate"]).unwrap_err(),
+            "unknown flag --frobnicate"
+        );
     }
 }

@@ -125,41 +125,17 @@ impl<T> JobQueue<T> {
     }
 }
 
-/// A fixed set of OS threads draining one [`JobQueue`].
+/// A fixed set of OS threads draining one or more [`JobQueue`]s.
 ///
-/// Each worker loops `queue.pop()` and hands every job to the shared
-/// handler (called as `handler(worker_index, job)`). Workers exit when
-/// `pop` returns `None` — i.e. after [`JobQueue::close`] once the queue is
-/// drained — so [`join`](WorkerPool::join) *is* graceful shutdown.
+/// Each worker loops `queue.pop()` on its shard's queue and hands every
+/// job to the shared handler. Workers exit when `pop` returns `None` —
+/// i.e. after [`JobQueue::close`] once the queue is drained — so
+/// [`join`](WorkerPool::join) *is* graceful shutdown.
 pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (clamped to ≥ 1) draining `queue`.
-    pub fn spawn<T, F>(workers: usize, queue: &Arc<JobQueue<T>>, handler: F) -> Self
-    where
-        T: Send + 'static,
-        F: Fn(usize, T) + Send + Sync + 'static,
-    {
-        let handler = Arc::new(handler);
-        let handles = (0..workers.max(1))
-            .map(|index| {
-                let queue = Arc::clone(queue);
-                let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("asm-worker-{index}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            handler(index, job);
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        WorkerPool { handles }
-    }
-
     /// Spawns workers partitioned across `queues`, one shard per queue.
     ///
     /// `workers` is the *total* thread budget; every shard is guaranteed
@@ -272,7 +248,7 @@ mod tests {
         let sum = Arc::new(AtomicU64::new(0));
         let pool = {
             let (done, sum) = (Arc::clone(&done), Arc::clone(&sum));
-            WorkerPool::spawn(4, &q, move |_, job: u64| {
+            WorkerPool::spawn_sharded(4, &[Arc::clone(&q)], move |_, _, job: u64| {
                 sum.fetch_add(job, Ordering::Relaxed);
                 done.fetch_add(1, Ordering::Relaxed);
             })
@@ -337,7 +313,7 @@ mod tests {
     #[test]
     fn close_wakes_blocked_workers() {
         let q: Arc<JobQueue<u8>> = JobQueue::new(4);
-        let pool = WorkerPool::spawn(2, &q, |_, _| {});
+        let pool = WorkerPool::spawn_sharded(2, &[Arc::clone(&q)], |_, _, _| {});
         q.close();
         pool.join(); // must return, not hang
     }
@@ -345,7 +321,7 @@ mod tests {
     #[test]
     fn worker_count_clamps_to_one() {
         let q: Arc<JobQueue<u8>> = JobQueue::new(1);
-        let pool = WorkerPool::spawn(0, &q, |_, _| {});
+        let pool = WorkerPool::spawn_sharded(0, &[Arc::clone(&q)], |_, _, _| {});
         assert_eq!(pool.workers(), 1);
         q.close();
         pool.join();

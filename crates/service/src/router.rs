@@ -250,10 +250,10 @@ impl Router {
             prober_stop: Arc::new(AtomicBool::new(false)),
         });
         let weak = Arc::downgrade(&router);
-        let pool = WorkerPool::spawn(
-            config.forwarders.max(1),
-            &queue,
-            move |_worker, job: RouterJob| {
+        let pool = WorkerPool::spawn_sharded(
+            config.forwarders,
+            &[queue],
+            move |_shard, _worker, job: RouterJob| {
                 if let Some(router) = weak.upgrade() {
                     router.run_job(job);
                 }

@@ -12,26 +12,23 @@
 //! ```text
 //! cargo run --release -p asm-bench --bin dist_sweep -- \
 //!     --procs 1,2,4,8 --n 48 --seed 1 --eps 1.0 \
-//!     [--families regular,zipf] [--node-bin PATH] [--sweep-out PATH]
+//!     [--families regular,zipf] [--node-bin PATH]
 //! ```
 //!
-//! Each cell's experiment id carries its process count
-//! (`dist_sweep/4procs`). Exit codes: 0 success, 1 a run failed or
-//! diverged, 2 usage error.
+//! It prints one table row per (family, process count). Exit codes: 0
+//! success, 1 a run failed or diverged, 2 usage error.
 
 use asm_core::congest::{asm_congest, RunPlan};
 use asm_core::AsmConfig;
 use asm_distributed::{run_distributed, sibling_node_bin, DistOptions};
 use asm_instance::generators::GeneratorConfig;
 use asm_maximal::MatcherBackend;
-use asm_runtime::{derive_seed, SweepCell, SweepReport};
+use asm_runtime::derive_seed;
 use std::process::ExitCode;
 use std::time::Instant;
 
-const ID: &str = "dist_sweep";
-
 const USAGE: &str = "usage: dist_sweep [--procs 1,2,4,8] [--n N] [--seed S] [--eps E]
-                  [--families a,b] [--node-bin PATH] [--sweep-out PATH]";
+                  [--families a,b] [--node-bin PATH]";
 
 struct Args {
     procs: Vec<usize>,
@@ -40,7 +37,6 @@ struct Args {
     eps: f64,
     families: Vec<String>,
     node_bin: Option<String>,
-    sweep_out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -51,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         eps: 1.0,
         families: vec!["regular".to_string(), "zipf".to_string()],
         node_bin: None,
-        sweep_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -81,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
                     .collect()
             }
             "--node-bin" => args.node_bin = Some(value("--node-bin")?),
-            "--sweep-out" => args.sweep_out = Some(value("--sweep-out")?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -109,8 +103,6 @@ fn main() -> ExitCode {
         .map(Into::into)
         .unwrap_or_else(sibling_node_bin);
 
-    let mut report = SweepReport::new(1, false);
-    let started = Instant::now();
     println!("family | n | procs | wall_ms | rounds | messages");
     for family in &args.families {
         let cell_seed = derive_seed(args.seed, &[args.n as u64]);
@@ -155,26 +147,11 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::from(1);
             }
-            let id = format!("{ID}/{procs}procs");
-            let mut cell = SweepCell::new(&id, family, args.n, args.eps, cell_seed);
-            cell.wall_ms = wall_ms;
-            cell.rounds = run.report.stats.rounds;
-            cell.messages = run.report.stats.messages;
             println!(
                 "{family} | {} | {procs} | {wall_ms:.1} | {} | {}",
                 args.n, run.report.stats.rounds, run.report.stats.messages
             );
-            report.cells.push(cell);
         }
-    }
-    report.total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    if let Some(path) = &args.sweep_out {
-        if let Err(err) = std::fs::write(path, report.to_json()) {
-            eprintln!("dist_sweep: cannot write sweep report {path}: {err}");
-            return ExitCode::from(1);
-        }
-        println!("dist_sweep: wrote {} cells to {path}", report.cells.len());
     }
     ExitCode::SUCCESS
 }

@@ -1,6 +1,6 @@
-//! Prints the f7_correlation experiment tables (see DESIGN.md §5) and writes
-//! its `BENCH_sweep.json`; accepts the shared sweep flags (`--quick`,
-//! `--par N`, `--csv`, `--markdown`, `--stable-output`, `--no-sweep`).
+//! Prints the f7_correlation experiment tables (see DESIGN.md §5); accepts the
+//! shared sweep flags (`--quick`, `--par N`, `--csv` or `--markdown`,
+//! `--stable-output`).
 fn main() {
     asm_bench::run_binary(&["f7_correlation"]);
 }

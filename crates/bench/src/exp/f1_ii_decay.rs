@@ -7,7 +7,6 @@ use super::ExpCtx;
 use crate::{f4, Table};
 use asm_congest::{NodeId, SplitRng};
 use asm_maximal::israeli_itai;
-use asm_runtime::SweepCell;
 
 const ID: &str = "f1_ii_decay";
 
@@ -27,7 +26,6 @@ fn random_bipartite(n: u32, d: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
 pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let n: u32 = if ctx.quick { 200 } else { 2000 };
     let trials: u64 = if ctx.quick { 5 } else { 20 };
-    let mut cells = Vec::new();
 
     let mut series = Table::new(
         "F1a: Israeli-Itai survivor series |V_i| (one seed, d = 4)",
@@ -35,8 +33,7 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     );
     let series_seed = ctx.seed(ID, "series", &[n as u64]);
     let edges = random_bipartite(n, 4, series_seed);
-    let (run, wall_ms) =
-        ExpCtx::time(|| israeli_itai(&edges, 10_000, &SplitRng::new(series_seed), 0));
+    let run = israeli_itai(&edges, 10_000, &SplitRng::new(series_seed), 0);
     for (i, w) in run.survivors.windows(2).enumerate() {
         series.row(vec![
             (i + 1).to_string(),
@@ -48,10 +45,6 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             },
         ]);
     }
-    let mut series_cell = SweepCell::new(ID, "series", n as usize, 1.0, series_seed);
-    series_cell.wall_ms = wall_ms;
-    series_cell.rounds = run.outcome.iterations;
-    cells.push(series_cell);
 
     let mut decay = Table::new(
         "F1b: measured decay constant c and iterations to maximality (Lemma 8 / Corollary 1)",
@@ -66,31 +59,25 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
         ],
     );
     let ds = [2usize, 4, 8];
-    let decay_results = ctx.exec.map(&ds, |_, &d| {
+    let decay_rows = ctx.exec.map(&ds, |_, &d| {
         let mut ratios = Vec::new();
         let mut iters = Vec::new();
-        let cell_seed = ctx.seed(ID, "decay", &[d as u64]);
-        let ((), wall_ms) = ExpCtx::time(|| {
-            for trial in 0..trials {
-                let seed = ctx.seed(ID, "decay", &[d as u64, trial]);
-                let edges = random_bipartite(n, d, seed);
-                let run = israeli_itai(&edges, 10_000, &SplitRng::new(seed ^ 31), 0);
-                iters.push(run.outcome.iterations as f64);
-                for w in run.survivors.windows(2) {
-                    if w[0] >= 20 {
-                        ratios.push(w[1] as f64 / w[0] as f64);
-                    }
+        for trial in 0..trials {
+            let seed = ctx.seed(ID, "decay", &[d as u64, trial]);
+            let edges = random_bipartite(n, d, seed);
+            let run = israeli_itai(&edges, 10_000, &SplitRng::new(seed ^ 31), 0);
+            iters.push(run.outcome.iterations as f64);
+            for w in run.survivors.windows(2) {
+                if w[0] >= 20 {
+                    ratios.push(w[1] as f64 / w[0] as f64);
                 }
             }
-        });
+        }
         let mean_c = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
         let max_c = ratios.iter().cloned().fold(0.0, f64::max);
         let mean_it = iters.iter().sum::<f64>() / iters.len() as f64;
         let max_it = iters.iter().cloned().fold(0.0, f64::max);
-        let mut cell = SweepCell::new(ID, "decay", d, 1.0, cell_seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = mean_it as u64;
-        let row = vec![
+        vec![
             d.to_string(),
             trials.to_string(),
             f4(mean_c),
@@ -98,14 +85,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             f4(mean_it),
             f4(max_it),
             f4((2.0 * n as f64).log2()),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in decay_results {
+    for row in decay_rows {
         decay.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![series, decay]
 }
 

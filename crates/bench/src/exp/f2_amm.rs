@@ -6,7 +6,6 @@ use super::ExpCtx;
 use crate::{f4, Table};
 use asm_congest::{NodeId, SplitRng};
 use asm_maximal::{amm, iterations_for_amm, violator_fraction, ROUNDS_PER_MATCHING_ROUND};
-use asm_runtime::SweepCell;
 
 const ID: &str = "f2_amm";
 
@@ -40,27 +39,21 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let trials: u64 = if ctx.quick { 5 } else { 30 };
     let c = 0.6;
     let grid = [(0.1, 0.1), (0.03, 0.1), (0.01, 0.05)];
-    let results = ctx.exec.map(&grid, |gi, &(eta, delta)| {
+    let rows = ctx.exec.map(&grid, |gi, &(eta, delta)| {
         let iters = iterations_for_amm(eta, delta, c);
         let mut fracs = Vec::new();
         let mut successes = 0u64;
-        let cell_seed = ctx.seed(ID, "amm", &[gi as u64]);
-        let ((), wall_ms) = ExpCtx::time(|| {
-            for trial in 0..trials {
-                let seed = ctx.seed(ID, "amm", &[gi as u64, trial]);
-                let edges = random_bipartite(n, 4, seed);
-                let run = amm(&edges, eta, delta, c, &SplitRng::new(seed ^ 99), 0);
-                let frac = violator_fraction(&edges, &run.outcome.pairs);
-                if frac <= eta {
-                    successes += 1;
-                }
-                fracs.push(frac);
+        for trial in 0..trials {
+            let seed = ctx.seed(ID, "amm", &[gi as u64, trial]);
+            let edges = random_bipartite(n, 4, seed);
+            let run = amm(&edges, eta, delta, c, &SplitRng::new(seed ^ 99), 0);
+            let frac = violator_fraction(&edges, &run.outcome.pairs);
+            if frac <= eta {
+                successes += 1;
             }
-        });
-        let mut cell = SweepCell::new(ID, "amm", n as usize, eta, cell_seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = (iters * ROUNDS_PER_MATCHING_ROUND) as u64;
-        let row = vec![
+            fracs.push(frac);
+        }
+        vec![
             format!("{eta}"),
             format!("{delta}"),
             iters.to_string(),
@@ -68,15 +61,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             trials.to_string(),
             f4(fracs.iter().sum::<f64>() / fracs.len() as f64),
             f4(successes as f64 / trials as f64),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

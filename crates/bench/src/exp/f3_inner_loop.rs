@@ -8,7 +8,6 @@ use super::ExpCtx;
 use crate::{f4, Table};
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
-use asm_runtime::SweepCell;
 
 const ID: &str = "f3_inner_loop";
 
@@ -20,7 +19,7 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let config = AsmConfig::new(1.0);
     let delta = config.delta();
     let k = config.quantile_count() as u64;
-    let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+    let report = asm(&inst, &config).expect("valid config");
 
     let mut t = Table::new(
         "F3a: per-QuantileMatch convergence on a complete instance",
@@ -65,12 +64,6 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
         report.snapshots.len().to_string(),
         format!("of {} scheduled", report.scheduled_quantile_matches),
     ]);
-
-    let mut cell = SweepCell::new(ID, "complete", n, 1.0, seed);
-    cell.wall_ms = wall_ms;
-    cell.rounds = report.rounds;
-    cell.blocking_fraction = report.stability(&inst).blocking_fraction();
-    ctx.record(vec![cell]);
     vec![t, summary]
 }
 

@@ -6,7 +6,6 @@ use super::{family, ExpCtx, FAMILY_NAMES};
 use crate::Table;
 use asm_core::{asm, AsmConfig};
 use asm_matching::{blocking_pairs, eps_blocking_pairs};
-use asm_runtime::SweepCell;
 
 const ID: &str = "f4_good_men";
 
@@ -29,10 +28,10 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let config = AsmConfig::new(1.0);
     let k = config.quantile_count() as f64;
     let fams: Vec<usize> = (0..FAMILY_NAMES.len()).collect();
-    let results = ctx.exec.map(&fams, |_, &fam| {
+    let rows = ctx.exec.map(&fams, |_, &fam| {
         let seed = ctx.seed(ID, FAMILY_NAMES[fam], &[n as u64]);
         let (name, inst) = family(fam, n, seed);
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+        let report = asm(&inst, &config).expect("valid config");
         let blocking = blocking_pairs(&inst, &report.matching);
         let eps_bp = eps_blocking_pairs(&inst, &report.matching, 2.0 / k);
         let on_good = eps_bp
@@ -41,11 +40,7 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             .count();
         let non_2k = blocking.iter().filter(|p| !eps_bp.contains(p)).count();
         let bound = 4.0 * inst.num_edges() as f64 / k;
-        let mut cell = SweepCell::new(ID, name, n, 1.0, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = report.stability(&inst).blocking_fraction();
-        let row = vec![
+        vec![
             name.to_string(),
             blocking.len().to_string(),
             eps_bp.len().to_string(),
@@ -54,15 +49,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             format!("{bound:.1}"),
             (on_good == 0).to_string(),
             ((non_2k as f64) <= bound).to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

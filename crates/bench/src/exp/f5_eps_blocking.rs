@@ -6,7 +6,6 @@ use super::{family, ExpCtx, FAMILY_NAMES};
 use crate::{f4, Table};
 use asm_core::{asm, AsmConfig};
 use asm_matching::{count_eps_blocking_pairs, eps_blocking_pairs_excluding};
-use asm_runtime::SweepCell;
 
 const ID: &str = "f5_eps_blocking";
 
@@ -27,33 +26,25 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let config = AsmConfig::new(1.0);
     let k = config.quantile_count() as f64;
     let fams: Vec<usize> = (0..FAMILY_NAMES.len()).collect();
-    let results = ctx.exec.map(&fams, |_, &fam| {
+    let rows = ctx.exec.map(&fams, |_, &fam| {
         let seed = ctx.seed(ID, FAMILY_NAMES[fam], &[n as u64]);
         let (name, inst) = family(fam, n, seed);
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+        let report = asm(&inst, &config).expect("valid config");
         let before = count_eps_blocking_pairs(&inst, &report.matching, 2.0 / k);
         let after =
             eps_blocking_pairs_excluding(&inst, &report.matching, 2.0 / k, &report.bad_men).len();
-        let mut cell = SweepCell::new(ID, name, n, 1.0, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = report.stability(&inst).blocking_fraction();
-        let row = vec![
+        vec![
             name.to_string(),
             report.bad_men.len().to_string(),
             f4(report.bad_fraction(inst.ids().num_men())),
             before.to_string(),
             after.to_string(),
             (after == 0).to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

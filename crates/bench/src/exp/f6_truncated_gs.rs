@@ -11,7 +11,6 @@ use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_matching::StabilityReport;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "f6_truncated_gs";
 
@@ -19,7 +18,7 @@ const ID: &str = "f6_truncated_gs";
 pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let n = if ctx.quick { 64 } else { 256 };
     let ds = [4usize, 16];
-    let results = ctx.exec.map(&ds, |_, &d| {
+    ctx.exec.map(&ds, |_, &d| {
         let seed = ctx.seed(ID, "regular", &[n as u64, d as u64]);
         let inst = generators::regular(n, d, seed);
         let mut t = Table::new(
@@ -32,54 +31,40 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
                 "matching size",
             ],
         );
-        let mut cell = SweepCell::new(ID, "regular", d, 1.0, seed);
-        let ((), wall_ms) = ExpCtx::time(|| {
-            for cycles in [1u64, 2, 4, 8, 16, 32] {
-                let tr = truncated_gs(&inst, cycles);
-                let st = StabilityReport::analyze(&inst, &tr.matching);
-                t.row(vec![
-                    format!("GS@{cycles} cycles"),
-                    tr.rounds.to_string(),
-                    st.blocking_pairs.to_string(),
-                    f4(st.blocking_fraction()),
-                    st.matching_size.to_string(),
-                ]);
-            }
-            let full = distributed_gs(&inst);
-            let st = StabilityReport::analyze(&inst, &full.matching);
+        for cycles in [1u64, 2, 4, 8, 16, 32] {
+            let tr = truncated_gs(&inst, cycles);
+            let st = StabilityReport::analyze(&inst, &tr.matching);
             t.row(vec![
-                "GS full".to_string(),
-                full.rounds.to_string(),
+                format!("GS@{cycles} cycles"),
+                tr.rounds.to_string(),
                 st.blocking_pairs.to_string(),
                 f4(st.blocking_fraction()),
                 st.matching_size.to_string(),
             ]);
-            for eps in [1.0, 0.25] {
-                let config = AsmConfig::new(eps).with_backend(MatcherBackend::DetGreedy);
-                let report = asm(&inst, &config).expect("valid config");
-                let st = report.stability(&inst);
-                cell.rounds = report.rounds;
-                cell.blocking_fraction = st.blocking_fraction();
-                t.row(vec![
-                    format!("ASM eps={eps}"),
-                    report.rounds.to_string(),
-                    st.blocking_pairs.to_string(),
-                    f4(st.blocking_fraction()),
-                    st.matching_size.to_string(),
-                ]);
-            }
-        });
-        cell.wall_ms = wall_ms;
-        (t, cell)
-    });
-    let mut tables = Vec::with_capacity(results.len());
-    let mut cells = Vec::with_capacity(results.len());
-    for (t, cell) in results {
-        tables.push(t);
-        cells.push(cell);
-    }
-    ctx.record(cells);
-    tables
+        }
+        let full = distributed_gs(&inst);
+        let st = StabilityReport::analyze(&inst, &full.matching);
+        t.row(vec![
+            "GS full".to_string(),
+            full.rounds.to_string(),
+            st.blocking_pairs.to_string(),
+            f4(st.blocking_fraction()),
+            st.matching_size.to_string(),
+        ]);
+        for eps in [1.0, 0.25] {
+            let config = AsmConfig::new(eps).with_backend(MatcherBackend::DetGreedy);
+            let report = asm(&inst, &config).expect("valid config");
+            let st = report.stability(&inst);
+            t.row(vec![
+                format!("ASM eps={eps}"),
+                report.rounds.to_string(),
+                st.blocking_pairs.to_string(),
+                f4(st.blocking_fraction()),
+                st.matching_size.to_string(),
+            ]);
+        }
+        t
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use asm_core::baselines::distributed_gs;
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "f7_correlation";
 
@@ -36,59 +35,41 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     // Grid indices: 0..NOISES.len() are noisy-master points, then the
     // geometric and independent (complete) instances.
     let grid: Vec<usize> = (0..NOISES.len() + 2).collect();
-    let results = ctx.exec.map(&grid, |_, &gi| {
-        let (label, fam, inst) = if gi < NOISES.len() {
+    let rows = ctx.exec.map(&grid, |_, &gi| {
+        let (label, inst) = if gi < NOISES.len() {
             let noise = NOISES[gi];
             let seed = ctx.seed(ID, "noisy-master", &[n as u64, gi as u64]);
             (
                 format!("noisy-master {noise}"),
-                "noisy-master",
                 generators::noisy_master(n, noise, seed),
             )
         } else if gi == NOISES.len() {
             let seed = ctx.seed(ID, "geometric", &[n as u64]);
             (
                 "geometric".to_string(),
-                "geometric",
                 generators::geometric(n, (n / 8).max(2), seed),
             )
         } else {
             let seed = ctx.seed(ID, "independent", &[n as u64]);
-            (
-                "independent".to_string(),
-                "independent",
-                generators::complete(n, seed),
-            )
+            ("independent".to_string(), generators::complete(n, seed))
         };
-        let seed = ctx.seed(ID, fam, &[n as u64, gi as u64]);
         let config = AsmConfig::new(eps).with_backend(MatcherBackend::DetGreedy);
-        let ((report, gs), wall_ms) = ExpCtx::time(|| {
-            let report = asm(&inst, &config).expect("valid config");
-            let gs = distributed_gs(&inst);
-            (report, gs)
-        });
+        let report = asm(&inst, &config).expect("valid config");
+        let gs = distributed_gs(&inst);
         let st = report.stability(&inst);
         assert!(st.is_one_minus_eps_stable(eps), "{label}");
-        let mut cell = SweepCell::new(ID, fam, n, gi as f64, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             label,
             f4(st.blocking_fraction()),
             report.rounds.to_string(),
             report.executed_proposal_rounds.to_string(),
             gs.rounds.to_string(),
             f2(gs.proposals as f64 / n as f64),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

@@ -4,12 +4,11 @@
 //! binary in `src/bin/` prints the tables, and `bin/all_experiments`
 //! runs the whole suite (used to produce EXPERIMENTS.md).
 //!
-//! Since PR 2 the suite runs on `asm-runtime`'s deterministic executor:
-//! each module fans its sweep grid (family × n × ε × trial) out through
+//! The suite runs on `asm-runtime`'s deterministic executor: each module
+//! fans its sweep grid (family × n × ε × trial) out through
 //! [`ExpCtx::exec`], with per-cell seeds derived positionally from
-//! [`SWEEP_BASE_SEED`] — so tables are byte-identical for any `--par`
-//! value — and records a [`SweepCell`] per grid cell for the
-//! `BENCH_sweep.json` artifact.
+//! [`SWEEP_BASE_SEED`], so tables are byte-identical for any `--par`
+//! value.
 
 pub mod f1_ii_decay;
 pub mod f2_amm;
@@ -29,8 +28,7 @@ pub mod t8_congest_traffic;
 
 use crate::Table;
 use asm_instance::{generators, Instance};
-use asm_runtime::{derive_seed, label_hash, Executor, SweepCell};
-use std::sync::Mutex;
+use asm_runtime::{derive_seed, label_hash, Executor};
 use std::time::Instant;
 
 /// Base seed of the whole sweep; every cell seed derives from it via
@@ -46,7 +44,6 @@ pub struct ExpCtx {
     pub exec: Executor,
     /// Render wall-clock table cells as `-` so output can be byte-diffed.
     pub stable_output: bool,
-    cells: Mutex<Vec<SweepCell>>,
 }
 
 impl ExpCtx {
@@ -56,7 +53,6 @@ impl ExpCtx {
             quick,
             exec,
             stable_output,
-            cells: Mutex::new(Vec::new()),
         }
     }
 
@@ -72,17 +68,6 @@ impl ExpCtx {
         let mut path = vec![label_hash(experiment), label_hash(family)];
         path.extend_from_slice(nums);
         derive_seed(SWEEP_BASE_SEED, &path)
-    }
-
-    /// Records sweep cells (order is irrelevant; the report sorts by
-    /// coordinates).
-    pub fn record(&self, cells: Vec<SweepCell>) {
-        self.cells.lock().expect("cell recorder").extend(cells);
-    }
-
-    /// Drains the recorded cells.
-    pub fn take_cells(&self) -> Vec<SweepCell> {
-        std::mem::take(&mut self.cells.lock().expect("cell recorder"))
     }
 
     /// Formats a milliseconds value for a table cell, honoring
@@ -153,8 +138,8 @@ pub fn n_sweep(quick: bool) -> Vec<usize> {
 /// One registered experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct Experiment {
-    /// Stable id; also the binary name and the `experiment` coordinate
-    /// of its sweep cells.
+    /// Stable id; also the binary name and the first coordinate of its
+    /// cell seeds.
     pub id: &'static str,
     /// Entry point.
     pub run: fn(&ExpCtx) -> Vec<Table>,
@@ -271,15 +256,6 @@ mod tests {
         assert_eq!(a, ctx.seed("t1", "complete", &[64, 0]));
         assert_ne!(a, ctx.seed("t1", "complete", &[64, 1]));
         assert_ne!(a, ctx.seed("t1", "chain", &[64, 0]));
-    }
-
-    #[test]
-    fn recorder_accumulates_and_drains() {
-        let ctx = ExpCtx::quick_serial();
-        ctx.record(vec![SweepCell::new("x", "-", 8, 1.0, 0)]);
-        ctx.record(vec![SweepCell::new("y", "-", 8, 1.0, 0)]);
-        assert_eq!(ctx.take_cells().len(), 2);
-        assert!(ctx.take_cells().is_empty());
     }
 
     #[test]

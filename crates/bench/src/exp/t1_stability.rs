@@ -4,7 +4,6 @@
 use super::{family, ExpCtx, FAMILY_NAMES};
 use crate::{f4, Table};
 use asm_core::{asm, AsmConfig};
-use asm_runtime::SweepCell;
 
 const ID: &str = "t1_stability";
 const EPSILONS: [f64; 3] = [1.0, 0.5, 0.25];
@@ -26,19 +25,13 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             }
         }
     }
-    let results = ctx.exec.map(&grid, |_, &(n, fam, ei, eps)| {
+    let rows = ctx.exec.map(&grid, |_, &(n, fam, ei, eps)| {
         let seed = ctx.seed(ID, FAMILY_NAMES[fam], &[n as u64, ei as u64]);
         let (name, inst) = family(fam, n, seed);
-        let ((report, st), wall_ms) = ExpCtx::time(|| {
-            let report = asm(&inst, &AsmConfig::new(eps)).expect("valid config");
-            let st = report.stability(&inst);
-            (report, st)
-        });
-        let mut cell = SweepCell::new(ID, name, n, eps, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        let st = asm(&inst, &AsmConfig::new(eps))
+            .expect("valid config")
+            .stability(&inst);
+        vec![
             name.to_string(),
             n.to_string(),
             format!("{eps}"),
@@ -48,15 +41,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             f4(st.blocking_fraction()),
             f4(eps),
             st.is_one_minus_eps_stable(eps).to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 
@@ -71,6 +60,5 @@ mod tests {
         let md = tables[0].to_markdown();
         assert!(!md.contains("| false |"), "a run exceeded its eps budget");
         assert!(tables[0].len() >= 21); // 7 families x 3 epsilons
-        assert_eq!(ctx.take_cells().len(), tables[0].len());
     }
 }

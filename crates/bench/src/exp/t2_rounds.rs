@@ -10,7 +10,6 @@ use asm_core::baselines::distributed_gs;
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t2_rounds";
 
@@ -34,28 +33,21 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             grid.push((n, family));
         }
     }
-    let results = ctx.exec.map(&grid, |_, &(n, family)| {
+    let rows = ctx.exec.map(&grid, |_, &(n, family)| {
         let seed = ctx.seed(ID, family, &[n as u64]);
         let inst = match family {
             "complete" => generators::complete(n, seed),
             _ => generators::adversarial_chain(n),
         };
-        let (row_data, wall_ms) = ExpCtx::time(|| {
-            let hkp = asm(&inst, &AsmConfig::new(1.0)).expect("valid config");
-            let greedy = asm(
-                &inst,
-                &AsmConfig::new(1.0).with_backend(MatcherBackend::DetGreedy),
-            )
-            .expect("valid config");
-            let gs = distributed_gs(&inst);
-            (hkp, greedy, gs)
-        });
-        let (hkp, greedy, gs) = row_data;
+        let hkp = asm(&inst, &AsmConfig::new(1.0)).expect("valid config");
+        let greedy = asm(
+            &inst,
+            &AsmConfig::new(1.0).with_backend(MatcherBackend::DetGreedy),
+        )
+        .expect("valid config");
+        let gs = distributed_gs(&inst);
         let log = (n as f64).log2();
-        let mut cell = SweepCell::new(ID, family, n, 1.0, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = hkp.rounds;
-        let row = vec![
+        vec![
             family.to_string(),
             n.to_string(),
             hkp.nominal_rounds.to_string(),
@@ -63,13 +55,10 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             greedy.rounds.to_string(),
             gs.rounds.to_string(),
             f2(log.powi(5)),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         by_n.row(row);
-        cells.push(cell);
     }
 
     let mut by_eps = Table::new(
@@ -80,26 +69,20 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let seed = ctx.seed(ID, "complete-eps", &[n as u64]);
     let inst = generators::complete(n, seed);
     let eps_grid = [2.0, 1.0, 0.5, 0.25];
-    let eps_results = ctx.exec.map(&eps_grid, |_, &eps| {
+    let eps_rows = ctx.exec.map(&eps_grid, |_, &eps| {
         let config = AsmConfig::new(eps);
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
-        let mut cell = SweepCell::new(ID, "complete-eps", n, eps, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        let row = vec![
+        let report = asm(&inst, &config).expect("valid config");
+        vec![
             format!("{eps}"),
             config.quantile_count().to_string(),
             config.inner_iterations().to_string(),
             report.nominal_rounds.to_string(),
             report.rounds.to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in eps_results {
+    for row in eps_rows {
         by_eps.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![by_n, by_eps]
 }
 

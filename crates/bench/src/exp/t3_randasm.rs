@@ -6,7 +6,6 @@ use super::ExpCtx;
 use crate::{f2, f4, Table};
 use asm_core::{asm, rand_asm, AsmConfig, RandAsmParams};
 use asm_instance::generators;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t3_randasm";
 
@@ -34,7 +33,7 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             grid.push((n, di, delta));
         }
     }
-    let results = ctx.exec.map(&grid, |_, &(n, di, delta)| {
+    let rows = ctx.exec.map(&grid, |_, &(n, di, delta)| {
         let inst_seed = ctx.seed(ID, "erdos-renyi", &[n as u64]);
         let inst = generators::erdos_renyi(n, n, 0.25, inst_seed);
         let det_nominal = asm(&inst, &AsmConfig::new(eps))
@@ -44,23 +43,18 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
         let mut mm_failures = 0u64;
         let mut rounds_sum = 0u64;
         let mut nominal_sum = 0u64;
-        let mut cell = SweepCell::new(ID, "erdos-renyi", n, delta, inst_seed);
-        let ((), wall_ms) = ExpCtx::time(|| {
-            for trial in 0..trials {
-                let seed = ctx.seed(ID, "trial", &[n as u64, di as u64, trial]);
-                let report = rand_asm(&inst, &RandAsmParams::new(eps, delta).with_seed(seed))
-                    .expect("valid params");
-                if report.stability(&inst).is_one_minus_eps_stable(eps) {
-                    successes += 1;
-                }
-                mm_failures += report.mm_nonmaximal;
-                rounds_sum += report.rounds;
-                nominal_sum += report.nominal_rounds;
+        for trial in 0..trials {
+            let seed = ctx.seed(ID, "trial", &[n as u64, di as u64, trial]);
+            let report = rand_asm(&inst, &RandAsmParams::new(eps, delta).with_seed(seed))
+                .expect("valid params");
+            if report.stability(&inst).is_one_minus_eps_stable(eps) {
+                successes += 1;
             }
-        });
-        cell.wall_ms = wall_ms;
-        cell.rounds = rounds_sum / trials;
-        let row = vec![
+            mm_failures += report.mm_nonmaximal;
+            rounds_sum += report.rounds;
+            nominal_sum += report.nominal_rounds;
+        }
+        vec![
             n.to_string(),
             format!("{delta}"),
             trials.to_string(),
@@ -69,15 +63,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             f2(rounds_sum as f64 / trials as f64),
             f2(nominal_sum as f64 / trials as f64),
             det_nominal.to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

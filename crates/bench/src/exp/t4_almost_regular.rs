@@ -6,7 +6,6 @@ use super::{n_sweep, ExpCtx};
 use crate::{f4, Table};
 use asm_core::{almost_regular_asm, AlmostRegularParams};
 use asm_instance::generators;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t4_almost_regular";
 
@@ -27,36 +26,27 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
         ],
     );
     let sizes = n_sweep(ctx.quick);
-    let results = ctx.exec.map(&sizes, |_, &n| {
+    let rows = ctx.exec.map(&sizes, |_, &n| {
         let seed = ctx.seed(ID, "complete", &[n as u64]);
         let inst = generators::complete(n, seed);
         let algo_seed = ctx.seed(ID, "complete-run", &[n as u64]);
-        let (report, wall_ms) = ExpCtx::time(|| {
-            almost_regular_asm(
-                &inst,
-                &AlmostRegularParams::new(eps, delta).with_seed(algo_seed),
-            )
-            .expect("valid params")
-        });
+        let report = almost_regular_asm(
+            &inst,
+            &AlmostRegularParams::new(eps, delta).with_seed(algo_seed),
+        )
+        .expect("valid params");
         let st = report.stability(&inst);
-        let mut cell = SweepCell::new(ID, "complete", n, eps, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             n.to_string(),
             report.nominal_rounds.to_string(),
             report.rounds.to_string(),
             f4(st.blocking_fraction()),
             report.removed_men.len().to_string(),
             st.is_one_minus_eps_stable(eps).to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         by_n.row(row);
-        cells.push(cell);
     }
 
     let mut by_alpha = Table::new(
@@ -71,37 +61,28 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     );
     let n = if ctx.quick { 48 } else { 128 };
     let alphas = [1.0, 2.0, 4.0];
-    let alpha_results = ctx.exec.map(&alphas, |ai, &alpha| {
+    let alpha_rows = ctx.exec.map(&alphas, |ai, &alpha| {
         let d_min = 4;
         let seed = ctx.seed(ID, "almost-reg", &[n as u64, ai as u64]);
         let inst = generators::almost_regular(n, d_min, alpha, seed);
         let algo_seed = ctx.seed(ID, "almost-reg-run", &[n as u64, ai as u64]);
-        let (report, wall_ms) = ExpCtx::time(|| {
-            almost_regular_asm(
-                &inst,
-                &AlmostRegularParams::new(eps, delta).with_seed(algo_seed),
-            )
-            .expect("valid params")
-        });
+        let report = almost_regular_asm(
+            &inst,
+            &AlmostRegularParams::new(eps, delta).with_seed(algo_seed),
+        )
+        .expect("valid params");
         let st = report.stability(&inst);
-        let mut cell = SweepCell::new(ID, "almost-reg", n, alpha, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             format!("{alpha}"),
             report.scheduled_quantile_matches.to_string(),
             report.nominal_rounds.to_string(),
             report.rounds.to_string(),
             f4(st.blocking_fraction()),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in alpha_results {
+    for row in alpha_rows {
         by_alpha.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![by_n, by_alpha]
 }
 

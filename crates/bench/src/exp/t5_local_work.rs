@@ -8,7 +8,6 @@ use crate::Table;
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t5_local_work";
 
@@ -32,16 +31,12 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     };
     // Timing cells run serially even under --par: concurrent cells would
     // contend for cores and skew each other's wall-clock.
-    let mut cells = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let seed = ctx.seed(ID, "complete", &[n as u64]);
         let inst = generators::complete(n, seed);
         let config = AsmConfig::new(1.0).with_backend(MatcherBackend::DetGreedy);
         let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
         let us_per_round = wall_ms * 1e3 / report.rounds.max(1) as f64;
-        let mut cell = SweepCell::new(ID, "complete", n, 1.0, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
         t.row(vec![
             n.to_string(),
             inst.num_edges().to_string(),
@@ -50,9 +45,7 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             ctx.fmt_ms(us_per_round),
             ctx.fmt_ms(us_per_round / inst.num_edges() as f64 * 1e3),
         ]);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

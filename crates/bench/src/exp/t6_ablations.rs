@@ -9,7 +9,6 @@ use crate::{f4, Table};
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t6_ablations";
 
@@ -19,7 +18,6 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     let eps = 0.5;
     let seed = ctx.seed(ID, "erdos-renyi", &[n as u64]);
     let inst = generators::erdos_renyi(n, n, 0.3, seed);
-    let mut cells = Vec::new();
 
     let mut by_k = Table::new(
         "T6a: quantile count k (paper default k = ceil(8/eps))",
@@ -34,30 +32,24 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
     );
     let default_k = AsmConfig::new(eps).quantile_count();
     let ks = [2, 4, 8, default_k, 2 * default_k];
-    let k_results = ctx.exec.map(&ks, |_, &k| {
+    let k_rows = ctx.exec.map(&ks, |_, &k| {
         let config = AsmConfig {
             quantiles: Some(k),
             ..AsmConfig::new(eps)
         };
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+        let report = asm(&inst, &config).expect("valid config");
         let st = report.stability(&inst);
-        let mut cell = SweepCell::new(ID, "quantiles", k, eps, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             k.to_string(),
             report.nominal_rounds.to_string(),
             report.rounds.to_string(),
             f4(st.blocking_fraction()),
             report.bad_men.len().to_string(),
             st.is_one_minus_eps_stable(eps).to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in k_results {
+    for row in k_rows {
         by_k.row(row);
-        cells.push(cell);
     }
 
     let mut by_inner = Table::new(
@@ -71,29 +63,23 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
         ],
     );
     let mults = [0.05, 0.25, 1.0];
-    let mult_results = ctx.exec.map(&mults, |mi, &mult| {
+    let mult_rows = ctx.exec.map(&mults, |_, &mult| {
         let config = AsmConfig {
             inner_multiplier: mult,
             ..AsmConfig::new(eps)
         };
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+        let report = asm(&inst, &config).expect("valid config");
         let st = report.stability(&inst);
-        let mut cell = SweepCell::new(ID, "inner-mult", mi, mult, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             format!("{mult}"),
             config.inner_iterations().to_string(),
             report.rounds.to_string(),
             f4(st.blocking_fraction()),
             report.bad_men.len().to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in mult_results {
+    for row in mult_rows {
         by_inner.row(row);
-        cells.push(cell);
     }
 
     let mut by_backend = Table::new(
@@ -116,28 +102,21 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             MatcherBackend::IsraeliItai { max_iterations: 32 },
         ),
     ];
-    let backend_results = ctx.exec.map(&backends, |bi, &(name, backend)| {
+    let backend_rows = ctx.exec.map(&backends, |_, &(name, backend)| {
         let config = AsmConfig::new(eps).with_backend(backend);
-        let (report, wall_ms) = ExpCtx::time(|| asm(&inst, &config).expect("valid config"));
+        let report = asm(&inst, &config).expect("valid config");
         let st = report.stability(&inst);
-        let mut cell = SweepCell::new(ID, "backend", bi, eps, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = report.rounds;
-        cell.blocking_fraction = st.blocking_fraction();
-        let row = vec![
+        vec![
             name.to_string(),
             report.nominal_rounds.to_string(),
             report.rounds.to_string(),
             report.mm_rounds.to_string(),
             f4(st.blocking_fraction()),
-        ];
-        (row, cell)
+        ]
     });
-    for (row, cell) in backend_results {
+    for row in backend_rows {
         by_backend.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![by_k, by_inner, by_backend]
 }
 

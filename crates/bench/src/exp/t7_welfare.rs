@@ -10,7 +10,6 @@ use asm_core::{asm, AsmConfig};
 use asm_matching::{
     man_optimal_stable, rotation_chain, woman_optimal_stable, StabilityReport, WelfareReport,
 };
-use asm_runtime::SweepCell;
 
 const ID: &str = "t7_welfare";
 
@@ -47,36 +46,25 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
                 f4(st.blocking_fraction()),
             ]);
         };
-        let mut cell = SweepCell::new(ID, name, n, 0.5, seed);
-        let ((), wall_ms) = ExpCtx::time(|| {
-            let mo = man_optimal_stable(&inst);
-            push("gs-man-opt", &mo.matching);
-            let wo = woman_optimal_stable(&inst);
-            push("gs-woman-opt", &wo.matching);
-            // Best egalitarian cost over the rotation chain of the stable
-            // lattice (a polynomial-size sample between the two optima).
-            let (_, chain) = rotation_chain(&inst);
-            let best = chain
-                .iter()
-                .min_by_key(|m| WelfareReport::measure(&inst, m).egalitarian_cost)
-                .expect("chain is nonempty");
-            push("stable-chain-best", best);
-            let report = asm(&inst, &AsmConfig::new(0.5)).expect("valid config");
-            push("asm eps=0.5", &report.matching);
-            cell.rounds = report.rounds;
-            cell.blocking_fraction = report.stability(&inst).blocking_fraction();
-        });
-        cell.wall_ms = wall_ms;
-        (rows, cell)
+        let mo = man_optimal_stable(&inst);
+        push("gs-man-opt", &mo.matching);
+        let wo = woman_optimal_stable(&inst);
+        push("gs-woman-opt", &wo.matching);
+        // Best egalitarian cost over the rotation chain of the stable
+        // lattice (a polynomial-size sample between the two optima).
+        let (_, chain) = rotation_chain(&inst);
+        let best = chain
+            .iter()
+            .min_by_key(|m| WelfareReport::measure(&inst, m).egalitarian_cost)
+            .expect("chain is nonempty");
+        push("stable-chain-best", best);
+        let report = asm(&inst, &AsmConfig::new(0.5)).expect("valid config");
+        push("asm eps=0.5", &report.matching);
+        rows
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (rows, cell) in results {
-        for row in rows {
-            t.row(row);
-        }
-        cells.push(cell);
+    for row in results.into_iter().flatten() {
+        t.row(row);
     }
-    ctx.record(cells);
     vec![t]
 }
 

@@ -11,7 +11,6 @@ use asm_core::congest::asm_congest;
 use asm_core::{asm, AsmConfig};
 use asm_instance::generators;
 use asm_maximal::MatcherBackend;
-use asm_runtime::SweepCell;
 
 const ID: &str = "t8_congest_traffic";
 
@@ -47,18 +46,14 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             grid.push((n, algo));
         }
     }
-    let results = ctx.exec.map(&grid, |_, &(n, algo)| {
+    let rows = ctx.exec.map(&grid, |_, &(n, algo)| {
         // The instance seed depends on n only, so every backend at a
         // given n measures the same instance.
         let seed = ctx.seed(ID, "erdos-renyi", &[n as u64]);
         let inst = generators::erdos_renyi(n, n, 0.3, seed);
         if algo == BACKENDS.len() {
-            let (gs, wall_ms) = ExpCtx::time(|| congest_gs(&inst).expect("valid instance"));
-            let mut cell = SweepCell::new(ID, "gale-shapley", n, 1.0, seed);
-            cell.wall_ms = wall_ms;
-            cell.rounds = gs.stats.rounds;
-            cell.messages = gs.stats.messages;
-            let row = vec![
+            let gs = congest_gs(&inst).expect("valid instance");
+            return vec![
                 n.to_string(),
                 "gale-shapley".to_string(),
                 gs.stats.rounds.to_string(),
@@ -67,21 +62,13 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
                 f2(gs.stats.bits as f64 / 1000.0),
                 gs.stats.max_message_bits.to_string(),
             ];
-            return (row, cell);
         }
         let (name, backend) = BACKENDS[algo];
         let config = AsmConfig::new(1.0).with_backend(backend);
-        let ((wire, fast), wall_ms) = ExpCtx::time(|| {
-            let wire = asm_congest(&inst, &config).expect("supported backend");
-            let fast = asm(&inst, &config).expect("valid config");
-            (wire, fast)
-        });
+        let wire = asm_congest(&inst, &config).expect("supported backend");
+        let fast = asm(&inst, &config).expect("valid config");
         assert_eq!(wire.matching, fast.matching, "engines must agree");
-        let mut cell = SweepCell::new(ID, name, n, 1.0, seed);
-        cell.wall_ms = wall_ms;
-        cell.rounds = wire.stats.rounds;
-        cell.messages = wire.stats.messages;
-        let row = vec![
+        vec![
             n.to_string(),
             name.to_string(),
             wire.stats.rounds.to_string(),
@@ -89,15 +76,11 @@ pub fn run(ctx: &ExpCtx) -> Vec<Table> {
             wire.stats.messages.to_string(),
             f2(wire.stats.bits as f64 / 1000.0),
             wire.stats.max_message_bits.to_string(),
-        ];
-        (row, cell)
+        ]
     });
-    let mut cells = Vec::with_capacity(results.len());
-    for (row, cell) in results {
+    for row in rows {
         t.row(row);
-        cells.push(cell);
     }
-    ctx.record(cells);
     vec![t]
 }
 

@@ -19,10 +19,8 @@
 //! cargo run --release -p asm-bench --bin all_experiments -- --quick --par 4
 //! ```
 //!
-//! Every binary also writes a machine-readable `BENCH_sweep.json`
-//! (per-cell wall-clock, rounds, messages, blocking fraction — schema in
-//! `asm-runtime`); `--no-sweep` disables it and `--sweep-out PATH` moves
-//! it.
+//! The tables on stdout are the only output; `--csv` or `--markdown`
+//! picks their format and `--stable-output` masks the wall-clock cells.
 //!
 //! The served system's speed is measured elsewhere: `perfbench/` runs
 //! the repository benchmark against real `asm serve` / `asm route`
@@ -35,7 +33,7 @@ pub mod exp;
 pub mod loadgen;
 mod table;
 
-use asm_runtime::{RunFlags, SweepReport};
+use asm_runtime::RunFlags;
 use exp::ExpCtx;
 use std::io::Write as _;
 
@@ -63,15 +61,13 @@ pub fn render_tables(tables: &[Table], flags: &RunFlags) -> String {
 }
 
 /// The flags [`run_binary`] accepts (see [`RunFlags`]).
-const USAGE: &str = "accepted flags: --quick (-q), --par N, --csv, --markdown, --stable-output, \
-                     --sweep-out PATH, --no-sweep";
+const USAGE: &str = "accepted flags: --quick (-q), --par N, --csv or --markdown, --stable-output";
 
 /// Entry point shared by all 16 experiment binaries: parses [`RunFlags`]
-/// from the command line, runs `ids` on the deterministic executor,
-/// prints each experiment's tables through a buffered single write, and
-/// emits the `BENCH_sweep.json` report. An unknown or malformed flag
-/// prints an error naming it and exits with status 2 before any
-/// experiment runs.
+/// from the command line, runs `ids` on the deterministic executor, and
+/// prints each experiment's tables through a buffered single write. An
+/// unknown or malformed flag prints an error naming it and exits with
+/// status 2 before any experiment runs.
 ///
 /// # Panics
 ///
@@ -84,34 +80,14 @@ pub fn run_binary(ids: &[&str]) {
             std::process::exit(2);
         }
     };
-    let report = run_experiments(ids, &flags);
-    if let Some(path) = &flags.sweep_out {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| panic!("cannot write sweep report {path}: {e}"));
-    }
-}
-
-/// Runs the named experiments under `flags` and returns the sweep
-/// report; each experiment's rendered tables go to stdout in one write.
-///
-/// # Panics
-///
-/// Panics if an id is not in the registry.
-pub fn run_experiments(ids: &[&str], flags: &RunFlags) -> SweepReport {
     let ctx = ExpCtx::new(flags.quick, flags.executor(), flags.stable_output);
-    let mut report = SweepReport::new(ctx.exec.workers(), flags.quick);
-    let (_, total_ms) = ExpCtx::time(|| {
-        for id in ids {
-            let experiment = exp::find(id).unwrap_or_else(|| panic!("unknown experiment {id}"));
-            let tables = (experiment.run)(&ctx);
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            lock.write_all(render_tables(&tables, flags).as_bytes())
-                .and_then(|()| lock.flush())
-                .expect("write experiment tables to stdout");
-            report.extend(ctx.take_cells());
-        }
-    });
-    report.total_wall_ms = total_ms;
-    report
+    for id in ids {
+        let experiment = exp::find(id).unwrap_or_else(|| panic!("unknown experiment {id}"));
+        let tables = (experiment.run)(&ctx);
+        let stdout = std::io::stdout();
+        let mut lock = stdout.lock();
+        lock.write_all(render_tables(&tables, &flags).as_bytes())
+            .and_then(|()| lock.flush())
+            .expect("write experiment tables to stdout");
+    }
 }

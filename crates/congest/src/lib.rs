@@ -83,7 +83,7 @@ pub use driver::RoundDriver;
 pub use error::CongestError;
 pub use graph::Topology;
 pub use message::{Envelope, Outbox, Payload};
-pub use network::{Network, Process, RoundOutcome};
+pub use network::{step_nodes, Network, Process, RoundOutcome, Wire};
 pub use node::NodeId;
 pub use rng::SplitRng;
 pub use stats::NetStats;

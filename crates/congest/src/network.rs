@@ -87,13 +87,8 @@ impl RoundOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Network<P: Process> {
-    topo: Topology,
     procs: Vec<P>,
-    /// Messages awaiting delivery at the start of the next round, per node.
-    inboxes: Vec<Vec<Envelope<P::Msg>>>,
-    in_flight: u64,
-    stats: NetStats,
-    bit_budget: Option<usize>,
+    wire: Wire<P::Msg>,
 }
 
 impl<P: Process> Network<P> {
@@ -110,14 +105,9 @@ impl<P: Process> Network<P> {
                 nodes: topo.num_nodes(),
             });
         }
-        let n = topo.num_nodes();
         Ok(Network {
-            topo,
             procs,
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            in_flight: 0,
-            stats: NetStats::default(),
-            bit_budget: None,
+            wire: Wire::new(topo),
         })
     }
 
@@ -126,18 +116,13 @@ impl<P: Process> Network<P> {
     ///
     /// A common choice is a small multiple of [`NodeId::bits_for`]`(n)`.
     pub fn set_bit_budget(&mut self, bits: usize) -> &mut Self {
-        self.bit_budget = Some(bits);
+        self.wire.set_bit_budget(bits);
         self
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// Cumulative execution statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        self.wire.stats()
     }
 
     /// Immutable access to the process at `id`.
@@ -147,16 +132,6 @@ impl<P: Process> Network<P> {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &P {
         &self.procs[id.index()]
-    }
-
-    /// Mutable access to the process at `id`, for driver-coordinated phase
-    /// changes between rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.procs[id.index()]
     }
 
     /// All processes, indexed by node id.
@@ -169,54 +144,16 @@ impl<P: Process> Network<P> {
         &mut self.procs
     }
 
-    /// Simulates one synchronous round: deliver all in-flight messages, run
-    /// every process, validate and collect the messages they send.
+    /// Simulates one synchronous round ([`Wire::round`]): deliver all
+    /// in-flight messages, run every process ([`step_nodes`]), validate
+    /// and collect the messages they send.
     ///
     /// # Errors
     ///
     /// Fails if a process sends to a non-neighbor or exceeds the bit budget.
     pub fn step(&mut self) -> Result<RoundOutcome, CongestError> {
-        let delivered = self.in_flight;
-        self.stats.messages += delivered;
-        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(delivered);
-        for env in self.inboxes.iter().flatten() {
-            self.stats.bits += env.payload.bits() as u64;
-            self.stats.max_message_bits = self.stats.max_message_bits.max(env.payload.bits());
-        }
-
-        // Stage 1+2+3 per node: receive, compute, send. Sends are buffered
-        // into `staged` so no node sees a message sent this same round.
-        let mut staged: Vec<Envelope<P::Msg>> = Vec::new();
-        for (i, proc_) in self.procs.iter_mut().enumerate() {
-            let inbox = std::mem::take(&mut self.inboxes[i]);
-            let mut outbox = Outbox::new(NodeId::new(i as u32));
-            proc_.on_round(&inbox, &mut outbox);
-            staged.extend(outbox.into_queued());
-        }
-
-        let sent = staged.len() as u64;
-        for env in staged {
-            if !self.topo.has_edge(env.src, env.dst) {
-                return Err(CongestError::NotANeighbor {
-                    src: env.src,
-                    dst: env.dst,
-                });
-            }
-            if let Some(budget) = self.bit_budget {
-                let bits = env.payload.bits();
-                if bits > budget {
-                    return Err(CongestError::MessageTooLarge {
-                        src: env.src,
-                        bits,
-                        budget,
-                    });
-                }
-            }
-            self.inboxes[env.dst.index()].push(env);
-        }
-        self.in_flight = sent;
-        self.stats.rounds += 1;
-        Ok(RoundOutcome { delivered, sent })
+        let procs = &mut self.procs;
+        self.wire.round(|delivered| step_nodes(0, procs, delivered))
     }
 
     /// Runs until a fully silent round.
@@ -238,13 +175,141 @@ impl<P: Process> Network<P> {
             used += 1;
             if !outcome.active() {
                 used -= 1;
-                self.stats.rounds -= 1;
+                self.wire.stats.rounds -= 1;
                 return Ok(used);
             }
             if outcome.sent == 0 {
                 return Ok(used);
             }
         }
+    }
+}
+
+/// Runs `procs`, the nodes numbered `first`, `first + 1`, …, through one
+/// round: delivers each message of `delivered` to its destination's
+/// inbox, in the order given, then steps the nodes in node-id order.
+/// Returns what they sent, in node-id order and, within a node, in the
+/// order it queued them.
+///
+/// Every executor of the model steps its nodes through this function:
+/// [`Network::step`] all of them, and a multi-process runtime each
+/// process's contiguous share.
+///
+/// # Errors
+///
+/// [`CongestError::NodeOutOfRange`] for the first message addressed to
+/// none of `procs`; no node has stepped then.
+pub fn step_nodes<P: Process>(
+    first: u32,
+    procs: &mut [P],
+    delivered: Vec<Envelope<P::Msg>>,
+) -> Result<Vec<Envelope<P::Msg>>, CongestError> {
+    let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..procs.len()).map(|_| Vec::new()).collect();
+    for env in delivered {
+        match inboxes.get_mut(env.dst.raw().wrapping_sub(first) as usize) {
+            Some(inbox) => inbox.push(env),
+            None => {
+                return Err(CongestError::NodeOutOfRange {
+                    id: env.dst,
+                    nodes: procs.len(),
+                })
+            }
+        }
+    }
+    let mut sent = Vec::new();
+    for (i, (proc_, inbox)) in procs.iter_mut().zip(&inboxes).enumerate() {
+        let mut outbox = Outbox::new(NodeId::new(first + i as u32));
+        proc_.on_round(inbox, &mut outbox);
+        sent.extend(outbox.into_queued());
+    }
+    Ok(sent)
+}
+
+/// The links of a synchronous network between rounds: the messages in
+/// flight, the topology and bit budget they must respect, and the books.
+///
+/// [`Wire::round`] holds a round's delivery accounting and send
+/// validation; [`Network::step`] and a multi-process runtime's
+/// orchestrator both run their rounds through it, so their
+/// [`NetStats`] agree by construction.
+#[derive(Debug)]
+pub struct Wire<M> {
+    topo: Topology,
+    bit_budget: Option<usize>,
+    /// Messages sent last round, in staging order.
+    in_flight: Vec<Envelope<M>>,
+    stats: NetStats,
+}
+
+impl<M: Payload> Wire<M> {
+    /// An idle wire over `topo`, with no bit budget.
+    pub fn new(topo: Topology) -> Self {
+        Wire {
+            topo,
+            bit_budget: None,
+            in_flight: Vec::new(),
+            stats: NetStats::default(),
+        }
+    }
+
+    /// Fails any later round whose sends include a payload over `bits`.
+    pub fn set_bit_budget(&mut self, bits: usize) {
+        self.bit_budget = Some(bits);
+    }
+
+    /// Cumulative execution statistics.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// Runs one synchronous round. Books the delivery of every message in
+    /// flight, hands them to `nodes` in staging order, and takes back what
+    /// the nodes sent, in node-id order. Each send must travel an edge of
+    /// the topology and fit the bit budget; the valid sends stay in flight
+    /// until the next round.
+    ///
+    /// # Errors
+    ///
+    /// `nodes`' own error, or [`CongestError::NotANeighbor`] /
+    /// [`CongestError::MessageTooLarge`] for the first invalid send.
+    pub fn round<E: From<CongestError>>(
+        &mut self,
+        nodes: impl FnOnce(Vec<Envelope<M>>) -> Result<Vec<Envelope<M>>, E>,
+    ) -> Result<RoundOutcome, E> {
+        let delivered = self.in_flight.len() as u64;
+        self.stats.messages += delivered;
+        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(delivered);
+        for env in &self.in_flight {
+            let bits = env.payload.bits();
+            self.stats.bits += bits as u64;
+            self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
+        }
+
+        let staged = nodes(std::mem::take(&mut self.in_flight))?;
+        for env in &staged {
+            if !self.topo.has_edge(env.src, env.dst) {
+                return Err(CongestError::NotANeighbor {
+                    src: env.src,
+                    dst: env.dst,
+                }
+                .into());
+            }
+            if let Some(budget) = self.bit_budget {
+                let bits = env.payload.bits();
+                if bits > budget {
+                    return Err(CongestError::MessageTooLarge {
+                        src: env.src,
+                        bits,
+                        budget,
+                    }
+                    .into());
+                }
+            }
+        }
+        let sent = staged.len() as u64;
+        self.in_flight = staged;
+        self.stats.rounds += 1;
+        Ok(RoundOutcome { delivered, sent })
     }
 }
 

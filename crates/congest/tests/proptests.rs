@@ -73,7 +73,7 @@ proptest! {
                 heard_at: None,
             })
             .collect();
-        let mut net = Network::new(topo, procs).unwrap();
+        let mut net = Network::new(topo.clone(), procs).unwrap();
         net.run_until_quiescent(2 * n as u64 + 4).unwrap();
         for (i, p) in net.nodes().iter().enumerate() {
             prop_assert!(p.heard_at.is_some(), "node {i} never heard the flood");
@@ -84,7 +84,7 @@ proptest! {
         prop_assert_eq!(
             net.stats().messages,
             (0..n)
-                .map(|i| net.topology().degree(NodeId::new(i as u32)) as u64)
+                .map(|i| topo.degree(NodeId::new(i as u32)) as u64)
                 .sum::<u64>()
         );
     }

@@ -445,7 +445,8 @@ where
     let ids = inst.ids();
     let k = plan.config.quantile_count();
 
-    let mut pr_counter: u64 = 0;
+    // Executed `ProposalRound`s; doubles as the MM tag source, as in the
+    // fast engine.
     let mut executed: u64 = 0;
     let mut scheduled: u64 = 0;
 
@@ -478,12 +479,11 @@ where
                 if !summary.would_propose {
                     break;
                 }
-                pr_counter += 1;
                 executed += 1;
                 summary = run_proposal_round(
                     &mut driver,
                     backend,
-                    pr_counter << 32,
+                    executed << 32,
                     mm_cap,
                     plan.amm_removal,
                 )?;

@@ -38,9 +38,9 @@ pub(crate) struct RunCtx {
     pub backend: MatcherBackend,
     pub rng: SplitRng,
     pub n_players: usize,
-    /// Executed `ProposalRound` counter; doubles as the MM tag source
-    /// (`tag = counter << 32` so Israeli–Itai iterations never collide).
-    pub pr_counter: u64,
+    /// Executed `ProposalRound`s; doubles as the MM tag source
+    /// (`tag = executed_prs << 32` so Israeli–Itai iterations never
+    /// collide).
     pub executed_prs: u64,
     pub scheduled_prs: u64,
     pub scheduled_qms: u64,
@@ -62,7 +62,6 @@ impl RunCtx {
             backend: config.backend,
             rng: SplitRng::new(config.seed),
             n_players,
-            pr_counter: 0,
             executed_prs: 0,
             scheduled_prs: 0,
             scheduled_qms: 0,

@@ -56,7 +56,6 @@ pub(crate) fn proposal_round(inst: &Instance, st: &mut AsmState, ctx: &mut RunCt
     if !any {
         return PrOutcome::Silent;
     }
-    ctx.pr_counter += 1;
     ctx.executed_prs += 1;
 
     // Step 2: each woman accepts her best quantile among the proposers.
@@ -84,7 +83,7 @@ pub(crate) fn proposal_round(inst: &Instance, st: &mut AsmState, ctx: &mut RunCt
 
     // Step 3: maximal matching M0 in G0.
     ctx.mm_invocations += 1;
-    let tag = ctx.pr_counter << 32;
+    let tag = ctx.executed_prs << 32;
     let mm = ctx.backend.run(ctx.n_players, &g0_edges, &ctx.rng, tag);
     ctx.mm_rounds += mm.rounds;
     if !mm.maximal {

@@ -20,10 +20,8 @@
 use crate::protocol::{
     encode, FromNode, FromNodeFrame, InitBody, ToNode, ToNodeFrame, DIST_SCHEMA,
 };
-use asm_congest::{Envelope, NodeId, Outbox};
-use asm_core::congest::{
-    apply_ctl, build_players, collect_finals, summarize_players, AsmMsg, Player,
-};
+use asm_congest::step_nodes;
+use asm_core::congest::{apply_ctl, build_players, collect_finals, summarize_players, Player};
 use asm_service::framing::LineFramer;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -91,33 +89,6 @@ impl Hosted {
             lo: init.lo,
             last_gate: 0,
         })
-    }
-
-    /// One synchronous round: deliver `msgs` to per-player inboxes
-    /// (preserving the orchestrator's global staging order) and step
-    /// every hosted player in node-id order — exactly the serial loop of
-    /// [`asm_congest::Network::step`] restricted to this range.
-    fn step(&mut self, msgs: &[Envelope<AsmMsg>]) -> Result<Vec<Envelope<AsmMsg>>, NodeError> {
-        let mut inboxes: Vec<Vec<Envelope<AsmMsg>>> = vec![Vec::new(); self.players.len()];
-        for env in msgs {
-            let slot = (env.dst.raw().wrapping_sub(self.lo)) as usize;
-            match inboxes.get_mut(slot) {
-                Some(inbox) => inbox.push(env.clone()),
-                None => {
-                    return Err(NodeError::Protocol(format!(
-                        "delivery for {} outside hosted range",
-                        env.dst
-                    )))
-                }
-            }
-        }
-        let mut sent = Vec::new();
-        for (i, player) in self.players.iter_mut().enumerate() {
-            let mut outbox = Outbox::new(NodeId::new(self.lo + i as u32));
-            asm_congest::Process::on_round(player, &inboxes[i], &mut outbox);
-            sent.append(&mut outbox.drain());
-        }
-        Ok(sent)
     }
 }
 
@@ -274,8 +245,12 @@ impl NodeRunner {
                 })
             }
             ToNode::RoundMsgs { msgs } => {
+                // One synchronous round of the hosted range, stepped as
+                // the in-process network steps all of its nodes.
                 let hosted = self.hosted_mut()?;
-                let sent = hosted.step(&msgs)?;
+                let sent = step_nodes(hosted.lo, &mut hosted.players, msgs).map_err(|e| {
+                    NodeError::Protocol(format!("delivery outside the hosted range: {e}"))
+                })?;
                 Ok(FromNode::RoundDone {
                     sent,
                     summary: summarize_players(&hosted.players, hosted.last_gate),

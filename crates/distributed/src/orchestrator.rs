@@ -5,11 +5,12 @@
 //! [`asm_core::congest::run_plan_with_driver`] — the *same* driver loop
 //! the in-process engine runs — sequences the distributed execution.
 //! Network semantics (one-round delivery delay, neighbor validation,
-//! the CONGEST bit budget, and all of [`NetStats`]' accounting) are
-//! replicated here exactly as [`asm_congest::Network::step`] implements
-//! them, which is what makes a fault-free distributed run byte-identical
-//! to the in-process engine: same matching, same round count, same
-//! message count.
+//! the CONGEST bit budget, and all of [`asm_congest::NetStats`]'
+//! accounting) come from [`Wire::round`], the same function
+//! [`asm_congest::Network::step`] runs, and each node steps its players
+//! with the network's own [`asm_congest::step_nodes`]. That is what makes
+//! a fault-free distributed run byte-identical to the in-process engine:
+//! same matching, same round count, same message count.
 //!
 //! Topology is a star: node processes never talk to each other. Every
 //! player message travels node → orchestrator → node, with the
@@ -27,7 +28,7 @@ use crate::fault::{FaultInjector, FaultPlan, InjectedCounts, KillSpec};
 use crate::protocol::{
     encode, FromNode, FromNodeFrame, InitBody, ToNode, ToNodeFrame, DIST_SCHEMA,
 };
-use asm_congest::{CongestError, Envelope, NetStats, Payload, RoundDriver, RoundOutcome, Topology};
+use asm_congest::{CongestError, Envelope, RoundDriver, RoundOutcome, Wire};
 use asm_core::congest::{
     payload_bit_budget, run_plan_with_driver, AsmCtl, AsmMsg, AsmSummary, CongestReport,
     CongestRunError, DriveError, RunArtifacts, RunPlan,
@@ -91,6 +92,12 @@ impl fmt::Display for DistError {
 }
 
 impl std::error::Error for DistError {}
+
+impl From<CongestError> for DistError {
+    fn from(e: CongestError) -> Self {
+        DistError::Network(e)
+    }
+}
 
 /// Knobs for one distributed run.
 #[derive(Clone, Debug)]
@@ -410,21 +417,24 @@ impl Link {
     }
 }
 
-/// The distributed [`RoundDriver`]: replicates the in-process network's
-/// round semantics over N node processes.
+/// The distributed [`RoundDriver`]: runs the in-process network's
+/// rounds ([`Wire::round`]) over N node processes.
 pub struct DistDriver {
+    nodes: Nodes,
+    ranges: Vec<(u32, u32)>,
+    wire: Wire<AsmMsg>,
+    transport_out: Rc<RefCell<Option<TransportReport>>>,
+}
+
+/// The node processes and their links, driven in lockstep: every
+/// exchange sends one frame to each link under one sequence number.
+struct Nodes {
     links: Vec<Link>,
     fleet: Fleet,
-    ranges: Vec<(u32, u32)>,
-    topo: Topology,
-    bit_budget: usize,
-    pending: Vec<Envelope<AsmMsg>>,
-    stats: NetStats,
     seq: u64,
     kill: Option<KillSpec>,
     reply_timeout: Duration,
     max_attempts: u32,
-    transport_out: Rc<RefCell<Option<TransportReport>>>,
 }
 
 /// Splits `n` players into `procs` contiguous ranges (the last may be
@@ -502,18 +512,19 @@ impl DistDriver {
         }
 
         let ranges = partition_ranges(n, opts.procs);
+        let mut wire = Wire::new(inst.topology());
+        wire.set_bit_budget(payload_bit_budget(n));
         let mut driver = DistDriver {
-            links,
-            fleet,
+            nodes: Nodes {
+                links,
+                fleet,
+                seq: 0,
+                kill: opts.faults.kill,
+                reply_timeout: opts.reply_timeout,
+                max_attempts: opts.max_attempts,
+            },
             ranges: ranges.clone(),
-            topo: inst.topology(),
-            bit_budget: payload_bit_budget(n),
-            pending: Vec::new(),
-            stats: NetStats::default(),
-            seq: 0,
-            kill: opts.faults.kill,
-            reply_timeout: opts.reply_timeout,
-            max_attempts: opts.max_attempts,
+            wire,
             transport_out: Rc::new(RefCell::new(None)),
         };
 
@@ -531,7 +542,7 @@ impl DistDriver {
                 }))
             })
             .collect();
-        let replies = driver.exchange(inits)?;
+        let replies = driver.nodes.exchange(inits)?;
         for (i, reply) in replies.iter().enumerate() {
             let (lo, hi) = ranges[i];
             match reply {
@@ -550,7 +561,9 @@ impl DistDriver {
         let cell = Rc::clone(&driver.transport_out);
         Ok((driver, cell))
     }
+}
 
+impl Nodes {
     /// One lockstep exchange: sends `bodies[i]` to link `i` under a
     /// fresh sequence number, then collects every matching reply.
     fn exchange(&mut self, bodies: Vec<ToNode>) -> Result<Vec<FromNode>, DistError> {
@@ -590,7 +603,9 @@ impl RoundDriver for DistDriver {
     type Error = DistError;
 
     fn control(&mut self, ops: &[AsmCtl]) -> Result<AsmSummary, DistError> {
-        let replies = self.broadcast(ToNode::RoundBarrier { ops: ops.to_vec() })?;
+        let replies = self
+            .nodes
+            .broadcast(ToNode::RoundBarrier { ops: ops.to_vec() })?;
         let mut summary = AsmSummary::empty();
         for (i, reply) in replies.iter().enumerate() {
             match reply {
@@ -607,81 +622,57 @@ impl RoundDriver for DistDriver {
     }
 
     fn step(&mut self) -> Result<(RoundOutcome, AsmSummary), DistError> {
-        // Delivery accounting, exactly as `Network::begin_round`.
-        let delivered = self.pending.len() as u64;
-        self.stats.messages += delivered;
-        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(delivered);
-        for env in &self.pending {
-            let bits = env.payload.bits();
-            self.stats.bits += bits as u64;
-            self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-        }
-
-        // Partition this round's deliveries by hosting process,
-        // preserving global staging order within each partition.
-        let mut per_proc: Vec<Vec<Envelope<AsmMsg>>> =
-            (0..self.links.len()).map(|_| Vec::new()).collect();
-        let chunked: Vec<(u32, u32)> = self.ranges.clone();
-        for env in std::mem::take(&mut self.pending) {
-            let raw = env.dst.raw();
-            let slot = chunked
-                .iter()
-                .position(|&(lo, hi)| raw >= lo && raw < hi)
-                .expect("validated envelopes address hosted players");
-            per_proc[slot].push(env);
-        }
-
-        let bodies: Vec<ToNode> = per_proc
-            .into_iter()
-            .map(|msgs| ToNode::RoundMsgs { msgs })
-            .collect();
-        let replies = self.exchange(bodies)?;
-
-        // Merge outboxes in process order = node-id order, then validate
-        // and enqueue exactly as `Network::finish_round`.
-        let mut staged = Vec::new();
+        let DistDriver {
+            nodes,
+            ranges,
+            wire,
+            ..
+        } = self;
         let mut summary = AsmSummary::empty();
-        for (i, reply) in replies.into_iter().enumerate() {
-            match reply {
-                FromNode::RoundDone {
-                    mut sent,
-                    summary: s,
-                } => {
-                    staged.append(&mut sent);
-                    summary.absorb(&s);
+        let outcome = wire.round(|delivered| {
+            // Partition this round's deliveries by hosting process,
+            // preserving global staging order within each partition.
+            let mut per_proc: Vec<Vec<Envelope<AsmMsg>>> =
+                (0..ranges.len()).map(|_| Vec::new()).collect();
+            for env in delivered {
+                let raw = env.dst.raw();
+                let slot = ranges
+                    .iter()
+                    .position(|&(lo, hi)| raw >= lo && raw < hi)
+                    .expect("validated envelopes address hosted players");
+                per_proc[slot].push(env);
+            }
+            let bodies = per_proc
+                .into_iter()
+                .map(|msgs| ToNode::RoundMsgs { msgs })
+                .collect();
+
+            // Merge outboxes in process order = node-id order.
+            let mut staged = Vec::new();
+            for (i, reply) in nodes.exchange(bodies)?.into_iter().enumerate() {
+                match reply {
+                    FromNode::RoundDone {
+                        mut sent,
+                        summary: s,
+                    } => {
+                        staged.append(&mut sent);
+                        summary.absorb(&s);
+                    }
+                    other => {
+                        return Err(DistError::Protocol {
+                            proc_index: i as u32,
+                            detail: format!("expected round_done, got {other:?}"),
+                        })
+                    }
                 }
-                other => {
-                    return Err(DistError::Protocol {
-                        proc_index: i as u32,
-                        detail: format!("expected round_done, got {other:?}"),
-                    })
-                }
             }
-        }
-        let sent = staged.len() as u64;
-        for env in &staged {
-            if !self.topo.has_edge(env.src, env.dst) {
-                return Err(DistError::Network(CongestError::NotANeighbor {
-                    src: env.src,
-                    dst: env.dst,
-                }));
-            }
-            let bits = env.payload.bits();
-            if bits > self.bit_budget {
-                return Err(DistError::Network(CongestError::MessageTooLarge {
-                    src: env.src,
-                    bits,
-                    budget: self.bit_budget,
-                }));
-            }
-        }
-        self.pending = staged;
-        self.stats.rounds += 1;
-        Ok((RoundOutcome { delivered, sent }, summary))
+            Ok(staged)
+        })?;
+        Ok((outcome, summary))
     }
 
     fn finish(mut self) -> Result<RunArtifacts, DistError> {
-        let replies = self.broadcast(ToNode::Snapshot)?;
+        let replies = self.nodes.broadcast(ToNode::Snapshot)?;
         let mut finals = Vec::new();
         let mut node_counters = Vec::new();
         for (i, reply) in replies.into_iter().enumerate() {
@@ -718,6 +709,7 @@ impl RoundDriver for DistDriver {
         // the same window: the nodes froze theirs when they processed
         // `snapshot`, so halt-phase retries must not leak into ours.
         let links = self
+            .nodes
             .links
             .iter()
             .zip(&node_counters)
@@ -735,20 +727,21 @@ impl RoundDriver for DistDriver {
 
         // Best-effort halt: the run's results are already in hand, and
         // `Fleet` reaps whatever does not exit on its own.
-        self.seq += 1;
-        let seq = self.seq;
-        for link in &mut self.links {
+        let nodes = &mut self.nodes;
+        nodes.seq += 1;
+        let seq = nodes.seq;
+        for link in &mut nodes.links {
             let line = encode(&ToNodeFrame {
                 seq,
                 body: ToNode::Halt,
             });
             link.send(&line);
-            let _ = link.request(seq, &line, self.reply_timeout, 2);
+            let _ = link.request(seq, &line, nodes.reply_timeout, 2);
         }
 
         Ok(RunArtifacts {
             finals,
-            stats: self.stats.clone(),
+            stats: self.wire.stats().clone(),
         })
     }
 }

@@ -4,11 +4,10 @@
 ///
 /// * `--quick` / `-q` — smoke-test sweep sizes;
 /// * `--par N` — worker count (`0` = all hardware threads; default 1);
-/// * `--csv` / `--markdown` — output format (plain tables otherwise);
+/// * `--csv` / `--markdown` — output format (plain tables otherwise; at
+///   most one of the two);
 /// * `--stable-output` — replace wall-clock table cells with `-` so two
-///   runs can be byte-diffed (the sweep JSON keeps real timings);
-/// * `--sweep-out PATH` — where to write `BENCH_sweep.json`;
-/// * `--no-sweep` — skip writing the sweep artifact.
+///   runs can be byte-diffed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunFlags {
     /// Quick (smoke) sweep sizes.
@@ -21,8 +20,6 @@ pub struct RunFlags {
     pub markdown: bool,
     /// Deterministic table output (timings rendered as `-`).
     pub stable_output: bool,
-    /// Sweep artifact path, or `None` with `--no-sweep`.
-    pub sweep_out: Option<String>,
 }
 
 impl Default for RunFlags {
@@ -33,7 +30,6 @@ impl Default for RunFlags {
             csv: false,
             markdown: false,
             stable_output: false,
-            sweep_out: Some("BENCH_sweep.json".to_string()),
         }
     }
 }
@@ -53,9 +49,9 @@ impl RunFlags {
     ///
     /// # Errors
     ///
-    /// A message naming the flag, when a flag is unknown, when `--par` or
-    /// `--sweep-out` has no value, or when `--par`'s value is not a
-    /// non-negative integer.
+    /// A message naming the flag, when a flag is unknown, when `--par` has
+    /// no value or its value is not a non-negative integer, or when both
+    /// `--csv` and `--markdown` are given.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut flags = RunFlags::default();
         let mut args = args.into_iter();
@@ -65,7 +61,6 @@ impl RunFlags {
                 "--csv" => flags.csv = true,
                 "--markdown" => flags.markdown = true,
                 "--stable-output" => flags.stable_output = true,
-                "--no-sweep" => flags.sweep_out = None,
                 "--par" => {
                     let value = args.next().ok_or("flag --par requires a value")?;
                     flags.par = match value.parse::<usize>() {
@@ -74,12 +69,11 @@ impl RunFlags {
                         Err(_) => return Err(format!("flag --par: cannot parse `{value}`")),
                     };
                 }
-                "--sweep-out" => {
-                    let path = args.next().ok_or("flag --sweep-out requires a value")?;
-                    flags.sweep_out = Some(path);
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
+        }
+        if flags.csv && flags.markdown {
+            return Err("flags --csv and --markdown exclude each other".to_string());
         }
         Ok(flags)
     }
@@ -107,23 +101,14 @@ mod tests {
         let f = parse(&[]);
         assert!(!f.quick);
         assert_eq!(f.par, 1);
-        assert_eq!(f.sweep_out.as_deref(), Some("BENCH_sweep.json"));
     }
 
     #[test]
     fn parses_the_full_set() {
-        let f = parse(&[
-            "--quick",
-            "--par",
-            "8",
-            "--csv",
-            "--stable-output",
-            "--sweep-out",
-            "out/sweep.json",
-        ]);
-        assert!(f.quick && f.csv && f.stable_output);
+        let f = parse(&["--quick", "--par", "8", "--csv", "--stable-output"]);
+        assert!(f.quick && f.csv && f.stable_output && !f.markdown);
         assert_eq!(f.par, 8);
-        assert_eq!(f.sweep_out.as_deref(), Some("out/sweep.json"));
+        assert!(parse(&["-q", "--markdown"]).markdown);
     }
 
     #[test]
@@ -141,15 +126,16 @@ mod tests {
             try_parse(&["--par"]).unwrap_err(),
             "flag --par requires a value"
         );
-        assert_eq!(
-            try_parse(&["--sweep-out"]).unwrap_err(),
-            "flag --sweep-out requires a value"
-        );
     }
 
     #[test]
-    fn no_sweep_disables_artifact() {
-        assert_eq!(parse(&["--no-sweep"]).sweep_out, None);
+    fn csv_and_markdown_together_are_an_error() {
+        for args in [["--csv", "--markdown"], ["--markdown", "--csv"]] {
+            assert_eq!(
+                try_parse(&args).unwrap_err(),
+                "flags --csv and --markdown exclude each other"
+            );
+        }
     }
 
     #[test]

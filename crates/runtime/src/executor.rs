@@ -35,26 +35,11 @@ impl Executor {
         Executor { workers: 1 }
     }
 
-    /// An executor sized to the machine (`available_parallelism`).
-    pub fn machine_sized() -> Self {
-        Executor::new(Self::available())
-    }
-
     /// The number of hardware threads the OS reports (≥ 1).
     pub fn available() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Whether this executor runs everything inline.
-    pub fn is_serial(&self) -> bool {
-        self.workers == 1
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -111,18 +96,6 @@ impl Executor {
             .map(|o| o.expect("every index is claimed exactly once"))
             .collect()
     }
-
-    /// Maps `f` over `items` and flattens the per-item result vectors,
-    /// preserving input order. Convenience for sweep grids where each
-    /// cell contributes several rows.
-    pub fn flat_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> Vec<R> + Sync,
-    {
-        self.map(items, f).into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -170,9 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_clamps_to_one() {
-        assert_eq!(Executor::new(0).workers(), 1);
-        assert!(Executor::new(0).is_serial());
+    fn zero_workers_runs_inline() {
+        let items: Vec<u32> = (0..10).collect();
+        let caller = std::thread::current().id();
+        let out = Executor::new(0).map(&items, |_, &x| (x, std::thread::current().id()));
+        assert!(out.iter().all(|&(_, id)| id == caller));
+        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
     }
 
     #[test]
@@ -184,15 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_flattens_in_order() {
-        let out = Executor::new(3).flat_map(&[1u32, 2, 3], |_, &x| vec![x; x as usize]);
-        assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn machine_sized_reports_at_least_one() {
+    fn available_reports_at_least_one() {
         assert!(Executor::available() >= 1);
-        assert!(Executor::machine_sized().workers() >= 1);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   scheme. A sweep cell's seed depends only on the cell's *coordinates*
 //!   (experiment, family, n, ε-index, trial), never on which worker ran
 //!   it or in what order — the other half of thread-count invariance.
-//! * [`sweep`] — machine-readable sweep output (`BENCH_sweep.json`):
-//!   per-cell wall-clock, rounds, messages, and blocking fraction.
 //! * [`pool`] — the streaming counterpart to [`Executor`]: a bounded
 //!   [`JobQueue`] whose non-blocking `try_push` is an admission-control
 //!   decision, and a [`WorkerPool`] of long-lived threads that drain it,
 //!   with close-then-join graceful shutdown. This is what `asm-service`
 //!   serves requests on.
+//! * [`RunFlags`] — the command-line flags every experiment binary
+//!   shares: sweep size, worker count and table format.
 //!
 //! # Examples
 //!
@@ -46,10 +46,8 @@ mod cli;
 mod executor;
 pub mod pool;
 mod seed;
-pub mod sweep;
 
 pub use cli::RunFlags;
 pub use executor::Executor;
 pub use pool::{JobQueue, PushError, WorkerPool};
 pub use seed::{derive_seed, label_hash};
-pub use sweep::{SweepCell, SweepReport};

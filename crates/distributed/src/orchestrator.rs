@@ -422,6 +422,9 @@ impl Link {
 pub struct DistDriver {
     nodes: Nodes,
     ranges: Vec<(u32, u32)>,
+    /// The players per range ([`range_len`]): player `v` is hosted by
+    /// process `v / chunk`.
+    chunk: u32,
     wire: Wire<AsmMsg>,
     transport_out: Rc<RefCell<Option<TransportReport>>>,
 }
@@ -437,11 +440,17 @@ struct Nodes {
     max_attempts: u32,
 }
 
+/// The length of every range [`partition_ranges`] makes but the short
+/// or empty ones at the end.
+fn range_len(n: usize, procs: usize) -> usize {
+    n.div_ceil(procs.max(1)).max(1)
+}
+
 /// Splits `n` players into `procs` contiguous ranges (the last may be
 /// short; trailing ranges may be empty when `procs > n`).
 pub fn partition_ranges(n: usize, procs: usize) -> Vec<(u32, u32)> {
     let procs = procs.max(1);
-    let chunk = n.div_ceil(procs).max(1);
+    let chunk = range_len(n, procs);
     (0..procs)
         .map(|i| {
             let lo = (i * chunk).min(n) as u32;
@@ -524,6 +533,7 @@ impl DistDriver {
                 max_attempts: opts.max_attempts,
             },
             ranges: ranges.clone(),
+            chunk: range_len(n, opts.procs) as u32,
             wire,
             transport_out: Rc::new(RefCell::new(None)),
         };
@@ -625,6 +635,7 @@ impl RoundDriver for DistDriver {
         let DistDriver {
             nodes,
             ranges,
+            chunk,
             wire,
             ..
         } = self;
@@ -636,10 +647,11 @@ impl RoundDriver for DistDriver {
                 (0..ranges.len()).map(|_| Vec::new()).collect();
             for env in delivered {
                 let raw = env.dst.raw();
-                let slot = ranges
-                    .iter()
-                    .position(|&(lo, hi)| raw >= lo && raw < hi)
-                    .expect("validated envelopes address hosted players");
+                let slot = (raw / *chunk) as usize;
+                debug_assert!(
+                    (ranges[slot].0..ranges[slot].1).contains(&raw),
+                    "validated envelopes address hosted players"
+                );
                 per_proc[slot].push(env);
             }
             let bodies = per_proc
@@ -799,6 +811,12 @@ mod tests {
             assert_eq!(ranges.last().unwrap().1 as usize, n);
             for pair in ranges.windows(2) {
                 assert_eq!(pair[0].1, pair[1].0, "contiguous");
+            }
+            // The driver finds a player's process by one division.
+            let chunk = range_len(n, procs) as u32;
+            for v in 0..n as u32 {
+                let (lo, hi) = ranges[(v / chunk) as usize];
+                assert!((lo..hi).contains(&v), "player {v} of {n} over {procs}");
             }
         }
     }

@@ -53,7 +53,7 @@ impl InstanceBuilder {
     where
         I: IntoIterator<Item = usize>,
     {
-        let list = men.into_iter().map(|j| self.ids.man(j)).collect();
+        let list = node_ids(men, self.ids.num_women(), self.ids.num_men(), "man");
         self.prefs[self.ids.woman(i).index()] = list;
         self
     }
@@ -68,7 +68,7 @@ impl InstanceBuilder {
     where
         I: IntoIterator<Item = usize>,
     {
-        let list = women.into_iter().map(|i| self.ids.woman(i)).collect();
+        let list = node_ids(women, 0, self.ids.num_women(), "woman");
         self.prefs[self.ids.man(j).index()] = list;
         self
     }
@@ -98,6 +98,32 @@ impl InstanceBuilder {
     pub fn build(self) -> Result<Instance, InstanceError> {
         Instance::link(self.ids, self.prefs)
     }
+}
+
+/// Translates side indices of a side with `count` players whose node ids
+/// start at `offset`. One range check covers the whole list, so the copy
+/// itself carries no branch.
+///
+/// # Panics
+///
+/// Panics if any index is `count` or more.
+fn node_ids<I>(indices: I, offset: usize, count: usize, side: &str) -> Vec<NodeId>
+where
+    I: IntoIterator<Item = usize>,
+{
+    let mut top = 0;
+    let list: Vec<NodeId> = indices
+        .into_iter()
+        .map(|x| {
+            top = top.max(x);
+            NodeId::new(offset.wrapping_add(x) as u32)
+        })
+        .collect();
+    assert!(
+        list.is_empty() || top < count,
+        "{side} index {top} out of range"
+    );
+    list
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //!    at the top;
 //! 3. drain the worklist: for each woman, every man ranked above her
 //!    current holding whose pointer has passed her is rewound to her
-//!    position — leaving his partner if he strictly prefers her (the
-//!    freed partner re-joins the worklist).
+//!    position — leaving his partner if he has one (a matched man's
+//!    pointer rests on his partner, so having passed her means he
+//!    strictly prefers her; the freed partner re-joins the worklist).
 //!
 //! Pointers only decrease during the cascade and each dissolution
 //! strictly decreases one, so it terminates; afterwards the classic GS
@@ -29,6 +30,18 @@
 //! partner she weakly prefers to him), so resuming the propose-accept
 //! loop to quiescence yields a stable matching — in rounds proportional
 //! to the *edit's* displacement chain, not the market size.
+//!
+//! # Cost
+//!
+//! A warm resolve costs one `O(|E|)` rebuild of the linked instance
+//! ([`crate::MarketState::instance`]) and one `O(|E|)` stability audit,
+//! plus `O(n)` setup and work proportional to the displacement chain.
+//! The cascade reads both positions it compares in `O(1)`: the man's
+//! position of a scanned woman is her mirror rank
+//! ([`Instance::mirror`]), and a matched man's position of his partner
+//! is his pointer. Each woman it pops costs a scan of her list above
+//! her holding. The loop then costs each cycle's proposals
+//! ([`asm_matching::propose_accept`]).
 
 use asm_instance::Instance;
 use asm_matching::{propose_accept, Matching, StabilityReport};
@@ -199,35 +212,35 @@ fn rewind_cascade(
         }
     }
 
-    // Step 3: drain the worklist.
+    // Step 3: drain the worklist. A matched man's pointer rests on his
+    // partner throughout: it is his position of her, and the mirror there
+    // is her rank of him.
     while let Some(wi) = worklist.pop() {
         queued[wi] = false;
         let w = ids.woman(wi);
         // Scan strictly above her current holding (her whole list when
         // free): any man there who has already passed her must rewind.
         let threshold = match matching.partner(w) {
-            Some(p) => inst.rank(w, p).expect("partner is acceptable") as usize - 1,
+            Some(p) => {
+                let slot = next[ids.side_index(p)];
+                debug_assert_eq!(inst.prefs(p).ranked()[slot], w, "pointer off the partner");
+                inst.mirror(p)[slot] as usize - 1
+            }
             None => inst.degree(w),
         };
-        for &m in inst.prefs(w).ranked().iter().take(threshold) {
-            let j = ids.side_index(m);
-            let w_pos = inst.rank(m, w).expect("symmetric preferences") as usize - 1;
+        let scanned = inst.prefs(w).ranked().iter().zip(inst.mirror(w));
+        for (&m, &m_rank_of_w) in scanned.take(threshold) {
+            let j = m.index() - num_women; // a linked woman's list holds men only
+            let w_pos = m_rank_of_w as usize - 1;
             if next[j] <= w_pos {
                 continue; // He has not reached her yet; the loop will.
             }
-            match matching.partner(m) {
-                Some(p) => {
-                    let p_pos = inst.rank(m, p).expect("partner is acceptable") as usize - 1;
-                    if w_pos < p_pos {
-                        // He strictly prefers the freed/edited woman:
-                        // re-propose from her; his partner cascades.
-                        matching.remove(m);
-                        next[j] = w_pos;
-                        push(&mut worklist, &mut queued, ids.side_index(p));
-                    }
-                }
-                None => next[j] = w_pos,
+            // He has passed her, so he strictly prefers her to any
+            // partner: he re-proposes from her and his partner cascades.
+            if let Some(p) = matching.remove(m) {
+                push(&mut worklist, &mut queued, ids.side_index(p));
             }
+            next[j] = w_pos;
         }
     }
 

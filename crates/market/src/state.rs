@@ -306,10 +306,13 @@ impl MarketState {
         Ok(())
     }
 
+    /// Checks `prefs` against the `opposite` side's agents: the first
+    /// entry, in list order, that is out of range or repeats an earlier
+    /// one is the error.
     fn check_prefs(&self, opposite: usize, side: Side, prefs: &[u32]) -> Result<(), MarketError> {
-        let mut seen = BTreeSet::new();
+        let mut seen = vec![false; opposite];
         for &p in prefs {
-            if p as usize >= opposite {
+            let Some(stamp) = seen.get_mut(p as usize) else {
                 return Err(MarketError::UnknownPartner {
                     side: match side {
                         Side::Women => Side::Men,
@@ -318,8 +321,8 @@ impl MarketState {
                     index: p,
                     count: opposite as u32,
                 });
-            }
-            if !seen.insert(p) {
+            };
+            if std::mem::replace(stamp, true) {
                 return Err(MarketError::DuplicatePartner { index: p });
             }
         }
@@ -329,46 +332,48 @@ impl MarketState {
     /// The symmetric-closure write: installs `prefs` for the agent,
     /// deletes it from dropped partners' lists, appends it (worst rank)
     /// to gained partners' lists, and dirties every touched endpoint.
+    ///
+    /// One stamp per opposite-side agent tells the lists apart: `OLD` for
+    /// a partner on the agent's old list, `NEW` for one on `prefs`.
     fn set_prefs(&mut self, side: Side, index: u32, prefs: Vec<u32>) {
-        let old: BTreeSet<u32> = match side {
-            Side::Women => self.women[index as usize].iter().copied().collect(),
-            Side::Men => self.men[index as usize].iter().copied().collect(),
+        const OLD: u8 = 1;
+        const NEW: u8 = 2;
+        let (own, other, dirty_own, dirty_other) = match side {
+            Side::Women => (
+                &mut self.women,
+                &mut self.men,
+                &mut self.dirty_women,
+                &mut self.dirty_men,
+            ),
+            Side::Men => (
+                &mut self.men,
+                &mut self.women,
+                &mut self.dirty_men,
+                &mut self.dirty_women,
+            ),
         };
-        let new: BTreeSet<u32> = prefs.iter().copied().collect();
-        for &p in old.difference(&new) {
-            match side {
-                Side::Women => {
-                    self.men[p as usize].retain(|&x| x != index);
-                    self.dirty_men.insert(p);
-                }
-                Side::Men => {
-                    self.women[p as usize].retain(|&x| x != index);
-                    self.dirty_women.insert(p);
-                }
+        let old = &own[index as usize];
+        let mut stamp = vec![0u8; other.len()];
+        for &p in old {
+            stamp[p as usize] |= OLD;
+        }
+        for &p in &prefs {
+            stamp[p as usize] |= NEW;
+        }
+        for &p in old {
+            if stamp[p as usize] == OLD {
+                other[p as usize].retain(|&x| x != index);
+                dirty_other.insert(p);
             }
         }
-        for &p in new.difference(&old) {
-            match side {
-                Side::Women => {
-                    self.men[p as usize].push(index);
-                    self.dirty_men.insert(p);
-                }
-                Side::Men => {
-                    self.women[p as usize].push(index);
-                    self.dirty_women.insert(p);
-                }
+        for &p in &prefs {
+            if stamp[p as usize] == NEW {
+                other[p as usize].push(index);
+                dirty_other.insert(p);
             }
         }
-        match side {
-            Side::Women => {
-                self.women[index as usize] = prefs;
-                self.dirty_women.insert(index);
-            }
-            Side::Men => {
-                self.men[index as usize] = prefs;
-                self.dirty_men.insert(index);
-            }
-        }
+        own[index as usize] = prefs;
+        dirty_own.insert(index);
     }
 
     /// Derives one deterministic mutation from `seed` and the current
@@ -451,6 +456,11 @@ impl MarketState {
 
     /// Materializes the current preferences as an [`Instance`] (women
     /// are node ids `0..num_women`, men `num_women..`).
+    ///
+    /// Every resolve builds one and drops it: the two side-indexed lists
+    /// are the market's only preference state, because keeping the
+    /// linked instance (or only its mirror ranks) between resolves would
+    /// multiply the memory a market holds.
     pub fn instance(&self) -> Instance {
         let mut builder = InstanceBuilder::new(self.women.len(), self.men.len());
         for (i, list) in self.women.iter().enumerate() {

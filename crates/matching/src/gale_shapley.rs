@@ -158,75 +158,86 @@ pub struct GsReport {
 /// has passed holds a partner she prefers to him — for quiescence to
 /// mean stability.
 ///
+/// # Cost
+///
+/// `O(n)` setup, then work per cycle proportional to that cycle's
+/// proposals: only the free men with an untried woman are visited, and a
+/// woman settles each offer as it arrives against the rank she holds (the
+/// best of her partner and the cycle's offers so far, so their order does
+/// not matter). Her rank of a man is the mirror of his slot
+/// ([`Instance::mirror`]), so no rank is searched for. Setup reads a
+/// matched man's rank that way when his pointer rests on his partner, as
+/// in every state the loop reaches.
+///
 /// # Panics
 ///
-/// If `matching` is sized for fewer players than the instance has, or
-/// `next` has fewer entries than there are men.
+/// If `matching` is sized for fewer players than the instance has, `next`
+/// has fewer entries than there are men, or a pair of `matching` is not
+/// an edge of the instance.
 pub fn propose_accept(
     inst: &Instance,
     mut matching: Matching,
     mut next: Vec<usize>,
     max_cycles: Option<u64>,
 ) -> GsReport {
+    const FREE: Rank = Rank::MAX;
     let ids = inst.ids();
+    // held[i]: woman i's rank of the man she holds; FREE while she holds none.
+    let mut held = vec![FREE; ids.num_women()];
+    // The men who propose in the coming cycle: free, with an untried woman.
+    let mut proposers: Vec<usize> = Vec::new();
+    for (j, m) in ids.men().enumerate() {
+        let list = inst.prefs(m).ranked();
+        match matching.partner(m) {
+            Some(w) => {
+                held[ids.side_index(w)] = if list.get(next[j]) == Some(&w) {
+                    inst.mirror(m)[next[j]]
+                } else {
+                    inst.rank(w, m).expect("matched pairs are edges")
+                };
+            }
+            None if next[j] < list.len() => proposers.push(j),
+            None => {}
+        }
+    }
+    let mut retry: Vec<usize> = Vec::new();
     let mut cycles: u64 = 0;
     let mut proposals: u64 = 0;
     let converged = loop {
         if max_cycles.is_some_and(|budget| cycles >= budget) {
             break false;
         }
-        // Propose round (man-id order, as a CONGEST inbox delivers).
-        let mut received: Vec<Vec<usize>> = vec![Vec::new(); ids.num_women()];
-        let mut any = false;
-        #[allow(clippy::needless_range_loop)] // j indexes men and pointers alike
-        for j in 0..ids.num_men() {
-            let m = ids.man(j);
-            if matching.is_matched(m) {
-                continue;
-            }
-            if let Some(&w) = inst.prefs(m).ranked().get(next[j]) {
-                received[ids.side_index(w)].push(j);
-                proposals += 1;
-                any = true;
-            }
-        }
-        if !any {
+        if proposers.is_empty() {
             break true;
         }
         cycles += 1;
-        // Accept/reject round.
-        #[allow(clippy::needless_range_loop)] // i indexes women and inboxes alike
-        for i in 0..ids.num_women() {
-            if received[i].is_empty() {
-                continue;
-            }
-            let w = ids.woman(i);
-            let best = *received[i]
-                .iter()
-                .min_by_key(|&&j| inst.rank(w, ids.man(j)).expect("proposer is acceptable"))
-                .expect("nonempty");
-            let keep_current = match matching.partner(w) {
-                Some(p) => inst.rank(w, p) < inst.rank(w, ids.man(best)),
-                None => false,
-            };
-            let winner = if keep_current {
-                ids.side_index(matching.partner(w).expect("checked above"))
+        proposals += proposers.len() as u64;
+        for &j in &proposers {
+            let m = ids.man(j);
+            let slot = next[j];
+            let w = inst.prefs(m).ranked()[slot];
+            let rank = inst.mirror(m)[slot];
+            let i = ids.side_index(w);
+            // The man this offer turns away: the proposer, or the partner
+            // he displaces.
+            let loser = if rank < held[i] {
+                held[i] = rank;
+                let old = matching.remove(w);
+                matching.add_pair(m, w).expect("both free after removal");
+                match old {
+                    Some(old) => ids.side_index(old),
+                    None => continue,
+                }
             } else {
-                if let Some(old) = matching.remove(w) {
-                    // Displaced partner resumes from his next choice.
-                    next[ids.side_index(old)] += 1;
-                }
-                matching
-                    .add_pair(ids.man(best), w)
-                    .expect("both free after removal");
-                best
+                j
             };
-            for &j in &received[i] {
-                if j != winner {
-                    next[j] += 1;
-                }
+            next[loser] += 1;
+            if next[loser] < inst.degree(ids.man(loser)) {
+                retry.push(loser);
             }
         }
+        std::mem::swap(&mut proposers, &mut retry);
+        retry.clear();
     };
     GsReport {
         matching,

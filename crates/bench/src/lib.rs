@@ -28,6 +28,8 @@
 //! parent/change pairs of it. This crate's `loadgen` and `churn` modules
 //! drive the CI smokes and supply perfbench's reconciliation checks.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod exp;
 pub mod loadgen;

@@ -12,7 +12,7 @@ fn run(inst: &Instance, max_cycles: Option<u64>) -> GsReport {
     propose_accept(
         inst,
         Matching::new(ids.num_players()),
-        vec![0; ids.num_men()],
+        &mut vec![0; ids.num_men()],
         max_cycles,
     )
 }

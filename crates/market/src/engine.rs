@@ -15,9 +15,11 @@
 //!    pairs whose edge was deleted dissolve); every freed or dirtied
 //!    woman joins a worklist;
 //! 2. derive each man's pointer from the cached state: matched men
-//!    point at their partner, clean unmatched men at the end of their
-//!    list (they exhausted it at the previous convergence), dirty men
-//!    at the top;
+//!    point at their partner (the slot the previous resolve cached: a
+//!    clean man's list is unchanged since, because every edit dirties
+//!    each agent whose list it touches), clean unmatched men at the end
+//!    of their list (they exhausted it at the previous convergence),
+//!    dirty men at the top;
 //! 3. drain the worklist: for each woman, every man ranked above her
 //!    current holding whose pointer has passed her is rewound to her
 //!    position — leaving his partner if he has one (a matched man's
@@ -36,8 +38,9 @@
 //! A warm resolve costs one `O(|E|)` rebuild of the linked instance
 //! ([`crate::MarketState::instance`]) and one `O(|E|)` stability audit,
 //! plus `O(n)` setup and work proportional to the displacement chain.
-//! The cascade reads both positions it compares in `O(1)`: the man's
-//! position of a scanned woman is her mirror rank
+//! Steps 1–2 read a clean man's cached slot and dense dirty flags, so
+//! they search nothing. The cascade reads both positions it compares in
+//! `O(1)`: the man's position of a scanned woman is her mirror rank
 //! ([`Instance::mirror`]), and a matched man's position of his partner
 //! is his pointer. Each woman it pops costs a scan of her list above
 //! her holding. The loop then costs each cycle's proposals
@@ -45,7 +48,6 @@
 
 use asm_instance::Instance;
 use asm_matching::{propose_accept, Matching, StabilityReport};
-use std::collections::BTreeSet;
 
 /// Dirty-fraction ceiling for `auto` warm starts: above this fraction
 /// of agents dirty, re-entry bookkeeping approaches cold-solve work and
@@ -87,8 +89,13 @@ struct LoopState {
     next: Vec<usize>,
 }
 
-/// Cold solve: the loop from scratch.
-pub(crate) fn resolve_cold(inst: &Instance) -> ResolveReport {
+/// A cached pair of man `j`: his partner's side index, and his slot of
+/// her (her index in his list).
+pub(crate) type CachedPair = (u32, u32);
+
+/// Cold solve: the loop from scratch. Returns the report and each man's
+/// final pointer (a matched man's is his slot of his partner).
+pub(crate) fn resolve_cold(inst: &Instance) -> (ResolveReport, Vec<usize>) {
     let state = LoopState {
         matching: Matching::new(inst.ids().num_players()),
         next: vec![0; inst.ids().num_men()],
@@ -96,30 +103,32 @@ pub(crate) fn resolve_cold(inst: &Instance) -> ResolveReport {
     run_loop(inst, state, false)
 }
 
-/// Warm solve: rewind cascade, then the loop. Returns `None` when the
-/// converged result busts the `ε·|E|` budget (divergence — the caller
-/// falls back cold). With a correct cascade the loop converges to a
-/// *stable* matching, so this safety net should never trip; it exists
-/// so an engine bug degrades to cold-solve latency, not to unstable
-/// matchings.
+/// Warm solve: rewind cascade, then the loop; returns what
+/// [`resolve_cold`] does. `cached[j]` is man `j`'s pair from the last
+/// resolve, and `dirty_men[j]` / `dirty_women[i]` flag the agents whose
+/// lists changed since. Returns `None` when the converged result busts
+/// the `ε·|E|` budget (divergence — the caller falls back cold). With a
+/// correct cascade the loop converges to a *stable* matching, so this
+/// safety net should never trip; it exists so an engine bug degrades to
+/// cold-solve latency, not to unstable matchings.
 pub(crate) fn resolve_warm(
     inst: &Instance,
     eps: f64,
-    cached: &[Option<u32>],
-    dirty_men: &BTreeSet<u32>,
-    dirty_women: &BTreeSet<u32>,
-) -> Option<ResolveReport> {
+    cached: &[Option<CachedPair>],
+    dirty_men: &[bool],
+    dirty_women: &[bool],
+) -> Option<(ResolveReport, Vec<usize>)> {
     let state = rewind_cascade(inst, cached, dirty_men, dirty_women);
     debug_assert!(
         cascade_invariant_holds(inst, &state),
         "rewind cascade must restore the GS loop invariant"
     );
-    let report = run_loop(inst, state, true);
+    let (report, next) = run_loop(inst, state, true);
     let budget = eps * report.num_edges as f64;
     if report.blocking_pairs as f64 > budget {
         return None;
     }
-    Some(report)
+    Some((report, next))
 }
 
 /// Debug check: every woman a man's pointer has skipped must hold a
@@ -144,9 +153,9 @@ fn cascade_invariant_holds(inst: &Instance, state: &LoopState) -> bool {
 /// module docs for the correctness argument).
 fn rewind_cascade(
     inst: &Instance,
-    cached: &[Option<u32>],
-    dirty_men: &BTreeSet<u32>,
-    dirty_women: &BTreeSet<u32>,
+    cached: &[Option<CachedPair>],
+    dirty_men: &[bool],
+    dirty_women: &[bool],
 ) -> LoopState {
     let ids = inst.ids();
     let num_women = ids.num_women();
@@ -167,10 +176,10 @@ fn rewind_cascade(
     for j in 0..num_men {
         let m = ids.man(j);
         let pair = cached.get(j).copied().flatten();
-        if dirty_men.contains(&(j as u32)) {
+        if dirty_men[j] {
             // Dirtied proposer: unmatched, pointer at the top. His freed
             // partner (if the edge even survived) must cascade.
-            if let Some(wi) = pair {
+            if let Some((wi, _)) = pair {
                 if (wi as usize) < num_women {
                     push(&mut worklist, &mut queued, wi as usize);
                 }
@@ -178,38 +187,27 @@ fn rewind_cascade(
             continue;
         }
         match pair {
-            Some(wi) => {
+            Some((wi, slot)) => {
                 let w = ids.woman(wi as usize);
-                match inst.rank(m, w) {
-                    Some(rank) => {
-                        matching
-                            .add_pair(m, w)
-                            .expect("cached matching pairs are disjoint");
-                        // Ranks are 1-based (`P_v(u)`); the pointer is the
-                        // 0-based index of his partner in his ranked list.
-                        next[j] = rank as usize - 1;
-                    }
-                    None => {
-                        // Edge deleted by a mutation (symmetric closure
-                        // dirtied both endpoints; the woman is already
-                        // in `dirty_women`). Pointer restarts at the
-                        // top only for dirty men, so a clean man whose
-                        // pair dissolved… cannot exist: deleting the
-                        // edge dirtied him too. Defensive: treat like a
-                        // dirty man.
-                        push(&mut worklist, &mut queued, wi as usize);
-                    }
+                // His list is unchanged since the resolve that cached the
+                // slot, so the slot still holds her. Defensive: were it
+                // not so, treat him like a dirty man.
+                if inst.prefs(m).ranked().get(slot as usize) != Some(&w) {
+                    push(&mut worklist, &mut queued, wi as usize);
+                    continue;
                 }
+                matching
+                    .add_pair(m, w)
+                    .expect("cached matching pairs are disjoint");
+                next[j] = slot as usize;
             }
             // Clean and unmatched at the previous convergence: he was
             // rejected everywhere, and his list is unchanged.
             None => next[j] = inst.degree(m),
         }
     }
-    for &wi in dirty_women {
-        if (wi as usize) < num_women {
-            push(&mut worklist, &mut queued, wi as usize);
-        }
+    for wi in (0..num_women).filter(|&wi| dirty_women[wi]) {
+        push(&mut worklist, &mut queued, wi);
     }
 
     // Step 3: drain the worklist. A matched man's pointer rests on his
@@ -248,11 +246,11 @@ fn rewind_cascade(
 }
 
 /// Runs the propose–accept loop from `state` to quiescence and audits
-/// the result.
-fn run_loop(inst: &Instance, state: LoopState, warm: bool) -> ResolveReport {
-    let run = propose_accept(inst, state.matching, state.next, None);
+/// the result; returns the report and the final pointers.
+fn run_loop(inst: &Instance, mut state: LoopState, warm: bool) -> (ResolveReport, Vec<usize>) {
+    let run = propose_accept(inst, state.matching, &mut state.next, None);
     let stability = StabilityReport::analyze(inst, &run.matching);
-    ResolveReport {
+    let report = ResolveReport {
         matched: run.matching.len() as u64,
         matching: run.matching,
         cycles: run.cycles,
@@ -263,7 +261,8 @@ fn run_loop(inst: &Instance, state: LoopState, warm: bool) -> ResolveReport {
         blocking_pairs: stability.blocking_pairs as u64,
         num_edges: inst.num_edges() as u64,
         epoch: 0,
-    }
+    };
+    (report, state.next)
 }
 
 #[cfg(test)]
@@ -281,7 +280,7 @@ mod tests {
         for seed in 0..6 {
             let inst = generators::erdos_renyi(12, 12, 0.5, seed);
             let central = asm_matching::man_optimal_stable(&inst);
-            let cold = resolve_cold(&inst);
+            let (cold, _) = resolve_cold(&inst);
             assert_eq!(cold.matching, central.matching, "seed {seed}");
             assert_eq!(cold.rounds, 2 * cold.cycles, "seed {seed}");
             assert_eq!(cold.blocking_pairs, 0, "GS converges stable");

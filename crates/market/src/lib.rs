@@ -12,7 +12,7 @@
 //!
 //! * [`MarketState`] — one persistent market: symmetric preference
 //!   lists on both sides, the cached matching of the last resolve, and
-//!   per-agent dirty sets maintained by [`MutationOp`] application;
+//!   per-agent dirty flags maintained by [`MutationOp`] application;
 //! * [`engine`] — the incremental engine: a *rewind cascade* restores
 //!   the Gale–Shapley loop invariant from the cached matching with only
 //!   dirtied proposers unmatched, then re-enters the standard

@@ -1,7 +1,7 @@
 //! One persistent market: mutable symmetric preferences, the cached
-//! matching, and per-agent dirty sets.
+//! matching, and per-agent dirty flags.
 
-use crate::engine::{self, ResolveReport, WARM_DIRTY_LIMIT};
+use crate::engine::{self, CachedPair, ResolveReport, WARM_DIRTY_LIMIT};
 use asm_instance::{Instance, InstanceBuilder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -154,7 +154,7 @@ impl std::error::Error for MarketError {}
 
 /// One persistent market: symmetric preference lists on both sides
 /// (stored as side indices so agent identities survive arrivals), the
-/// matching cached by the last resolve, and the dirty sets the next
+/// matching cached by the last resolve, and the dirty flags the next
 /// warm start consumes.
 #[derive(Clone, Debug)]
 pub struct MarketState {
@@ -164,13 +164,16 @@ pub struct MarketState {
     /// `men[j]` = man `j`'s ranked women side-indices, best first.
     men: Vec<Vec<u32>>,
     /// Cached matching of the last resolve: `man_partner[j]` is man
-    /// `j`'s woman side-index. Side-indexed (not node ids) so arrivals
-    /// on either side never shift cached pairs.
-    man_partner: Vec<Option<u32>>,
+    /// `j`'s woman side-index and his slot of her in `men[j]`.
+    /// Side-indexed (not node ids) so arrivals on either side never
+    /// shift cached pairs.
+    man_partner: Vec<Option<CachedPair>>,
     /// Whether `man_partner` reflects a completed resolve.
     has_matching: bool,
-    dirty_men: BTreeSet<u32>,
-    dirty_women: BTreeSet<u32>,
+    /// `dirty_men[j]`: man `j`'s list changed since the last resolve.
+    dirty_men: Vec<bool>,
+    /// `dirty_women[i]`: woman `i`'s list changed since the last resolve.
+    dirty_women: Vec<bool>,
     /// Bumped once per applied mutation op.
     epoch: u64,
 }
@@ -212,8 +215,8 @@ impl MarketState {
             men,
             man_partner: vec![None; ids.num_men()],
             has_matching: false,
-            dirty_men: BTreeSet::new(),
-            dirty_women: BTreeSet::new(),
+            dirty_men: vec![false; ids.num_men()],
+            dirty_women: vec![false; ids.num_women()],
             epoch: 0,
         })
     }
@@ -245,7 +248,8 @@ impl MarketState {
 
     /// `(dirty men, dirty women)` pending for the next warm start.
     pub fn dirty_counts(&self) -> (usize, usize) {
-        (self.dirty_men.len(), self.dirty_women.len())
+        let count = |flags: &[bool]| flags.iter().filter(|&&dirty| dirty).count();
+        (count(&self.dirty_men), count(&self.dirty_women))
     }
 
     /// Whether a cached matching exists to warm-start from.
@@ -276,11 +280,13 @@ impl MarketState {
                 let index = match side {
                     Side::Women => {
                         self.women.push(Vec::new());
+                        self.dirty_women.push(false);
                         (self.women.len() - 1) as u32
                     }
                     Side::Men => {
                         self.men.push(Vec::new());
                         self.man_partner.push(None);
+                        self.dirty_men.push(false);
                         (self.men.len() - 1) as u32
                     }
                 };
@@ -363,17 +369,17 @@ impl MarketState {
         for &p in old {
             if stamp[p as usize] == OLD {
                 other[p as usize].retain(|&x| x != index);
-                dirty_other.insert(p);
+                dirty_other[p as usize] = true;
             }
         }
         for &p in &prefs {
             if stamp[p as usize] == NEW {
                 other[p as usize].push(index);
-                dirty_other.insert(p);
+                dirty_other[p as usize] = true;
             }
         }
         own[index as usize] = prefs;
-        dirty_own.insert(index);
+        dirty_own[index as usize] = true;
     }
 
     /// Derives one deterministic mutation from `seed` and the current
@@ -477,7 +483,7 @@ impl MarketState {
     /// Resolves the market: re-enters the propose-accept loop warm from
     /// the cached matching (dirtied proposers unmatched, freed or edited
     /// receivers cascaded) or runs a cold solve, caches the resulting
-    /// matching, and clears the dirty sets.
+    /// matching, and clears the dirty flags.
     ///
     /// Fallback contract ([`ResolveReport::fallback`] is set whenever a
     /// cached matching was eligible to warm from but cold ran instead):
@@ -490,14 +496,15 @@ impl MarketState {
     /// cold re-solve.
     pub fn resolve(&mut self, mode: ResolveMode) -> ResolveReport {
         let inst = self.instance();
-        let dirty = self.dirty_men.len() + self.dirty_women.len();
+        let (dirty_men, dirty_women) = self.dirty_counts();
+        let dirty = dirty_men + dirty_women;
         let fraction = dirty as f64 / (self.agents() as f64).max(1.0);
         let try_warm = match mode {
             ResolveMode::Cold => false,
             ResolveMode::Warm => self.has_matching,
             ResolveMode::Auto => self.has_matching && fraction <= WARM_DIRTY_LIMIT,
         };
-        let mut report = if try_warm {
+        let (mut report, next) = if try_warm {
             let warm = engine::resolve_warm(
                 &inst,
                 self.eps,
@@ -506,33 +513,35 @@ impl MarketState {
                 &self.dirty_women,
             );
             match warm {
-                Some(report) => report,
+                Some(resolved) => resolved,
                 None => {
                     // Divergence detected: the warm result busted the
                     // ε·|E| budget. Discard it and solve cold.
-                    let mut cold = engine::resolve_cold(&inst);
+                    let (mut cold, next) = engine::resolve_cold(&inst);
                     cold.fallback = true;
-                    cold
+                    (cold, next)
                 }
             }
         } else {
-            let mut cold = engine::resolve_cold(&inst);
+            let (mut cold, next) = engine::resolve_cold(&inst);
             // A fallback is "warm was on the table but we ran cold":
             // explicit cold requests don't count.
             cold.fallback = mode != ResolveMode::Cold && self.has_matching;
-            cold
+            (cold, next)
         };
         report.epoch = self.epoch;
+        // The loop leaves a matched man's pointer on his partner: that is
+        // his slot of her, which the next warm start reads back.
         let ids = inst.ids();
-        for j in 0..self.men.len() {
-            self.man_partner[j] = report
+        for (j, cached) in self.man_partner.iter_mut().enumerate() {
+            *cached = report
                 .matching
                 .partner(ids.man(j))
-                .map(|w| ids.side_index(w) as u32);
+                .map(|w| (ids.side_index(w) as u32, next[j] as u32));
         }
         self.has_matching = true;
-        self.dirty_men.clear();
-        self.dirty_women.clear();
+        self.dirty_men.fill(false);
+        self.dirty_women.fill(false);
         report
     }
 }

@@ -144,7 +144,9 @@ pub struct GsReport {
 
 /// The synchronous propose–accept loop of distributed Gale–Shapley,
 /// started from `matching` with man `j` pointing at index `next[j]` of
-/// his list.
+/// his list. The loop advances the pointers in place: on return a
+/// matched man's rests on his partner, and a free man's is his degree
+/// once he has been rejected everywhere.
 ///
 /// Each 2-round cycle: every free man with an untried woman proposes to
 /// the best woman who has not rejected him; every woman keeps the best of
@@ -177,7 +179,7 @@ pub struct GsReport {
 pub fn propose_accept(
     inst: &Instance,
     mut matching: Matching,
-    mut next: Vec<usize>,
+    next: &mut [usize],
     max_cycles: Option<u64>,
 ) -> GsReport {
     const FREE: Rank = Rank::MAX;
@@ -347,8 +349,8 @@ mod tests {
             let inst = generators::erdos_renyi(14, 14, 0.5, seed);
             let ids = inst.ids();
             let start = || (Matching::new(ids.num_players()), vec![0; ids.num_men()]);
-            let (matching, next) = start();
-            let run = propose_accept(&inst, matching, next, None);
+            let (matching, mut next) = start();
+            let run = propose_accept(&inst, matching, &mut next, None);
             assert!(run.converged);
             assert_eq!(run.rounds, 2 * run.cycles);
             assert_eq!(
@@ -358,8 +360,8 @@ mod tests {
             );
             // A budget of exactly the cycles it took stops before the
             // quiescence check, so the run does not count as converged.
-            let (matching, next) = start();
-            let cut = propose_accept(&inst, matching, next, Some(run.cycles));
+            let (matching, mut next) = start();
+            let cut = propose_accept(&inst, matching, &mut next, Some(run.cycles));
             assert_eq!((cut.matching, cut.converged), (run.matching, false));
         }
     }

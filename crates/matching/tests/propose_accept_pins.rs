@@ -43,7 +43,7 @@ fn family_digest(family: usize) -> (&'static str, u64) {
             let run = propose_accept(
                 &inst,
                 Matching::new(ids.num_players()),
-                vec![0; ids.num_men()],
+                &mut vec![0; ids.num_men()],
                 budget,
             );
             assert_eq!(run.rounds, 2 * run.cycles);

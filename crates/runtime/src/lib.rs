@@ -5,7 +5,7 @@
 //! on `std` scoped threads only — the workspace is offline/vendored, so
 //! no rayon, no crossbeam.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * [`Executor`] — a work-sharded map over an *indexed* input slice.
 //!   Workers steal indices from a shared counter, but results are
@@ -23,6 +23,10 @@
 //!   serves requests on.
 //! * [`RunFlags`] — the command-line flags every experiment binary
 //!   shares: sweep size, worker count and table format.
+//! * [`poll`] — one `poll(2)` wait over many descriptors, the readiness
+//!   wait `asm-service`'s reactor blocks in. It holds the workspace's
+//!   only `unsafe` block, so this crate denies `unsafe_code` instead of
+//!   forbidding it and allows it on that one function.
 //!
 //! # Examples
 //!
@@ -39,11 +43,12 @@
 //! assert_eq!(serial, parallel);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cli;
 mod executor;
+pub mod poll;
 pub mod pool;
 mod seed;
 

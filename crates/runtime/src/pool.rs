@@ -176,11 +176,6 @@ impl WorkerPool {
         WorkerPool { handles }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Waits for every worker to exit (close the queue first, or this
     /// blocks forever).
     ///
@@ -199,7 +194,51 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
+
+    /// How long a held job waits for the others when the pool is meant
+    /// to run them all at once: only a pool short of workers waits it out.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Spawns a pool with a `workers` thread budget over one queue per
+    /// entry of `jobs`, and puts `jobs[s]` jobs on shard `s`. Each job
+    /// holds its worker until every job has started, or `patience`
+    /// passes. Returns the distinct `(shard, worker)` pairs the handler
+    /// saw: with one job per worker, each worker shows up once.
+    fn workers_seen(
+        workers: usize,
+        jobs: &[usize],
+        patience: Duration,
+    ) -> BTreeSet<(usize, usize)> {
+        let total: usize = jobs.iter().sum();
+        let queues: Vec<_> = jobs.iter().map(|&n| JobQueue::new(n)).collect();
+        let seen = Arc::new(Mutex::new(BTreeSet::new()));
+        let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let pool = {
+            let (seen, started) = (Arc::clone(&seen), Arc::clone(&started));
+            WorkerPool::spawn_sharded(workers, &queues, move |shard, worker, (): ()| {
+                seen.lock().unwrap().insert((shard, worker));
+                let (count, all_started) = &*started;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                all_started.notify_all();
+                let _ = all_started
+                    .wait_timeout_while(count, patience, |count| *count < total)
+                    .unwrap();
+            })
+        };
+        for (queue, &n) in queues.iter().zip(jobs) {
+            for _ in 0..n {
+                queue.try_push(()).unwrap();
+            }
+            queue.close();
+        }
+        pool.join();
+        let seen = seen.lock().unwrap().clone();
+        seen
+    }
 
     #[test]
     fn jobs_flow_through_in_fifo_order_serially() {
@@ -253,7 +292,6 @@ mod tests {
                 done.fetch_add(1, Ordering::Relaxed);
             })
         };
-        assert_eq!(pool.workers(), 4);
         for i in 0..100u64 {
             q.try_push(i).unwrap();
         }
@@ -261,6 +299,9 @@ mod tests {
         pool.join();
         assert_eq!(done.load(Ordering::Relaxed), 100);
         assert_eq!(sum.load(Ordering::Relaxed), (0..100).sum::<u64>());
+        // Four jobs that wait for each other need four workers.
+        let seen = workers_seen(4, &[4], PATIENCE);
+        assert_eq!(seen, (0..4).map(|w| (0, w)).collect());
     }
 
     #[test]
@@ -283,7 +324,6 @@ mod tests {
                 per_shard[shard].fetch_add(job, Ordering::Relaxed);
             })
         };
-        assert_eq!(pool.workers(), 3);
         for (s, q) in queues.iter().enumerate() {
             for j in 0..10u64 {
                 q.try_push(100 * s as u64 + j).unwrap();
@@ -297,17 +337,18 @@ mod tests {
             let expect: u64 = (0..10u64).map(|j| 100 * s as u64 + j).sum();
             assert_eq!(total.load(Ordering::Relaxed), expect, "shard {s}");
         }
+        // Worker `s` serves shard `s` alone.
+        let seen = workers_seen(1, &[1, 1, 1], PATIENCE);
+        assert_eq!(seen, (0..3).map(|s| (s, s)).collect());
     }
 
     #[test]
     fn sharded_pool_distributes_surplus_workers() {
-        let queues: Vec<_> = (0..2).map(|_| JobQueue::<u8>::new(1)).collect();
-        let pool = WorkerPool::spawn_sharded(5, &queues, |_, _, _| {});
-        assert_eq!(pool.workers(), 5);
-        for q in &queues {
-            q.close();
-        }
-        pool.join();
+        // Five workers dealt round-robin over two shards: 0, 2 and 4
+        // serve shard 0, and 1 and 3 serve shard 1.
+        let seen = workers_seen(5, &[3, 2], PATIENCE);
+        let dealt = [(0, 0), (1, 1), (0, 2), (1, 3), (0, 4)];
+        assert_eq!(seen, dealt.into_iter().collect());
     }
 
     #[test]
@@ -320,10 +361,9 @@ mod tests {
 
     #[test]
     fn worker_count_clamps_to_one() {
-        let q: Arc<JobQueue<u8>> = JobQueue::new(1);
-        let pool = WorkerPool::spawn_sharded(0, &[Arc::clone(&q)], |_, _, _| {});
-        assert_eq!(pool.workers(), 1);
-        q.close();
-        pool.join();
+        // Two jobs that wait for each other run one after the other on
+        // the one worker: the first waits out its patience alone.
+        let seen = workers_seen(0, &[2], Duration::from_millis(50));
+        assert_eq!(seen, BTreeSet::from([(0, 0)]));
     }
 }

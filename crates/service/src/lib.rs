@@ -27,12 +27,12 @@
 //!   aggregates are derived from the shard books when read. The
 //!   counters are exact enough to reconcile against a
 //!   load generator's own totals (CI does exactly that).
-//! * **Connection reactor** ([`reactor`]): a single std-only
-//!   poll-based reactor thread multiplexes every connection over
-//!   nonblocking sockets — incremental newline framing, ordered
-//!   response outboxes, and per-connection backpressure — so clients
-//!   cost buffers, not threads. Worker completions and shutdown wake it
-//!   immediately through a condvar-backed wake queue.
+//! * **Connection reactor** ([`reactor`]): a single reactor thread
+//!   multiplexes every connection over nonblocking sockets in one
+//!   `poll(2)` wait — incremental newline framing, ordered response
+//!   outboxes, and per-connection backpressure — so clients cost
+//!   buffers, not threads. Worker completions and shutdown wake it
+//!   immediately through a socket-pair wake channel in the same wait.
 //! * **Graceful drain** ([`server`]): shutdown stops admission, drains
 //!   every accepted job, and flushes every in-flight response before
 //!   [`ServerHandle::wait`] returns.

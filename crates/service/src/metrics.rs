@@ -228,9 +228,12 @@ pub struct ReactorCounters {
     pub accepted: CachePadded<AtomicU64>,
     /// Complete frames the reactor extracted from read buffers.
     pub frames: CachePadded<AtomicU64>,
-    /// Idle waits that ended because the wake queue was poked (a worker
-    /// completion or a shutdown request) rather than by timeout.
+    /// Blocking waits that the wake channel ended: a worker completion
+    /// or a shutdown request, not a socket, woke the reactor.
     pub wakeups: CachePadded<AtomicU64>,
+    /// Blocking waits: `poll(2)` calls that could sleep until something
+    /// was ready. An idle reactor makes one and sleeps in it.
+    pub polls: CachePadded<AtomicU64>,
     /// Worker completions delivered back to the reactor.
     pub completions: CachePadded<AtomicU64>,
     /// Completions whose connection was already gone when they arrived
@@ -1021,7 +1024,7 @@ mod tests {
         );
         assert_eq!(
             std::mem::size_of::<ReactorCounters>(),
-            64 * 11,
+            64 * 12,
             "one line per reactor counter"
         );
         let padded = CachePadded::new(AtomicU64::new(41));

@@ -1,17 +1,36 @@
-//! A std-only poll-based connection reactor: one thread, any number of
-//! sockets.
+//! A std-only readiness reactor: one thread, any number of sockets.
 //!
-//! The crate forbids `unsafe` and vendors no libc, so there is no
-//! `poll(2)`/`epoll(7)` to call. Instead the reactor runs a
-//! **level-triggered readiness scan** over nonblocking sockets: each
-//! sweep accepts pending connections, drains worker completions from a
-//! condvar-backed wake queue, and gives every connection a chance to
-//! flush buffered responses and read new bytes. When a sweep makes no
-//! progress the reactor spins briefly (yielding), then parks on the wake
-//! queue with a short timeout — so worker completions and shutdown wake
-//! it *immediately* (the wake queue is the "wakeup pipe" of classic
-//! reactors, built from a `Condvar` instead of a self-pipe), while new
-//! sockets and new bytes are discovered within one poll interval.
+//! The reactor blocks in one `poll(2)` wait ([`asm_runtime::poll`]) over
+//! its wake channel, its listener and every connection that has
+//! something to wait for. It then services only what the wait reported:
+//! it accepts when the listener is ready, applies worker completions
+//! when the wake channel is, and gives each ready connection, plus each
+//! one whose outbox a completion just filled, a chance to flush buffered
+//! responses and read new bytes. Nothing runs on a timer: an idle
+//! reactor sleeps in the kernel until a byte, a connection or a
+//! completion arrives.
+//!
+//! ## Wake channel
+//!
+//! Worker threads and [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown)
+//! push into a `WakeQueue`: a mutex-guarded queue beside a Unix socket
+//! pair whose read end sits in the poll set (the self-pipe of classic
+//! reactors). A push that finds the queue empty writes one byte after
+//! appending. The reactor reads the pending bytes *before* it drains the
+//! queue, so a push either lands in the drain that follows or writes a
+//! byte that ends the next wait: no wakeup is lost.
+//!
+//! ## Poll set
+//!
+//! A connection waits for `POLLIN` while it may read (not at EOF, dead
+//! or stalled), and for `POLLOUT` only while it holds unflushed bytes:
+//! an always-writable socket left in the set would never let the wait
+//! block. Errors and hang-ups count as ready, so the read or write that
+//! follows finds them. For the same reason the listener leaves the set
+//! while `accept` fails for want of descriptors or memory (the refused
+//! connection stays queued, so the listener stays readable), until a
+//! sweep does other work. After a sweep that made progress the reactor
+//! polls again without blocking; otherwise it blocks with no timeout.
 //!
 //! ## Framing
 //!
@@ -45,7 +64,9 @@
 //! [`ReactorConfig::write_high_water`] or its outbox holds
 //! [`ReactorConfig::max_outstanding`] unanswered frames. A slow reader
 //! therefore bounds its own memory footprint instead of growing the
-//! server's.
+//! server's. A stalled connection leaves the read set and is serviced
+//! again when `POLLOUT` fires or a completion fills its outbox; frames
+//! the stall left in its codec buffer run before any new read.
 //!
 //! ## Drain
 //!
@@ -59,21 +80,15 @@
 use crate::framing::{codec_for, Codec};
 use crate::metrics::{FlushPending, ReactorCounters};
 use crate::service::{CompletionSink, FrameHandler, FrameOutcome};
+use asm_runtime::poll::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long the reactor parks on the wake queue when idle. New
-/// connections and new bytes are discovered within one interval; worker
-/// completions and shutdown cut it short by poking the queue.
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
-
-/// Sweeps of yield-and-rescan after the last progress before parking.
-const SPIN_SWEEPS: u32 = 16;
+use std::time::Instant;
 
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 8192;
@@ -119,52 +134,55 @@ pub(crate) enum Wake {
     Poke,
 }
 
-/// The reactor's wakeup channel: a condvar-backed queue that worker
-/// threads and [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown)
-/// push into, cutting idle waits short.
+/// The reactor's wakeup channel: the queue worker threads and
+/// [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown)
+/// push into, and a socket pair whose read end is in the reactor's poll
+/// set.
 pub(crate) struct WakeQueue {
     queue: Mutex<VecDeque<Wake>>,
-    not_empty: Condvar,
+    /// Written by a push that finds the queue empty.
+    tx: UnixStream,
+    /// Polled for `POLLIN` by the reactor, which empties it in `drain`.
+    rx: UnixStream,
 }
 
 impl WakeQueue {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(WakeQueue {
+    pub(crate) fn new() -> io::Result<Arc<Self>> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Arc::new(WakeQueue {
             queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-        })
+            tx,
+            rx,
+        }))
     }
 
     pub(crate) fn push(&self, wake: Wake) {
-        self.queue.lock().expect("wake queue lock").push_back(wake);
-        self.not_empty.notify_one();
+        let was_empty = {
+            let mut queue = self.queue.lock().expect("wake queue lock");
+            queue.push_back(wake);
+            queue.len() == 1
+        };
+        // A non-empty queue already has its byte on the way (or the
+        // reactor has read it and is about to drain), and a full socket
+        // buffer means bytes are pending: either way the reactor wakes.
+        if was_empty {
+            let _ = (&self.tx).write(&[1]);
+        }
     }
 
     pub(crate) fn poke(&self) {
         self.push(Wake::Poke);
     }
 
-    /// Takes everything queued right now, without blocking.
-    fn drain(&self) -> Vec<Wake> {
-        self.queue
-            .lock()
-            .expect("wake queue lock")
-            .drain(..)
-            .collect()
-    }
-
-    /// Parks until the queue is non-empty or `timeout` elapses. Returns
-    /// whether an event is waiting (the caller drains on its next sweep).
-    fn wait_nonempty(&self, timeout: Duration) -> bool {
-        let queue = self.queue.lock().expect("wake queue lock");
-        if !queue.is_empty() {
-            return true;
-        }
-        let (queue, _timed_out) = self
-            .not_empty
-            .wait_timeout(queue, timeout)
-            .expect("wake queue lock");
-        !queue.is_empty()
+    /// Empties the socket, then takes everything queued. The order is
+    /// what makes a lost wakeup impossible: a push after the read either
+    /// lands in this drain or writes a byte that ends the next wait.
+    fn drain(&self) -> VecDeque<Wake> {
+        let mut bytes = [0u8; 64];
+        while matches!((&self.rx).read(&mut bytes), Ok(n) if n == bytes.len()) {}
+        std::mem::take(&mut *self.queue.lock().expect("wake queue lock"))
     }
 }
 
@@ -214,8 +232,12 @@ struct Conn {
     eof: bool,
     /// Socket error or protocol violation: retire immediately.
     dead: bool,
-    /// Currently under backpressure (for stall-transition counting).
+    /// Currently under backpressure: out of the read set, and counted
+    /// once per transition into the state.
     stalled: bool,
+    /// The codec buffer held bytes when a stall stopped the framing, so
+    /// it may hold complete frames that no socket event will announce.
+    held: bool,
 }
 
 impl Conn {
@@ -231,7 +253,23 @@ impl Conn {
             eof: false,
             dead: false,
             stalled: false,
+            held: false,
         }
+    }
+
+    /// The events this connection waits for: readable while it may read,
+    /// writable only while it has bytes to write. With neither (at EOF or
+    /// stalled, and nothing to write) it waits on its pending jobs, out of
+    /// the poll set until a completion fills its outbox.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if !(self.eof || self.dead || self.stalled) {
+            events |= POLLIN;
+        }
+        if self.unflushed() > 0 {
+            events |= POLLOUT;
+        }
+        events
     }
 
     fn unflushed(&self) -> usize {
@@ -270,6 +308,11 @@ pub(crate) struct Reactor {
     pending_jobs: u64,
     /// Signalled exactly once, when stopping with nothing in flight.
     drained_tx: Option<mpsc::Sender<()>>,
+    /// The last `accept` failed for want of descriptors or kernel memory.
+    /// That connection stays queued and the listener stays readable, so
+    /// polling it would spin: it leaves the poll set until a sweep does
+    /// other work (a connection that closes frees a descriptor).
+    accept_starved: bool,
 }
 
 /// Spawns the reactor thread serving `listener`.
@@ -298,6 +341,7 @@ pub(crate) fn spawn_reactor(
         next_token: 0,
         pending_jobs: 0,
         drained_tx: Some(drained_tx),
+        accept_starved: false,
     };
     std::thread::Builder::new()
         .name("asm-reactor".to_string())
@@ -307,44 +351,69 @@ pub(crate) fn spawn_reactor(
 
 impl Reactor {
     fn run(mut self) {
-        let mut spins = 0u32;
+        let mut set: Vec<PollFd> = Vec::new();
+        // `tokens[k]` owns `set[first_conn + k]`.
+        let mut tokens: Vec<u64> = Vec::new();
+        // Connections to service this sweep: ready, or filled by a
+        // completion.
+        let mut due: Vec<u64> = Vec::new();
+        let mut progress = false;
         loop {
-            let mut progress = false;
-            for event in self.wake.drain() {
-                progress = true;
-                self.apply(event);
+            set.clear();
+            tokens.clear();
+            set.push(PollFd::new(&self.wake.rx, POLLIN));
+            if let Some(listener) = self.listener.as_ref().filter(|_| !self.accept_starved) {
+                set.push(PollFd::new(listener, POLLIN));
+            }
+            let first_conn = set.len();
+            for (&token, conn) in &self.conns {
+                let events = conn.interest();
+                if events != 0 {
+                    set.push(PollFd::new(&conn.stream, events));
+                    tokens.push(token);
+                }
+            }
+            let block = !progress;
+            if block {
+                self.counters.polls.fetch_add(1, Ordering::Relaxed);
+            }
+            // A failed or interrupted wait reports nothing ready, and the
+            // loop waits again.
+            let _ = poll::wait(&mut set, block);
+
+            progress = false;
+            if set[0].ready() {
+                if block {
+                    self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+                }
+                for event in self.wake.drain() {
+                    progress = true;
+                    self.apply(event, &mut due);
+                }
+            }
+            // `set[1]` is the listener whenever it is in the set.
+            if first_conn == 2 && set[1].ready() {
+                progress |= self.accept_new();
+            }
+            let ready = tokens.iter().zip(&set[first_conn..]);
+            due.extend(ready.filter(|(_, fd)| fd.ready()).map(|(&token, _)| token));
+            due.sort_unstable();
+            due.dedup();
+            for token in due.drain(..) {
+                progress |= self.service_conn(token);
+            }
+            if progress {
+                self.accept_starved = false;
             }
             if self.stopping() {
                 // Drop the listener the moment shutdown starts: the
                 // port frees for rebinding while existing connections
                 // keep draining.
                 progress |= self.listener.take().is_some();
-            } else {
-                progress |= self.accept_new();
-            }
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in tokens {
-                progress |= self.service_conn(token);
-            }
-            progress |= self.cull();
-            if self.stopping() {
                 self.maybe_signal_drained();
                 if self.conns.is_empty() {
                     return;
                 }
-            }
-            if progress {
-                spins = 0;
-                continue;
-            }
-            spins += 1;
-            if spins <= SPIN_SWEEPS {
-                std::thread::yield_now();
-                continue;
-            }
-            if self.wake.wait_nonempty(POLL_INTERVAL) {
-                self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-                spins = 0;
             }
         }
     }
@@ -354,7 +423,9 @@ impl Reactor {
         self.stop.load(Ordering::SeqCst) || !self.handler.is_accepting()
     }
 
-    fn apply(&mut self, event: Wake) {
+    /// Applies one wake event; a completion for a live connection marks
+    /// it `due` for this sweep.
+    fn apply(&mut self, event: Wake, due: &mut Vec<u64>) {
         match event {
             Wake::Complete {
                 token,
@@ -364,7 +435,10 @@ impl Reactor {
             } => {
                 self.pending_jobs = self.pending_jobs.saturating_sub(1);
                 match self.conns.get_mut(&token) {
-                    Some(conn) if !conn.dead => conn.fill_slot(seq, bytes, trace),
+                    Some(conn) if !conn.dead => {
+                        conn.fill_slot(seq, bytes, trace);
+                        due.push(token);
+                    }
                     _ => {
                         self.counters
                             .discarded_completions
@@ -400,22 +474,36 @@ impl Reactor {
                     progress = true;
                 }
                 Err(err) if err.kind() == ErrorKind::WouldBlock => return progress,
-                // Transient accept errors (e.g. ECONNABORTED): keep serving.
-                Err(_) => return progress,
+                Err(err) => {
+                    // EMFILE, ENFILE, ENOBUFS and ENOMEM (Linux numbers)
+                    // leave the connection queued. Other errors (e.g.
+                    // ECONNABORTED) consume it: keep serving.
+                    self.accept_starved = matches!(err.raw_os_error(), Some(23 | 24 | 105 | 12));
+                    return progress;
+                }
             }
         }
     }
 
-    /// One sweep over one connection: flush what is ready, read and
-    /// frame what arrived, flush inline replies.
+    /// Services one connection: flush what is ready, read and frame
+    /// what arrived, flush inline replies. Then retire it if it is dead,
+    /// or closed with every reply flushed.
     fn service_conn(&mut self, token: u64) -> bool {
         let Some(mut conn) = self.conns.remove(&token) else {
             return false;
         };
-        let mut progress = flush(&mut conn, &self.counters);
-        if !conn.dead {
-            progress |= self.fill_and_frame(&mut conn, token);
+        let mut progress = false;
+        loop {
             progress |= flush(&mut conn, &self.counters);
+            if !conn.dead {
+                progress |= self.fill_and_frame(&mut conn, token);
+                progress |= flush(&mut conn, &self.counters);
+            }
+            // Flushing inline replies can lift the stall that held frames
+            // in the codec buffer; no socket event would announce them.
+            if !conn.held || conn.dead || self.is_stalled(&conn) {
+                break;
+            }
         }
         let now_stalled = !conn.dead && self.is_stalled(&conn);
         if now_stalled && !conn.stalled {
@@ -424,6 +512,12 @@ impl Reactor {
                 .fetch_add(1, Ordering::Relaxed);
         }
         conn.stalled = now_stalled;
+        if conn.dead || (conn.eof && conn.fully_flushed()) {
+            self.counters
+                .open_connections
+                .fetch_sub(1, Ordering::Relaxed);
+            return true;
+        }
         self.conns.insert(token, conn);
         progress
     }
@@ -484,7 +578,12 @@ impl Reactor {
     /// replays pipelined leftovers into the successor codec.
     fn drain_frames(&mut self, conn: &mut Conn, token: u64) -> bool {
         let before = conn.codec.buffered();
-        while !conn.dead && !self.is_stalled(conn) {
+        conn.held = false;
+        while !conn.dead {
+            if self.is_stalled(conn) {
+                conn.held = conn.codec.buffered() > 0;
+                break;
+            }
             match conn.codec.next_frame() {
                 Ok(Some(frame)) => {
                     // The stage clock's first stamp: the frame just left
@@ -521,24 +620,6 @@ impl Reactor {
             }
         }
         conn.codec.buffered() != before
-    }
-
-    /// Retires dead connections and cleanly-closed ones whose responses
-    /// have all been flushed.
-    fn cull(&mut self) -> bool {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.dead || (c.eof && c.fully_flushed()))
-            .map(|(&t, _)| t)
-            .collect();
-        for token in &done {
-            self.conns.remove(token);
-            self.counters
-                .open_connections
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-        !done.is_empty()
     }
 
     /// Once stopping with no pending jobs and every response flushed,

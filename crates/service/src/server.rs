@@ -7,9 +7,9 @@
 //! so this module only owns sockets and the
 //! [`reactor`](crate::reactor) lifecycle. Connections no longer cost a
 //! thread each: the reactor multiplexes every socket over nonblocking
-//! I/O, and worker completions wake it through its condvar-backed wake
-//! queue — including shutdown, which is immediate instead of waiting out
-//! an accept-poll interval.
+//! I/O in one `poll(2)` wait, and worker completions wake it through the
+//! socket-pair wake channel in that wait — shutdown too, which is
+//! immediate.
 //!
 //! [`ServerHandle::wait`] keeps the graceful-drain guarantee: accept
 //! stopped (listener dropped, port free) → workers joined (every
@@ -59,8 +59,7 @@ impl<H: FrameHandler> ServerHandle<H> {
 
     /// Asks the server to stop accepting connections and admitting jobs,
     /// as if a `shutdown` request had arrived. Takes effect immediately:
-    /// the wake queue is poked, so the reactor does not sleep out a poll
-    /// interval first. Idempotent.
+    /// the poke on the wake channel ends the reactor's wait. Idempotent.
     pub fn shutdown(&self) {
         self.handler.begin_shutdown();
         self.stop.store(true, Ordering::SeqCst);
@@ -94,6 +93,10 @@ impl<H: FrameHandler> ServerHandle<H> {
 
 /// Binds `addr` and spawns a reactor serving `handler`: the shared back
 /// half of [`serve`] and [`serve_router`](crate::router::serve_router).
+///
+/// # Errors
+///
+/// The bind error, or the error creating the reactor's wake channel.
 pub(crate) fn spawn_server<H: FrameHandler>(
     addr: &str,
     handler: Arc<H>,
@@ -103,7 +106,7 @@ pub(crate) fn spawn_server<H: FrameHandler>(
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let wake = WakeQueue::new();
+    let wake = WakeQueue::new()?;
     let counters = Arc::new(ReactorCounters::new());
     let (drained_tx, drained_rx) = mpsc::channel();
     let reactor_thread = spawn_reactor(

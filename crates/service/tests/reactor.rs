@@ -379,6 +379,75 @@ fn shutdown_drains_within_five_milliseconds() {
     );
 }
 
+#[test]
+fn an_idle_connection_costs_at_most_two_blocking_waits() {
+    // A timed park would wake about 100 times in 100 ms; a readiness
+    // wait sleeps until something happens. The counters, not the clock,
+    // carry the assertion.
+    let handle = serve("127.0.0.1:0", config(0)).unwrap();
+    let counters = std::sync::Arc::clone(handle.reactor_counters());
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(b"{\"id\":1,\"op\":\"health\"}\n").unwrap();
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"reply\":\"health\""), "{reply}");
+
+    let before = counters.get(&counters.polls);
+    std::thread::sleep(Duration::from_millis(100));
+    let waits = counters.get(&counters.polls) - before;
+    assert!(
+        waits <= 2,
+        "{waits} blocking waits in 100 ms with one idle connection open"
+    );
+
+    drop(writer);
+    drop(reader);
+    handle.shutdown();
+    assert_books_reconcile(&handle.service().snapshot(false));
+    handle.wait();
+}
+
+#[test]
+fn a_worker_completion_alone_wakes_an_idle_reactor() {
+    // The worker holds the solve for 50 ms, so the reactor admits it and
+    // blocks with nothing else to do. The client sends nothing more:
+    // only the completion's byte on the wake channel can end the wait.
+    let handle = serve("127.0.0.1:0", config(50)).unwrap();
+    let counters = std::sync::Arc::clone(handle.reactor_counters());
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let before = counters.get(&counters.wakeups);
+    writer
+        .write_all(format!("{}\n", solve_frame(1, 7)).as_bytes())
+        .unwrap();
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"reply\":\"solved\""), "{reply}");
+    assert_eq!(counters.get(&counters.completions), 1);
+    assert!(
+        counters.get(&counters.wakeups) > before,
+        "the completion must have ended a blocking wait"
+    );
+
+    drop(writer);
+    drop(reader);
+    handle.shutdown();
+    let snapshot = handle.service().snapshot(false);
+    assert_eq!(snapshot.solved, 1);
+    assert_books_reconcile(&snapshot);
+    handle.wait();
+}
+
 /// The first frame every binary client sends: a JSON-framed `hello`
 /// naming the codec (negotiation always starts in JSON).
 const HELLO_BINARY: &[u8] = b"{\"id\":0,\"op\":\"hello\",\"body\":{\"codec\":\"binary\"}}\n";

@@ -20,6 +20,10 @@ For each workload and end-to-end metric, with bound b from `BENCHMARK.json`:
   own IQR/median is wider than b, so these runs cannot tell;
 - ok: otherwise.
 
+The `won` column counts the pairs in which the change's value beat the
+parent's (ties count for neither). It is shown beside the verdict and does
+not enter it.
+
 The gate also fails a workload on which a change run is not `correct`, or
 on which the change fails a larger share of its operations than the parent.
 
@@ -79,18 +83,24 @@ def relative(delta, base):
     return delta / abs(base)
 
 
-def judge(metric, parent, change):
-    """The verdict row of one end-to-end metric over one workload's pairs."""
+def judge(metric, parent, change, pairs):
+    """The verdict row of one end-to-end metric over one workload's runs.
+
+    `pairs` holds the (parent, change) values of the pairs in which both
+    runs produced a result."""
     p1, p, p3 = quartiles(parent)
     c1, c, c3 = quartiles(change)
-    worse = relative(c - p if metric["better"] == "lower" else p - c, p)
+    lower = metric["better"] == "lower"
+    worse = relative(c - p if lower else p - c, p)
     spread = relative(p3 - p1, p)
+    won = sum(1 for pv, cv in pairs if (cv < pv if lower else cv > pv))
     bound = metric["bound"]
     verdict = "ok"
     if worse > bound:
         verdict = "FAIL" if spread <= bound else "unresolved"
     return verdict, (f"{metric['name']:<16} {bound:>5.2f}  {p:>10.4g} [{p1:.4g}, {p3:.4g}]"
-                     f"  {c:>10.4g} [{c1:.4g}, {c3:.4g}]  {worse:>+8.1%}  {spread:>7.1%}  {verdict}")
+                     f"  {c:>10.4g} [{c1:.4g}, {c3:.4g}]  {worse:>+8.1%}  {spread:>7.1%}"
+                     f"  {f'{won}/{len(pairs)}':>5}  {verdict}")
 
 
 def main():
@@ -142,7 +152,7 @@ def main():
                           f"{result['attempted']}", flush=True)
 
     print(f"\n{'metric':<16} {'bound':>5}  {'parent median [Q1, Q3]':>26}  "
-          f"{'change median [Q1, Q3]':>26}  {'worse by':>8}  {'IQR/med':>7}  verdict")
+          f"{'change median [Q1, Q3]':>26}  {'worse by':>8}  {'IQR/med':>7}  {'won':>5}  verdict")
     failures, unresolved, unmeasured = [], [], []
     for workload in workloads:
         parent = [r for r in results[workload]["parent"] if r is not None]
@@ -166,11 +176,16 @@ def main():
         measured = [r for r in change if r is not None]
         if len(measured) < 2:
             continue
+        # The two runs of a pair share a seed.
+        paired = [(p, c) for p, c in zip(results[workload]["parent"], change)
+                  if p is not None and c is not None]
         for metric in bench["end_to_end"]:
             name = metric["name"]
+            value = lambda r: r["metrics"][name]["value"]
             verdict, row = judge(metric,
-                                 [r["metrics"][name]["value"] for r in parent],
-                                 [r["metrics"][name]["value"] for r in measured])
+                                 [value(r) for r in parent],
+                                 [value(r) for r in measured],
+                                 [(value(p), value(c)) for p, c in paired])
             print("  " + row)
             if verdict == "FAIL":
                 failures.append(f"{workload} {name}")

@@ -454,6 +454,87 @@ fn serve_round_trips_health_solve_and_shutdown() {
 }
 
 #[test]
+fn serve_does_not_spin_when_out_of_descriptors() {
+    use std::io::{BufRead, BufReader, Write};
+
+    /// Kills the server if the test fails before it exits.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    // A 40-descriptor limit and 60 clients: the connections the server
+    // cannot accept stay queued, and its listener stays readable. The
+    // reactor must not poll it in a loop while no descriptor frees.
+    let mut server = Server(
+        Command::new("sh")
+            .args([
+                "-c",
+                "ulimit -n 40 && exec \"$0\" serve --addr 127.0.0.1:0 --workers 1",
+            ])
+            .arg(env!("CARGO_BIN_EXE_asm"))
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("sh runs"),
+    );
+    let mut lines = BufReader::new(server.0.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner
+        .strip_prefix("asm-service listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+    let mut clients: Vec<_> = (0..60)
+        .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+        .collect();
+
+    // utime + stime of the server, in clock ticks (100 per second).
+    let pid = server.0.id();
+    let cpu_ticks = || -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+        let fields: Vec<&str> = stat
+            .rsplit(')')
+            .next()
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    };
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let before = cpu_ticks();
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let spent = cpu_ticks() - before;
+    assert!(
+        spent < 50,
+        "the server burned {spent} ticks of CPU in 1 s while out of descriptors"
+    );
+
+    // Closing clients frees descriptors, and the queue drains.
+    clients.drain(..30);
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let health = exchange("{\"id\":1,\"op\":\"health\"}");
+    assert!(health.contains("\"reply\":\"health\""), "{health}");
+    let bye = exchange("{\"id\":2,\"op\":\"shutdown\"}");
+    assert!(bye.contains("\"reply\":\"shutting_down\""), "{bye}");
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+}
+
+#[test]
 fn out_of_range_eps_fails_cleanly() {
     let inst = tmp("eps-range.json");
     let out = asm_bin()

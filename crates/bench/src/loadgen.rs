@@ -720,6 +720,15 @@ pub fn fetch_stages(addr: &str) -> std::io::Result<MetricsSnapshot> {
 /// snapshot was taken after the run (so `extra_control_frames` counts
 /// the generator's own health/metrics frames, including the one that
 /// fetched `snapshot`).
+///
+/// The Σ-shard block (run whenever the snapshot carries a `shards`
+/// array) cannot fail against a single `asm serve`: `Metrics::snapshot`
+/// derives the aggregates from the same shard snapshots it reports. It
+/// stays for `asm route` over sharded backends, whose `shards` array is
+/// the backends' arrays concatenated while the aggregates are the
+/// router's merged sums (plus its own sheds, which no backend shard
+/// saw). There it is the only check that the two agree; CI's router
+/// smoke runs it against `--shards 2` backends with `--verify-metrics`.
 pub fn verify_metrics(report: &LoadReport, snapshot: &MetricsSnapshot) -> Vec<String> {
     let mut mismatches = Vec::new();
     let mut check = |name: &str, ours: u64, theirs: u64| {
@@ -759,15 +768,17 @@ pub fn verify_metrics(report: &LoadReport, snapshot: &MetricsSnapshot) -> Vec<St
         snapshot.cache_hits + snapshot.cache_misses,
     );
     // On a sharded server the per-shard books must sum exactly to the
-    // aggregates (queue_peak aggregates by max, not sum).
+    // aggregates (queue_peak aggregates by max, not sum); a router's
+    // aggregate `overloaded` also counts the requests it shed itself.
     if !snapshot.shards.is_empty() {
         let sum =
             |f: fn(&asm_service::ShardSnapshot) -> u64| snapshot.shards.iter().map(f).sum::<u64>();
+        let sheds = snapshot.router.as_ref().map_or(0, |r| r.sheds);
         check("Σ shard solved", sum(|s| s.solved), snapshot.solved);
         check("Σ shard analyzed", sum(|s| s.analyzed), snapshot.analyzed);
         check(
-            "Σ shard overloaded",
-            sum(|s| s.overloaded),
+            "Σ shard overloaded + router sheds",
+            sum(|s| s.overloaded) + sheds,
             snapshot.overloaded,
         );
         check(
@@ -890,6 +901,14 @@ fn audit_stage_domain(domain: &str, stages: &StagesSnapshot, mismatches: &mut Ve
 /// 3. when `completed` is given (the frames the caller saw replies for),
 ///    every stage book holds exactly that many rows — the books count
 ///    flushed replies, nothing more, nothing less.
+///
+/// Layer 2 cannot fail against a single `asm serve`, which folds its
+/// aggregate books from the same shard books it reports. It stays for
+/// `asm route` over sharded backends: there the `shards` array is the
+/// backends' arrays concatenated and the aggregate is the router's
+/// bucketwise sum of the backends' aggregates, so layer 2 is the only
+/// check that the two agree. CI's router smoke runs it against
+/// `--shards 2` backends with `--verify-metrics`.
 ///
 /// Returns the mismatches (empty ⇔ the books balance).
 pub fn verify_stage_books(snapshot: &MetricsSnapshot, completed: Option<u64>) -> Vec<String> {
@@ -1235,6 +1254,156 @@ mod tests {
         plain.backends.clear();
         plain.router = None;
         assert_eq!(verify_router_books(&plain), Vec::<String>::new());
+    }
+
+    /// One shard of a router's concatenated `shards` array. Rounds,
+    /// messages and matched pairs scale with `solved` as in
+    /// [`router_snapshot_json`], and every cache miss left one entry.
+    fn shard(
+        i: u64,
+        solved: u64,
+        overloaded: u64,
+        hits: u64,
+        misses: u64,
+        peak: u64,
+    ) -> asm_service::ShardSnapshot {
+        asm_service::ShardSnapshot {
+            shard: i,
+            solved,
+            analyzed: 0,
+            overloaded,
+            deadline_exceeded: 0,
+            cache_hits: hits,
+            cache_misses: misses,
+            cache_entries: misses,
+            queue_depth: 0,
+            queue_peak: peak,
+            rounds_total: solved * 10,
+            messages_total: solved * 20,
+            blocking_pairs_total: 0,
+            matched_total: solved * 7,
+            stages: None,
+        }
+    }
+
+    /// [`router_snapshot_json`] behind two 2-shard backends: the four
+    /// shards split each backend's books, so they sum to the merged
+    /// aggregates once the router's 2 sheds are added to `overloaded`.
+    fn sharded_router_snapshot() -> MetricsSnapshot {
+        let mut snapshot: MetricsSnapshot = serde_json::from_str(&router_snapshot_json()).unwrap();
+        snapshot.shards = vec![
+            shard(0, 2, 1, 1, 1, 2),
+            shard(1, 1, 0, 0, 1, 1),
+            shard(2, 1, 0, 0, 1, 1),
+            shard(3, 1, 0, 0, 1, 1),
+        ];
+        snapshot
+    }
+
+    #[test]
+    fn sigma_shard_checks_catch_a_router_shard_array_that_does_not_sum() {
+        let mix = MixConfig::default();
+        let report = LoadReport {
+            schema: LOADGEN_SCHEMA,
+            coords: vec![CoordTotals::default(); mix.coordinates().len()],
+            mix,
+            sent: 5,
+            succeeded: 5,
+            rejected: 3,
+            deadline_exceeded: 0,
+            solve_errors: 4,
+            protocol_errors: 0,
+            shards: 4,
+            wall: WallStats::default(),
+        };
+        let sigma = |snapshot: &MetricsSnapshot| -> Vec<String> {
+            verify_metrics(&report, snapshot)
+                .into_iter()
+                .filter(|m| m.starts_with("Σ shard") || m.starts_with("max shard"))
+                .collect()
+        };
+        let snapshot = sharded_router_snapshot();
+        assert_eq!(sigma(&snapshot), Vec::<String>::new());
+
+        // One backend's slice of the array lost a shard's solves.
+        let mut broken = snapshot.clone();
+        broken.shards[3].solved = 0;
+        broken.shards[3].rounds_total = 0;
+        broken.shards[0].queue_peak = 1;
+        let mismatches = sigma(&broken);
+        for name in [
+            "Σ shard solved",
+            "Σ shard rounds_total",
+            "max shard queue_peak",
+        ] {
+            assert!(
+                mismatches.iter().any(|m| m.starts_with(name)),
+                "{name}: {mismatches:?}"
+            );
+        }
+        assert_eq!(mismatches.len(), 3, "{mismatches:?}");
+
+        // Shards that also counted the router's sheds overcount.
+        let mut doubled = snapshot;
+        doubled.shards[1].overloaded += 2;
+        assert_eq!(
+            sigma(&doubled),
+            vec!["Σ shard overloaded + router sheds: loadgen counted 5, server metrics say 3"]
+        );
+    }
+
+    #[test]
+    fn stage_fold_check_catches_a_router_shard_array_that_does_not_sum() {
+        // `count` rows per stage, all in bucket 0, `us` µs per component
+        // stage and room to spare in the end-to-end book.
+        let stages = |count: u64, us: u64| {
+            let stage = |total_us: u64| StageSnapshot {
+                count,
+                total_us,
+                p50_us: 2,
+                p95_us: 2,
+                p99_us: 2,
+                buckets: vec![count],
+            };
+            StagesSnapshot {
+                decode: stage(us),
+                queue: stage(us),
+                solve: stage(us),
+                encode: stage(us),
+                flush: stage(us),
+                total: stage(6 * us),
+            }
+        };
+        let mut snapshot = sharded_router_snapshot();
+        let mut aggregate = StagesSnapshot::default();
+        for (i, shard) in snapshot.shards.iter_mut().enumerate() {
+            let books = stages(i as u64 + 1, 10 * (i as u64 + 1));
+            aggregate.absorb(&books);
+            shard.stages = Some(books);
+        }
+        snapshot.stages = Some(aggregate);
+        assert_eq!(verify_stage_books(&snapshot, None), Vec::<String>::new());
+
+        let mut broken = snapshot.clone();
+        broken.shards[2].stages.as_mut().unwrap().solve.total_us += 7;
+        assert_eq!(
+            verify_stage_books(&broken, None),
+            vec!["Σ shard `solve` total_us is 107, aggregate says 100"]
+        );
+
+        let mut missing = snapshot;
+        missing.shards[1].stages = None;
+        let mismatches = verify_stage_books(&missing, None);
+        assert!(
+            mismatches[0].contains("shards[1] is missing its stages block"),
+            "{mismatches:?}"
+        );
+        assert!(
+            mismatches
+                .iter()
+                .any(|m| m.contains("Σ shard `total` count")),
+            "{mismatches:?}"
+        );
     }
 
     #[test]

@@ -50,9 +50,19 @@ impl AsmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `epsilon` is not in `(0, 8]` — validation is deferred to
-    /// [`AsmConfig::validate`] only for the manual-field path.
+    /// Panics if `epsilon` is not positive and finite;
+    /// [`AsmConfig::try_new`] returns the error instead.
     pub fn new(epsilon: f64) -> Self {
+        Self::try_new(epsilon).expect("invalid epsilon")
+    }
+
+    /// [`AsmConfig::new`] for an `ε` that may be out of range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Epsilon`] unless `epsilon` is positive and
+    /// finite.
+    pub fn try_new(epsilon: f64) -> Result<Self, ConfigError> {
         let config = AsmConfig {
             epsilon,
             quantiles: None,
@@ -62,8 +72,8 @@ impl AsmConfig {
             seed: 0,
             early_exit: true,
         };
-        config.validate().expect("invalid epsilon");
-        config
+        config.validate()?;
+        Ok(config)
     }
 
     /// Sets the maximal-matching backend.
@@ -133,12 +143,18 @@ impl AsmConfig {
 pub enum ConfigError {
     /// ε out of range.
     Epsilon(f64),
-    /// δ out of range (Lemma 5 requires `0 < δ ≤ 1/2`).
+    /// Bad-man budget δ out of range (Lemma 5 requires `0 < δ ≤ 1/2`).
     Delta(f64),
     /// Quantile count must be positive.
     Quantiles(usize),
     /// Inner multiplier out of range.
     InnerMultiplier(f64),
+    /// Failure probability out of range (`RandASM` and
+    /// `AlmostRegularASM` require `0 < δ < 1`).
+    FailureProbability(f64),
+    /// Men-side regularity α out of range (`AlmostRegularASM` requires a
+    /// finite `α ≥ 1`).
+    Alpha(f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -150,6 +166,13 @@ impl fmt::Display for ConfigError {
             ConfigError::InnerMultiplier(m) => {
                 write!(f, "inner multiplier {m} must be positive and finite")
             }
+            ConfigError::FailureProbability(d) => {
+                write!(
+                    f,
+                    "failure probability delta {d} must satisfy 0 < delta < 1"
+                )
+            }
+            ConfigError::Alpha(a) => write!(f, "alpha {a} must be finite and >= 1"),
         }
     }
 }

@@ -72,9 +72,10 @@ fn effective_alpha(inst: &Instance) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for invalid ε/δ, or when the instance's men
-/// have unbounded α (only possible via `alpha_override` misuse — measured
-/// α over nonempty lists is always finite).
+/// Returns [`ConfigError::FailureProbability`] when δ is outside
+/// `(0, 1)`, [`ConfigError::Alpha`] when α is not a finite value ≥ 1
+/// (only possible via `alpha_override` misuse — measured α over nonempty
+/// lists is always finite and ≥ 1), and [`ConfigError`] for invalid ε.
 ///
 /// # Examples
 ///
@@ -109,16 +110,15 @@ pub(crate) fn almost_regular_plan(
     params: &AlmostRegularParams,
 ) -> Result<(AsmConfig, u64), ConfigError> {
     if !(params.failure_delta > 0.0 && params.failure_delta < 1.0) {
-        return Err(ConfigError::Delta(params.failure_delta));
+        return Err(ConfigError::FailureProbability(params.failure_delta));
     }
     let alpha = params
         .alpha_override
         .unwrap_or_else(|| effective_alpha(inst));
     if !(alpha >= 1.0 && alpha.is_finite()) {
-        return Err(ConfigError::InnerMultiplier(alpha));
+        return Err(ConfigError::Alpha(alpha));
     }
-    let mut config = AsmConfig::new(params.epsilon).with_seed(params.seed);
-    config.validate()?;
+    let mut config = AsmConfig::try_new(params.epsilon)?.with_seed(params.seed);
 
     let k = config.quantile_count();
     // ℓ = 2 δ_bad⁻¹ k with δ_bad = ε/(4α)  (Theorem 6 proof sketch).
@@ -179,6 +179,25 @@ mod tests {
         let r1 = almost_regular_asm(&inst, &p1).unwrap();
         let r4 = almost_regular_asm(&inst, &p4).unwrap();
         assert!(r4.scheduled_quantile_matches > r1.scheduled_quantile_matches);
+    }
+
+    #[test]
+    fn out_of_range_delta_and_alpha_name_their_parameter() {
+        let inst = generators::complete(4, 1);
+        let err = almost_regular_asm(&inst, &AlmostRegularParams::new(1.0, 1.0)).unwrap_err();
+        assert_eq!(err, ConfigError::FailureProbability(1.0));
+        assert!(err.to_string().contains("0 < delta < 1"), "{err}");
+        for alpha in [0.5, f64::INFINITY] {
+            let p = AlmostRegularParams {
+                alpha_override: Some(alpha),
+                ..AlmostRegularParams::new(1.0, 0.1)
+            };
+            let err = almost_regular_asm(&inst, &p).unwrap_err();
+            assert_eq!(err, ConfigError::Alpha(alpha));
+            assert!(err.to_string().contains(">= 1"), "{err}");
+        }
+        let err = almost_regular_asm(&inst, &AlmostRegularParams::new(-1.0, 0.1)).unwrap_err();
+        assert_eq!(err, ConfigError::Epsilon(-1.0));
     }
 
     #[test]

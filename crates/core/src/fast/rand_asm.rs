@@ -54,7 +54,9 @@ impl RandAsmParams {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] if ε or the derived parameters are invalid.
+/// Returns [`ConfigError::FailureProbability`] when δ is outside
+/// `(0, 1)`, and [`ConfigError`] if ε or the derived parameters are
+/// invalid.
 ///
 /// # Examples
 ///
@@ -79,10 +81,9 @@ pub fn rand_asm(inst: &Instance, params: &RandAsmParams) -> Result<AsmReport, Co
 /// Shared between the fast and CONGEST engines.
 pub fn rand_asm_config(inst: &Instance, params: &RandAsmParams) -> Result<AsmConfig, ConfigError> {
     if !(params.failure_delta > 0.0 && params.failure_delta < 1.0) {
-        return Err(ConfigError::Delta(params.failure_delta));
+        return Err(ConfigError::FailureProbability(params.failure_delta));
     }
-    let mut config = AsmConfig::new(params.epsilon).with_seed(params.seed);
-    config.validate()?;
+    let mut config = AsmConfig::try_new(params.epsilon)?.with_seed(params.seed);
 
     let ids = inst.ids();
     let n = ids.num_women().max(ids.num_men()).max(2);
@@ -112,6 +113,18 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn failure_probability_outside_the_unit_interval_is_refused() {
+        let inst = generators::complete(4, 1);
+        for delta in [0.0, 1.0, -0.5, f64::NAN] {
+            let err = rand_asm(&inst, &RandAsmParams::new(1.0, delta)).unwrap_err();
+            assert!(matches!(err, ConfigError::FailureProbability(_)), "{err:?}");
+            assert!(err.to_string().contains("0 < delta < 1"), "{err}");
+        }
+        let err = rand_asm(&inst, &RandAsmParams::new(0.0, 0.1)).unwrap_err();
+        assert_eq!(err, ConfigError::Epsilon(0.0));
     }
 
     #[test]

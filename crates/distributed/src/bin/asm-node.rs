@@ -6,8 +6,20 @@
 //! The node connects to the orchestrator, waits for its `init` frame,
 //! and serves rounds until `halt` or EOF. It is purely reactive — all
 //! scheduling lives in the orchestrator.
+//!
+//! A usage error (unknown argument, missing `--connect`) exits 2; a
+//! failed session exits 1.
 
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: asm-node --connect HOST:PORT";
+
+/// Reports a usage error: the message, then the usage, and exit 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("asm-node: {message}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -16,18 +28,14 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--connect" => addr = args.next(),
             "--help" | "-h" => {
-                println!("usage: asm-node --connect HOST:PORT");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("asm-node: unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
     let Some(addr) = addr else {
-        eprintln!("asm-node: missing --connect HOST:PORT");
-        return ExitCode::FAILURE;
+        return usage_error("missing --connect HOST:PORT");
     };
     match asm_distributed::run_node(&addr) {
         Ok(()) => ExitCode::SUCCESS,

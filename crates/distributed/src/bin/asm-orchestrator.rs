@@ -5,6 +5,7 @@
 //!
 //! ```text
 //! asm-orchestrator [--family regular] [--n 64] [--seed 1] [--eps 1.0]
+//!                  [--backend det_greedy|bipartite_proposal|panconesi_rizzi]
 //!                  [--procs 4] [--node-bin PATH]
 //!                  [--fault-seed S] [--drop P] [--dup P] [--delay P]
 //!                  [--max-delay K] [--timeout-ms N] [--attempts N]
@@ -12,8 +13,14 @@
 //!
 //! `--family` is any generator family name (`complete`, `erdos_renyi`,
 //! `regular`, `almost_regular`, `zipf`, `chain`, `master_list`,
-//! `noisy_master`, `geometric`). The fault knobs configure the seeded
+//! `noisy_master`, `geometric`). `--backend` picks the deterministic
+//! message-passing maximal-matching backend of `ProposalRound`
+//! (default `det_greedy`). The fault knobs configure the seeded
 //! transport fault proxy; all default to off.
+//!
+//! A usage error (unknown flag, missing or bad value, unknown family, a
+//! recipe the generator refuses) exits 2 and names what it refuses; a
+//! run that fails exits 1.
 
 use asm_core::congest::RunPlan;
 use asm_core::AsmConfig;
@@ -23,6 +30,11 @@ use asm_maximal::MatcherBackend;
 use serde::Serialize;
 use std::process::ExitCode;
 use std::time::Duration;
+
+const USAGE: &str = "usage: asm-orchestrator [--family NAME] [--n N] [--seed S] [--eps E] \
+     [--backend det_greedy|bipartite_proposal|panconesi_rizzi] [--procs P] [--node-bin PATH] \
+     [--fault-seed S] [--drop P] [--dup P] [--delay P] [--max-delay K] [--timeout-ms N] \
+     [--attempts N]";
 
 /// What one orchestrated run prints, as one JSON line.
 #[derive(Serialize)]
@@ -132,11 +144,7 @@ fn parse_cli() -> Result<Cli, String> {
                     .map_err(|e| format!("--attempts: {e}"))?
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: asm-orchestrator [--family NAME] [--n N] [--seed S] [--eps E] \
-                     [--procs P] [--node-bin PATH] [--fault-seed S] [--drop P] [--dup P] \
-                     [--delay P] [--max-delay K] [--timeout-ms N] [--attempts N]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -145,24 +153,34 @@ fn parse_cli() -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Reports a usage error: the message, then the usage, and exit 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("asm-orchestrator: {message}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let cli = match parse_cli() {
         Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("asm-orchestrator: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return usage_error(&e),
     };
 
     let Some(config) = GeneratorConfig::all_families(cli.n, cli.seed)
         .into_iter()
         .find(|c| c.family() == cli.family)
     else {
-        eprintln!("asm-orchestrator: unknown family `{}`", cli.family);
-        return ExitCode::FAILURE;
+        return usage_error(&format!("unknown family `{}`", cli.family));
+    };
+    if let Err(e) = config.validate() {
+        return usage_error(&format!("--family {} --n {}: {e}", cli.family, cli.n));
+    }
+    let asm_config = match AsmConfig::try_new(cli.eps) {
+        Ok(asm_config) => asm_config.with_backend(cli.backend),
+        Err(e) => return usage_error(&format!("--eps: {e}")),
     };
     let inst = config.build();
-    let plan = match RunPlan::asm(&inst, &AsmConfig::new(cli.eps).with_backend(cli.backend)) {
+    let plan = match RunPlan::asm(&inst, &asm_config) {
         Ok(plan) => plan,
         Err(e) => {
             eprintln!("asm-orchestrator: invalid plan: {e}");

@@ -17,6 +17,12 @@
 //!   `deadline_exceeded` instead of silent latency. `solve_batch`
 //!   amortizes one envelope and one admission per shard touched across
 //!   many instances.
+//! * **Solve pipeline** ([`solve`]): [`SolveJob::new`] validates a
+//!   `solve` body (algorithm, backend, ε, δ, generator recipe) and keys
+//!   it; [`SolveJob::run`] answers it from the cache or builds the
+//!   instance, runs the engine, audits the matching, and caches the
+//!   result. Every single solve and `solve_batch` item runs through it,
+//!   and so does `asm solve`, with a zero-capacity cache.
 //! * **Result cache** ([`cache`]): the solvers are deterministic in
 //!   (instance, parameters, seed), so repeated requests are answered from
 //!   a content-hash-keyed cache with O(1) intrusive-list LRU eviction,
@@ -76,6 +82,7 @@ pub mod reactor;
 pub mod router;
 pub mod server;
 pub mod service;
+pub mod solve;
 
 pub use backend::{Backend, BackendState, Transition};
 pub use cache::{instance_hash, ResultCache, SolveKey};
@@ -95,4 +102,5 @@ pub use protocol::{
 pub use reactor::ReactorConfig;
 pub use router::{serve_router, serve_router_with, Router, RouterConfig};
 pub use server::{serve, serve_with, ServerHandle};
-pub use service::{CompletionSink, FrameHandler, Service, ServiceConfig};
+pub use service::{check_analyze_eps, CompletionSink, FrameHandler, Service, ServiceConfig};
+pub use solve::SolveJob;

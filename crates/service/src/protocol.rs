@@ -354,6 +354,19 @@ impl BatchItemResult {
     }
 }
 
+/// A single solve answers with the reply that carries the same outcome
+/// a batch item would.
+impl From<BatchItemResult> for Reply {
+    fn from(item: BatchItemResult) -> Reply {
+        match item {
+            BatchItemResult::Solved(result) => Reply::Solved(result),
+            BatchItemResult::Overloaded(info) => Reply::Overloaded(info),
+            BatchItemResult::DeadlineExceeded(info) => Reply::DeadlineExceeded(info),
+            BatchItemResult::Error(err) => Reply::Error(err),
+        }
+    }
+}
+
 /// Result of an `analyze` request.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AnalyzeResult {
@@ -627,7 +640,8 @@ impl Algorithm {
 }
 
 /// Parses a maximal-matching backend name (`hkp`, `greedy`, `proposal`,
-/// `pr`, `ii`) — shared by the wire protocol and the `asm` CLI.
+/// `pr`, `ii`), as [`SolveJob::new`](crate::SolveJob::new) does for
+/// every `solve` (the wire's and `asm solve`'s).
 pub fn parse_backend(name: &str) -> Option<MatcherBackend> {
     match name {
         "hkp" => Some(MatcherBackend::HkpOracle),

@@ -25,10 +25,12 @@
 //! `solve`/`analyze` requests are validated on the reactor thread
 //! (unknown algorithm, bad ε, a generator recipe that would panic, …,
 //! are rejected *before* consuming queue capacity), then enqueued on the
-//! routed shard's bounded queue. A full shard queue is an immediate
-//! `overloaded` reply — admission control by backpressure, never
-//! unbounded buffering. Workers dequeue, check the queue-wait deadline,
-//! consult the shard's result cache, and run the engine; the worker then
+//! routed shard's bounded queue. A solve is validated by
+//! [`SolveJob::new`], the same admission `asm solve` runs. A full shard
+//! queue is an immediate `overloaded` reply — admission control by
+//! backpressure, never unbounded buffering. Workers dequeue and check
+//! the queue-wait deadline; a solve then runs [`SolveJob::run`] against
+//! the shard's result cache (cache, build, engine, audit). The worker
 //! counts the outcome, frames the reply in the connection's codec, and
 //! hands it to the frame's [`CompletionSink`], which writes replies back
 //! in request order.
@@ -37,7 +39,7 @@
 //! shard touched* over many instances: items are validated up front
 //! (invalid ones consume no capacity), grouped by routing hash, enqueued
 //! as one job per shard group, and the per-item outcomes are merged back
-//! into request order.
+//! into request order. Each item runs the same [`SolveJob::run`].
 //!
 //! ## Markets
 //!
@@ -55,25 +57,21 @@
 //! `unavailable` error; `health`/`metrics` keep answering so operators
 //! can watch the drain.
 
-use crate::cache::{instance_hash, ResultCache, SolveKey};
+use crate::cache::{instance_hash, ResultCache};
 use crate::codec::{self, CodecKind};
 use crate::framing::Frame;
 use crate::metrics::{
     FlushPending, Metrics, MetricsSnapshot, ShardCounters, StageBooks, StageTrace,
 };
 use crate::protocol::{
-    kind, Algorithm, AnalyzeBody, AnalyzeResult, BatchItemResult, BatchResult, DeadlineInfo,
-    ErrorInfo, HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody, MarketCreatedInfo,
+    kind, AnalyzeBody, AnalyzeResult, BatchItemResult, BatchResult, DeadlineInfo, ErrorInfo,
+    HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody, MarketCreatedInfo,
     MarketDroppedInfo, MarketMutateBody, MarketMutatedInfo, Op, OverloadInfo, Reply, Request,
     ResolveResult, Response, SolveBody, SolveResult, PROTOCOL_SCHEMA,
 };
-use asm_core::baselines::{distributed_gs, truncated_gs};
-use asm_core::{almost_regular_asm, asm, rand_asm, AlmostRegularParams, AsmConfig, RandAsmParams};
+use crate::solve::{invalid, validate_instance, SolveJob, SCRATCH};
 use asm_market::{MarketRegistry, MarketState, ResolveMode};
-use asm_matching::{
-    count_eps_blocking_pairs_with, verify_matching, BlockingScratch, StabilityReport,
-};
-use asm_maximal::MatcherBackend;
+use asm_matching::{count_eps_blocking_pairs_with, verify_matching, StabilityReport};
 use asm_runtime::{label_hash, JobQueue, PushError, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
@@ -450,15 +448,6 @@ enum JobBody {
     Market(MarketJob),
 }
 
-/// One validated solve: the request body plus what admission parsed
-/// from it. Single solves and batch items share it.
-struct SolveJob {
-    body: SolveBody,
-    algorithm: Algorithm,
-    backend: MatcherBackend,
-    key: SolveKey,
-}
-
 /// One validated market op. Resolve modes are parsed at admission so an
 /// unknown mode is refused before consuming queue capacity.
 enum MarketJob {
@@ -559,9 +548,9 @@ impl Service {
         };
         match routed {
             Ok((shard, body)) => self.enqueue(shard, body, to),
-            Err(reply) => {
+            Err(err) => {
                 self.metrics.incr(&self.metrics.errors);
-                Some(*reply)
+                Some(Reply::Error(err))
             }
         }
     }
@@ -630,20 +619,15 @@ impl Service {
     }
 
     /// Validates a solve and routes it by its instance hash.
-    fn route_solve(&self, body: SolveBody) -> Result<(usize, JobBody), Box<Reply>> {
-        let job = validate_solve(body)?;
+    fn route_solve(&self, body: SolveBody) -> Result<(usize, JobBody), ErrorInfo> {
+        let job = SolveJob::new(body)?;
         let shard = self.route_hash(job.key.instance_hash);
         Ok((shard, JobBody::Solve(Box::new(job))))
     }
 
     /// Validates an analyze and routes it by its instance hash.
-    fn route_analyze(&self, body: AnalyzeBody) -> Result<(usize, JobBody), Box<Reply>> {
-        if !(body.eps.is_finite() && body.eps >= 0.0) {
-            return Err(invalid(format!(
-                "analyze eps must be finite and >= 0, got {}",
-                body.eps
-            )));
-        }
+    fn route_analyze(&self, body: AnalyzeBody) -> Result<(usize, JobBody), ErrorInfo> {
+        check_analyze_eps(body.eps)?;
         validate_instance(&body.instance)?;
         let shard = self.route_hash(instance_hash(&body.instance));
         Ok((shard, JobBody::Analyze(body)))
@@ -653,7 +637,7 @@ impl Service {
     /// hash. Every op on one market lands on one shard, whose registry
     /// owns the market — the shard-affinity rule clients (and the
     /// router tier) can rely on.
-    fn route_market(&self, op: Op) -> Result<(usize, JobBody), Box<Reply>> {
+    fn route_market(&self, op: Op) -> Result<(usize, JobBody), ErrorInfo> {
         let job = match op {
             Op::MarketCreate(body) => {
                 if !(body.eps > 0.0 && body.eps.is_finite()) {
@@ -804,16 +788,11 @@ impl Service {
         let mut groups: Vec<Vec<(usize, SolveJob)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (index, body) in items.into_iter().enumerate() {
-            match validate_solve(body) {
+            match SolveJob::new(body) {
                 Ok(job) => groups[self.route_hash(job.key.instance_hash)].push((index, job)),
-                Err(reply) => {
-                    // Invalid items consume no queue capacity; the shard
-                    // tag is irrelevant (errors are not shard-counted).
-                    let Reply::Error(err) = *reply else {
-                        unreachable!("validate_solve only fails with errors")
-                    };
-                    results[index] = Some((0, BatchItemResult::Error(err)));
-                }
+                // Invalid items consume no queue capacity; the shard tag
+                // is irrelevant (errors are not shard-counted).
+                Err(err) => results[index] = Some((0, BatchItemResult::Error(err))),
             }
         }
         (results, groups)
@@ -1085,93 +1064,22 @@ impl FrameHandler for Service {
     }
 }
 
-/// An `invalid` error reply.
-fn invalid(message: String) -> Box<Reply> {
-    Box::new(Reply::Error(ErrorInfo::new(kind::INVALID, message)))
-}
-
-/// Refuses a generator recipe whose parameters would panic the
-/// generator (see [`GeneratorConfig::validate`]); inline instances were
-/// validated when they were decoded.
+/// Refuses an `analyze` ε the audit cannot use: it must be finite and
+/// nonnegative (ε = 0 asks for exact stability). The wire answers the
+/// refusal as an `invalid` reply, and `asm analyze --eps` applies the
+/// same rule.
 ///
-/// [`GeneratorConfig::validate`]: asm_instance::generators::GeneratorConfig::validate
-fn validate_instance(spec: &InstanceSpec) -> Result<(), Box<Reply>> {
-    match spec {
-        InstanceSpec::Generator(config) => config
-            .validate()
-            .map_err(|err| invalid(format!("invalid instance: {err}"))),
-        InstanceSpec::Inline(_) => Ok(()),
+/// # Errors
+///
+/// An [`kind::INVALID`] error naming the refused ε.
+pub fn check_analyze_eps(eps: f64) -> Result<(), ErrorInfo> {
+    if eps.is_finite() && eps >= 0.0 {
+        Ok(())
+    } else {
+        Err(invalid(format!(
+            "analyze eps must be finite and >= 0, got {eps}"
+        )))
     }
-}
-
-/// Pre-admission validation: everything that can be rejected without
-/// building the instance. Keys the validated solve for the cache and
-/// routing.
-fn validate_solve(body: SolveBody) -> Result<SolveJob, Box<Reply>> {
-    let algorithm = Algorithm::parse(&body.algorithm)
-        .ok_or_else(|| invalid(format!("unknown algorithm `{}`", body.algorithm)))?;
-    let backend = crate::protocol::parse_backend(&body.backend)
-        .ok_or_else(|| invalid(format!("unknown backend `{}`", body.backend)))?;
-    match algorithm {
-        Algorithm::Asm => {
-            let config = asm_config(body.eps, backend, body.seed);
-            config
-                .validate()
-                .map_err(|err| invalid(format!("invalid asm parameters: {err}")))?;
-        }
-        Algorithm::RandAsm | Algorithm::AlmostRegular => {
-            if !(body.eps > 0.0 && body.eps.is_finite()) {
-                return Err(invalid(format!(
-                    "eps must be positive and finite, got {}",
-                    body.eps
-                )));
-            }
-            if !(body.delta > 0.0 && body.delta < 1.0) {
-                return Err(invalid(format!(
-                    "delta must be in (0, 1), got {}",
-                    body.delta
-                )));
-            }
-        }
-        Algorithm::Gs | Algorithm::TruncatedGs => {}
-    }
-    validate_instance(&body.instance)?;
-    let key = SolveKey::new(
-        &body.instance,
-        &body.algorithm,
-        body.eps,
-        body.delta,
-        body.seed,
-        &body.backend,
-        body.cycles,
-    );
-    Ok(SolveJob {
-        body,
-        algorithm,
-        backend,
-        key,
-    })
-}
-
-/// Builds an [`AsmConfig`] by struct literal — [`AsmConfig::new`] panics
-/// on bad ε, and untrusted input must never panic the worker.
-fn asm_config(eps: f64, backend: MatcherBackend, seed: u64) -> AsmConfig {
-    AsmConfig {
-        epsilon: eps,
-        quantiles: None,
-        delta_override: None,
-        inner_multiplier: 1.0,
-        backend,
-        seed,
-        early_exit: true,
-    }
-}
-
-thread_local! {
-    /// Per-worker scratch for blocking-pair audits (satellite of the
-    /// blocking-pair hot-path work: no per-job allocation).
-    static SCRATCH: std::cell::RefCell<BlockingScratch> =
-        std::cell::RefCell::new(BlockingScratch::new());
 }
 
 /// Executes one dequeued job on a worker thread against its shard's
@@ -1193,9 +1101,12 @@ fn run_job(
         delay();
         let deadline_ms = job.body.deadline_ms;
         if deadline_ms > 0 && enqueued.elapsed().as_millis() as u64 > deadline_ms {
-            Reply::DeadlineExceeded(DeadlineInfo { deadline_ms })
+            BatchItemResult::DeadlineExceeded(DeadlineInfo { deadline_ms })
         } else {
-            run_solve(job, cache)
+            match job.run(cache) {
+                Ok(result) => BatchItemResult::Solved(result),
+                Err(err) => BatchItemResult::Error(err),
+            }
         }
     };
     let observe_latency = |enqueued: Instant| {
@@ -1208,7 +1119,7 @@ fn run_job(
             reply,
         } => {
             let outcome = match body {
-                JobBody::Solve(job) => solve(*job, enqueued),
+                JobBody::Solve(job) => solve(*job, enqueued).into(),
                 JobBody::Analyze(body) => {
                     delay();
                     run_analyze(&body)
@@ -1235,7 +1146,7 @@ fn run_job(
             slot.record_dequeue(dequeued);
             let parts: Vec<(usize, BatchItemResult)> = group
                 .into_iter()
-                .map(|(index, job)| (index, to_item_result(solve(job, enqueued))))
+                .map(|(index, job)| (index, solve(job, enqueued)))
                 .collect();
             observe_latency(enqueued);
             // The slot's Drop decrements the group count; the last group
@@ -1243,90 +1154,6 @@ fn run_job(
             slot.deliver(parts);
         }
     }
-}
-
-/// Narrows a worker reply to the batch-item outcome set.
-fn to_item_result(reply: Reply) -> BatchItemResult {
-    match reply {
-        Reply::Solved(result) => BatchItemResult::Solved(result),
-        Reply::DeadlineExceeded(info) => BatchItemResult::DeadlineExceeded(info),
-        Reply::Error(err) => BatchItemResult::Error(err),
-        other => BatchItemResult::Error(ErrorInfo::new(
-            kind::SOLVE,
-            format!("unexpected worker reply `{}`", other.tag()),
-        )),
-    }
-}
-
-fn run_solve(job: SolveJob, cache: &ResultCache) -> Reply {
-    let SolveJob {
-        body,
-        algorithm,
-        backend,
-        key,
-    } = job;
-    if let Some(hit) = cache.get(&key) {
-        return Reply::Solved(hit);
-    }
-    let inst = body.instance.build();
-    let (matching, rounds, messages) = match algorithm {
-        Algorithm::Asm => match asm(&inst, &asm_config(body.eps, backend, body.seed)) {
-            Ok(report) => {
-                let messages = report.proposals + report.acceptances + report.rejections;
-                (report.matching, report.rounds, messages)
-            }
-            Err(err) => return solve_error(err),
-        },
-        Algorithm::RandAsm => {
-            let params = RandAsmParams::new(body.eps, body.delta).with_seed(body.seed);
-            match rand_asm(&inst, &params) {
-                Ok(report) => {
-                    let messages = report.proposals + report.acceptances + report.rejections;
-                    (report.matching, report.rounds, messages)
-                }
-                Err(err) => return solve_error(err),
-            }
-        }
-        Algorithm::AlmostRegular => {
-            let params = AlmostRegularParams::new(body.eps, body.delta).with_seed(body.seed);
-            match almost_regular_asm(&inst, &params) {
-                Ok(report) => {
-                    let messages = report.proposals + report.acceptances + report.rejections;
-                    (report.matching, report.rounds, messages)
-                }
-                Err(err) => return solve_error(err),
-            }
-        }
-        Algorithm::Gs => {
-            let report = distributed_gs(&inst);
-            (report.matching, report.rounds, report.proposals)
-        }
-        Algorithm::TruncatedGs => {
-            let report = if body.cycles == 0 {
-                distributed_gs(&inst)
-            } else {
-                truncated_gs(&inst, body.cycles)
-            };
-            (report.matching, report.rounds, report.proposals)
-        }
-    };
-    let stability = SCRATCH
-        .with(|scratch| StabilityReport::analyze_with(&inst, &matching, &mut scratch.borrow_mut()));
-    let result = SolveResult {
-        matched: stability.matching_size as u64,
-        num_edges: stability.num_edges as u64,
-        blocking_pairs: stability.blocking_pairs as u64,
-        rounds,
-        messages,
-        matching,
-        cached: false,
-    };
-    cache.put(key, result.clone());
-    Reply::Solved(result)
-}
-
-fn solve_error(err: impl std::fmt::Display) -> Reply {
-    Reply::Error(ErrorInfo::new(kind::SOLVE, err.to_string()))
 }
 
 /// Executes one market op against the owning shard's registry. All

@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! asm generate --family <name> --n <N> [options] --out inst.json
-//! asm solve    --input inst.json [--algorithm asm|rand-asm|almost-regular|gs]
-//!              [--eps E] [--delta D] [--seed S] [--backend hkp|greedy|ii]
-//!              [--out matching.json]
+//! asm solve    --input inst.json
+//!              [--algorithm asm|rand-asm|almost-regular|gs|truncated-gs]
+//!              [--eps E] [--delta D] [--seed S]
+//!              [--backend hkp|greedy|proposal|pr|ii] [--out matching.json]
 //! asm analyze  --input inst.json --matching matching.json [--eps E]
 //! asm info     --input inst.json
 //! asm serve    [--addr HOST:PORT] [--workers N] [--queue-capacity N]
@@ -19,6 +20,13 @@
 //! Instances and matchings are JSON (serde representations of
 //! [`almost_stable::Instance`] and [`almost_stable::Matching`]).
 //!
+//! `asm solve` runs the service's solve pipeline ([`SolveJob`]) on the
+//! loaded instance: it refuses exactly the parameters a wire `solve`
+//! refuses, with the wire's `invalid` message, and prints the matching
+//! a `solved` reply would carry. `truncated-gs` has no cycle budget here,
+//! so it runs Gale–Shapley to convergence, as a zero budget does on the
+//! wire. `asm analyze --eps` applies the wire `analyze`'s ε rule.
+//!
 //! ## Exit codes
 //!
 //! There is exactly one exit path (`main`'s match on [`run`]), and every
@@ -27,22 +35,20 @@
 //! | code | class | examples |
 //! |------|-------|----------|
 //! | 0    | success | |
-//! | 2    | usage | unknown subcommand, unknown flag, bad flag value |
+//! | 2    | usage | unknown subcommand, unknown flag, bad flag value, a solve the service refuses as `invalid` |
 //! | 3    | input | unreadable file, malformed instance/matching JSON |
-//! | 4    | solve | engine error, matching fails verification |
+//! | 4    | solve | engine error (a `solve` error), matching fails verification |
 //!
 //! Scripts can therefore distinguish "you called it wrong" from "your
 //! file is bad" from "the solve itself failed". `tests/cli.rs` pins
 //! these codes.
 
-use almost_stable::core::baselines::distributed_gs;
-use almost_stable::{
-    almost_regular_asm, asm, rand_asm, AlmostRegularParams, AsmConfig, Instance, InstanceMetrics,
-    MatcherBackend, Matching, RandAsmParams, StabilityReport,
-};
+use almost_stable::{Instance, InstanceMetrics, Matching, StabilityReport};
 use asm_instance::generators::GeneratorConfig;
 use asm_matching::{verify_matching, InstabilityMeasures, WelfareReport};
-use asm_service::{RouterConfig, ServiceConfig};
+use asm_service::{
+    check_analyze_eps, InstanceSpec, ResultCache, RouterConfig, ServiceConfig, SolveBody, SolveJob,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -54,9 +60,11 @@ const USAGE: &str = "usage:
                          geometric|chain|master-list|noisy-master>
                --n <N> [--d <D>] [--p <P>] [--alpha <A>] [--s <S>]
                [--noise <X>] [--seed <SEED>] [--out FILE]
-  asm solve    --input FILE [--algorithm asm|rand-asm|almost-regular|gs]
+  asm solve    --input FILE
+               [--algorithm asm|rand-asm|almost-regular|gs|truncated-gs]
                [--eps E] [--delta D] [--seed SEED]
                [--backend hkp|greedy|proposal|pr|ii] [--out FILE]
+               (truncated-gs runs to convergence: the CLI sets no cycle budget)
   asm analyze  --input FILE --matching FILE [--eps E]
   asm info     --input FILE
   asm serve    [--addr HOST:PORT] [--workers N] [--queue-capacity N]
@@ -317,63 +325,41 @@ fn generate(flags: &HashMap<String, String>) -> CliResult<()> {
     write_instance(flags, &inst)
 }
 
-fn backend_from(flags: &HashMap<String, String>) -> CliResult<MatcherBackend> {
-    match flags.get("backend").map(String::as_str) {
-        None => Ok(MatcherBackend::HkpOracle),
-        Some(name) => asm_service::protocol::parse_backend(name)
-            .ok_or_else(|| CliError::usage(format!("unknown backend {name:?}"))),
-    }
-}
-
+/// Runs the service's validated solve on the loaded instance. A request
+/// the wire would refuse as `invalid` is a usage error; an engine
+/// failure (`solve`) is a solve error.
 fn solve(flags: &HashMap<String, String>) -> CliResult<()> {
-    let inst = load_instance(flags)?;
-    let eps: f64 = get_parsed(flags, "eps", 0.5)?;
-    // AsmConfig::new panics on a bad ε; surface it as a CLI error instead.
-    if !(eps > 0.0 && eps.is_finite()) {
-        return Err(CliError::usage(format!(
-            "--eps must be positive and finite, got {eps}"
-        )));
-    }
-    let delta: f64 = get_parsed(flags, "delta", 0.1)?;
-    let seed: u64 = get_parsed(flags, "seed", 0)?;
-    let algorithm = flags.get("algorithm").map(String::as_str).unwrap_or("asm");
-    let matching: Matching = match algorithm {
-        "asm" => {
-            let config = AsmConfig::new(eps)
-                .with_seed(seed)
-                .with_backend(backend_from(flags)?);
-            let report = asm(&inst, &config).map_err(CliError::solve)?;
-            eprintln!("asm: {report}");
-            report.matching
-        }
-        "rand-asm" => {
-            let report = rand_asm(&inst, &RandAsmParams::new(eps, delta).with_seed(seed))
-                .map_err(CliError::solve)?;
-            eprintln!("rand-asm: {report}");
-            report.matching
-        }
-        "almost-regular" => {
-            let report =
-                almost_regular_asm(&inst, &AlmostRegularParams::new(eps, delta).with_seed(seed))
-                    .map_err(CliError::solve)?;
-            eprintln!("almost-regular-asm: {report}");
-            report.matching
-        }
-        "gs" => {
-            let report = distributed_gs(&inst);
-            eprintln!(
-                "distributed-gs: |M|={}, rounds {}, proposals {}",
-                report.matching.len(),
-                report.rounds,
-                report.proposals
-            );
-            report.matching
-        }
-        other => return Err(CliError::usage(format!("unknown algorithm {other:?}"))),
+    let name =
+        |key: &str, default: &str| flags.get(key).map_or(default, String::as_str).to_string();
+    let body = SolveBody {
+        instance: InstanceSpec::Inline(load_instance(flags)?),
+        algorithm: name("algorithm", "asm"),
+        eps: get_parsed(flags, "eps", 0.5)?,
+        delta: get_parsed(flags, "delta", 0.1)?,
+        seed: get_parsed(flags, "seed", 0)?,
+        backend: name("backend", "hkp"),
+        deadline_ms: 0,
+        cycles: 0,
     };
-    let stability = StabilityReport::analyze(&inst, &matching);
-    eprintln!("stability: {stability}");
-    write_or_print(flags, &matching)
+    let job = SolveJob::new(body).map_err(|err| CliError::usage(err.message))?;
+    let result = job
+        .run(&ResultCache::new(0))
+        .map_err(|err| CliError::solve(err.message))?;
+    eprintln!(
+        "solved: matched {}, |E| {}, blocking pairs {}, rounds {}, messages {}",
+        result.matched, result.num_edges, result.blocking_pairs, result.rounds, result.messages
+    );
+    // `StabilityReport`'s line, from the audit numbers the reply carries:
+    // the instance itself moved into the job.
+    let fraction = match result.num_edges {
+        0 => 0.0,
+        edges => result.blocking_pairs as f64 / edges as f64,
+    };
+    eprintln!(
+        "stability: |M|={}, blocking {}/{} ({fraction:.4})",
+        result.matched, result.blocking_pairs, result.num_edges
+    );
+    write_or_print(flags, &result.matching)
 }
 
 fn analyze(flags: &HashMap<String, String>) -> CliResult<()> {
@@ -384,6 +370,13 @@ fn analyze(flags: &HashMap<String, String>) -> CliResult<()> {
     let text = fs::read_to_string(mpath).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
     let matching: Matching =
         serde_json::from_str(&text).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
+    let eps: Option<f64> = flags
+        .get("eps")
+        .map(|_| get_parsed(flags, "eps", 0.0))
+        .transpose()?;
+    if let Some(eps) = eps {
+        check_analyze_eps(eps).map_err(|err| CliError::usage(err.message))?;
+    }
     verify_matching(&inst, &matching).map_err(CliError::solve)?;
     let stability = StabilityReport::analyze(&inst, &matching);
     println!("stability   : {stability}");
@@ -392,10 +385,7 @@ fn analyze(flags: &HashMap<String, String>) -> CliResult<()> {
         InstabilityMeasures::measure(&inst, &matching)
     );
     println!("welfare     : {}", WelfareReport::measure(&inst, &matching));
-    if let Some(eps) = flags.get("eps") {
-        let eps: f64 = eps
-            .parse()
-            .map_err(|e| CliError::usage(format!("--eps: {e}")))?;
+    if let Some(eps) = eps {
         println!(
             "(1-{eps})-stable : {}",
             stability.is_one_minus_eps_stable(eps)

@@ -1,10 +1,17 @@
 //! End-to-end tests of the `asm` CLI binary: generate → info → solve →
 //! analyze pipelines over both the JSON and text formats, the exit-code
-//! contract (0 success / 2 usage / 3 input / 4 solve), and the `serve`
-//! subcommand's wire round trip.
+//! contract (0 success / 2 usage / 3 input / 4 solve), `asm solve`'s
+//! agreement with the service's solve (same matchings, same refusals),
+//! and the `serve` subcommand's wire round trip.
 
+use asm_service::metrics::FlushPending;
+use asm_service::{
+    codec, CodecKind, CompletionSink, FrameHandler, InstanceSpec, Op, Reply, Request, Service,
+    ServiceConfig, SolveBody,
+};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
 
 /// Exit code for usage errors (unknown subcommand/flag, bad flag value).
 const EXIT_USAGE: i32 = 2;
@@ -100,7 +107,7 @@ fn solve_supports_every_algorithm() {
         .args(["--out", inst.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    for algo in ["asm", "rand-asm", "almost-regular", "gs"] {
+    for algo in ["asm", "rand-asm", "almost-regular", "gs", "truncated-gs"] {
         let out = asm_bin()
             .args(["solve", "--input", inst.to_str().unwrap()])
             .args(["--algorithm", algo, "--eps", "1.0"])
@@ -554,4 +561,190 @@ fn out_of_range_eps_fails_cleanly() {
         assert!(!err.contains("panicked"), "--eps {eps}: {err}");
     }
     std::fs::remove_file(&inst).ok();
+}
+
+/// Writes a `regular --n 24 --d 4 --seed 7` instance to `name` and
+/// returns its path and the instance.
+fn regular_instance(name: &str) -> (PathBuf, almost_stable::Instance) {
+    let path = tmp(name);
+    let out = asm_bin()
+        .args(["generate", "--family", "regular", "--n", "24", "--d", "4"])
+        .args(["--seed", "7", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let inst = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    (path, inst)
+}
+
+/// The `asm solve` defaults, as a wire body over `inst`.
+fn cli_body(inst: &almost_stable::Instance, algorithm: &str) -> SolveBody {
+    SolveBody {
+        instance: InstanceSpec::Inline(inst.clone()),
+        algorithm: algorithm.to_string(),
+        eps: 0.5,
+        delta: 0.1,
+        seed: 0,
+        backend: "hkp".to_string(),
+        deadline_ms: 0,
+        cycles: 0,
+    }
+}
+
+fn service() -> Arc<Service> {
+    Service::start(ServiceConfig::default())
+}
+
+/// The service's reply to one `solve` of `body`, sent as a binary frame:
+/// unlike JSON, the binary codec carries a NaN or infinite ε. Only
+/// inline replies (refusals) are expected here.
+fn refusal(service: &Arc<Service>, body: SolveBody) -> Reply {
+    struct Unused;
+    impl CompletionSink for Unused {
+        fn complete(&self, _: u64, _: u64, _: Vec<u8>, _: Option<FlushPending>) {}
+    }
+    let sink: Arc<dyn CompletionSink> = Arc::new(Unused);
+    let request = Request {
+        id: Some(1),
+        op: Op::Solve(body),
+    };
+    let frame =
+        asm_service::framing::Frame::Binary(codec::encode_payload(CodecKind::Binary, &request));
+    match Arc::clone(service).handle_frame(&frame, std::time::Instant::now(), 0, 0, &sink) {
+        // An inline reply is framed: skip the u32 length prefix.
+        asm_service::service::FrameOutcome::Reply(bytes) => {
+            codec::parse_response_payload(CodecKind::Binary, &bytes[4..])
+                .unwrap()
+                .reply
+        }
+        _ => panic!("the service admitted the solve"),
+    }
+}
+
+#[test]
+fn solve_prints_the_matching_the_service_replies_with() {
+    let (path, inst) = regular_instance("wire-parity.json");
+    let service = service();
+    for algorithm in ["asm", "rand-asm", "almost-regular", "gs", "truncated-gs"] {
+        let mut body = cli_body(&inst, algorithm);
+        body.seed = 3;
+        body.backend = "greedy".to_string();
+        let line = asm_service::protocol::render(&Request {
+            id: Some(1),
+            op: Op::Solve(body),
+        });
+        let reply = asm_service::protocol::parse_response(&service.handle_line(&line)).unwrap();
+        let Reply::Solved(result) = reply.reply else {
+            panic!("{algorithm}: expected solved, got {:?}", reply.reply);
+        };
+        let out = asm_bin()
+            .args(["solve", "--input", path.to_str().unwrap()])
+            .args([
+                "--algorithm",
+                algorithm,
+                "--seed",
+                "3",
+                "--backend",
+                "greedy",
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{algorithm}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout).trim_end(),
+            serde_json::to_string(&result.matching).unwrap(),
+            "{algorithm}"
+        );
+        let solved = format!(
+            "solved: matched {}, |E| {}, blocking pairs {}, rounds {}, messages {}",
+            result.matched, result.num_edges, result.blocking_pairs, result.rounds, result.messages
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(solved.as_str()), "{algorithm}");
+    }
+    service.join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn solve_refuses_requests_the_service_refuses() {
+    let (path, inst) = regular_instance("wire-refusals.json");
+    let mut cases: Vec<(Vec<&str>, SolveBody)> =
+        vec![(vec!["--algorithm", "quantum"], cli_body(&inst, "quantum"))];
+    for algorithm in ["asm", "rand-asm", "almost-regular", "gs", "truncated-gs"] {
+        let mut body = cli_body(&inst, algorithm);
+        body.backend = "magic".to_string();
+        cases.push((vec!["--algorithm", algorithm, "--backend", "magic"], body));
+    }
+    for algorithm in ["asm", "rand-asm", "almost-regular"] {
+        for eps in ["0", "-1", "nan", "inf"] {
+            let mut body = cli_body(&inst, algorithm);
+            body.eps = eps.parse().unwrap();
+            cases.push((vec!["--algorithm", algorithm, "--eps", eps], body));
+        }
+    }
+    for algorithm in ["rand-asm", "almost-regular"] {
+        for delta in ["0", "1"] {
+            let mut body = cli_body(&inst, algorithm);
+            body.delta = delta.parse().unwrap();
+            cases.push((vec!["--algorithm", algorithm, "--delta", delta], body));
+        }
+    }
+    let service = service();
+    for (args, body) in cases {
+        let Reply::Error(err) = refusal(&service, body) else {
+            panic!("{args:?}: the service did not refuse");
+        };
+        assert_eq!(err.kind, asm_service::kind::INVALID, "{args:?}");
+        let out = asm_bin()
+            .args(["solve", "--input", path.to_str().unwrap()])
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: {}", err.message).as_str()),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a matching");
+    }
+    service.join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn analyze_refuses_eps_the_service_refuses() {
+    let (path, _) = regular_instance("analyze-eps.json");
+    let matching = tmp("analyze-eps-matching.json");
+    let out = asm_bin()
+        .args(["solve", "--input", path.to_str().unwrap()])
+        .args(["--out", matching.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let analyze = |eps: &str| {
+        asm_bin()
+            .args(["analyze", "--input", path.to_str().unwrap()])
+            .args(["--matching", matching.to_str().unwrap(), "--eps", eps])
+            .output()
+            .expect("binary runs")
+    };
+    for eps in ["nan", "-1", "inf", "-inf"] {
+        let out = analyze(eps);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "--eps {eps}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: analyze eps must be finite and >= 0, got "),
+            "--eps {eps}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--eps {eps} printed a report");
+    }
+    // ε = 0 asks for exact stability; the wire accepts it too.
+    let out = analyze("0");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(1-0)-stable :"));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&matching).ok();
 }

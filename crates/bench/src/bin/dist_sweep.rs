@@ -23,109 +23,87 @@ use asm_core::AsmConfig;
 use asm_distributed::{run_distributed, sibling_node_bin, DistOptions};
 use asm_instance::generators::GeneratorConfig;
 use asm_maximal::MatcherBackend;
+use asm_runtime::cli::{self, Args, Grammar};
 use asm_runtime::derive_seed;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: dist_sweep [--procs 1,2,4,8] [--n N] [--seed S] [--eps E]
                   [--families a,b] [--node-bin PATH]";
 
-struct Args {
+const GRAMMAR: Grammar = "--procs= --n= --seed= --eps= --families= --node-bin=";
+
+struct Settings {
     procs: Vec<usize>,
     n: usize,
-    seed: u64,
-    eps: f64,
-    families: Vec<String>,
-    node_bin: Option<String>,
+    /// One generator per `--families` entry, seeded from `--seed` and
+    /// `--n`.
+    families: Vec<GeneratorConfig>,
+    config: AsmConfig,
+    node_bin: PathBuf,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        procs: vec![1, 2, 4, 8],
-        n: 48,
-        seed: 1,
-        eps: 1.0,
-        families: vec!["regular".to_string(), "zipf".to_string()],
-        node_bin: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("flag {name} requires a value"))
-        };
-        match flag.as_str() {
-            "--procs" => {
-                args.procs = value("--procs")?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("--procs: bad `{s}`")))
-                    .collect::<Result<_, _>>()?
-            }
-            "--n" => args.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--eps" => args.eps = value("--eps")?.parse().map_err(|e| format!("--eps: {e}"))?,
-            "--families" => {
-                args.families = value("--families")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--node-bin" => args.node_bin = Some(value("--node-bin")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
+impl Settings {
+    /// Resolves the flags before anything runs, so a bad family or ε is
+    /// a usage error with nothing printed.
+    fn from_args(args: &Args) -> Result<Settings, String> {
+        let procs = args.list("--procs")?.unwrap_or_else(|| vec![1, 2, 4, 8]);
+        if procs.is_empty() || procs.contains(&0) {
+            return Err("flag --procs: every entry must be >= 1".to_string());
         }
+        let n: usize = args.get_or("--n", 48)?;
+        let cell_seed = derive_seed(args.get_or("--seed", 1)?, &[n as u64]);
+        let names: Vec<String> = args
+            .list("--families")?
+            .unwrap_or_else(|| vec!["regular".to_string(), "zipf".to_string()]);
+        let families = names
+            .iter()
+            .map(|name| {
+                let gen = GeneratorConfig::all_families(n, cell_seed)
+                    .into_iter()
+                    .find(|c| c.family() == name)
+                    .ok_or_else(|| format!("flag --families: unknown family `{name}`"))?;
+                gen.validate()
+                    .map_err(|e| format!("family {name} at --n {n}: {e}"))?;
+                Ok(gen)
+            })
+            .collect::<Result<_, String>>()?;
+        let config = AsmConfig::try_new(args.get_or("--eps", 1.0)?)
+            .map_err(|e| format!("flag --eps: {e}"))?
+            .with_backend(MatcherBackend::DetGreedy);
+        Ok(Settings {
+            procs,
+            n,
+            families,
+            config,
+            node_bin: args
+                .text("--node-bin")
+                .map_or_else(sibling_node_bin, PathBuf::from),
+        })
     }
-    if args.procs.is_empty() || args.procs.contains(&0) {
-        return Err("--procs entries must be >= 1".to_string());
-    }
-    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("dist_sweep: {message}");
-            }
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let settings = match cli::from_env(GRAMMAR, false, USAGE, Settings::from_args) {
+        Ok(settings) => settings,
+        Err(code) => return code,
     };
-    let node_bin = args
-        .node_bin
-        .clone()
-        .map(Into::into)
-        .unwrap_or_else(sibling_node_bin);
 
     println!("family | n | procs | wall_ms | rounds | messages");
-    for family in &args.families {
-        let cell_seed = derive_seed(args.seed, &[args.n as u64]);
-        let Some(gen) = GeneratorConfig::all_families(args.n, cell_seed)
-            .into_iter()
-            .find(|c| c.family() == *family)
-        else {
-            eprintln!("dist_sweep: unknown family `{family}`");
-            return ExitCode::from(2);
-        };
+    for gen in &settings.families {
         let inst = gen.build();
-        let config = AsmConfig::new(args.eps).with_backend(MatcherBackend::DetGreedy);
-        let expected = match asm_congest(&inst, &config) {
+        let expected = match asm_congest(&inst, &settings.config) {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("dist_sweep: in-process run failed for {gen}: {e}");
                 return ExitCode::from(1);
             }
         };
-        let plan = RunPlan::asm(&inst, &config).expect("config already validated");
+        let plan = RunPlan::asm(&inst, &settings.config).expect("config already validated");
 
-        for &procs in &args.procs {
-            let opts = DistOptions::new(procs, &node_bin);
+        for &procs in &settings.procs {
+            let opts = DistOptions::new(procs, &settings.node_bin);
             let run_started = Instant::now();
             let run = match run_distributed(&inst, &plan, &opts) {
                 Ok(run) => run,
@@ -148,8 +126,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
             println!(
-                "{family} | {} | {procs} | {wall_ms:.1} | {} | {}",
-                args.n, run.report.stats.rounds, run.report.stats.messages
+                "{} | {} | {procs} | {wall_ms:.1} | {} | {}",
+                gen.family(),
+                settings.n,
+                run.report.stats.rounds,
+                run.report.stats.messages
             );
         }
     }

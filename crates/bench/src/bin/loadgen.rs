@@ -22,7 +22,8 @@ use asm_bench::loadgen::{
     control, fetch_stages, run_mix, verify_metrics, verify_router_books, verify_stage_books,
     MixConfig,
 };
-use asm_service::{Op, Reply};
+use asm_runtime::cli::{self, Args, Grammar};
+use asm_service::{MetricsSnapshot, Op, Reply};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--requests N] [--concurrency C]
@@ -57,7 +58,12 @@ counters; --report writes the full ChurnReport and --normalized-report
 a wall-clock-free view two same-seed runs must reproduce
 byte-identically.";
 
-struct Args {
+const GRAMMAR: Grammar = "--addr= --requests= --concurrency= --connections= --seed= \
+    --open-rate= --batch= --codec= --report= --verify-metrics --expect-zero-errors --shutdown \
+    --expect-backend-spread --expect-failover --churn --markets= --mutations= \
+    --normalized-report=";
+
+struct Settings {
     addr: String,
     mix: MixConfig,
     report: Option<String>,
@@ -72,105 +78,114 @@ struct Args {
     normalized_report: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7464".to_string(),
-        mix: MixConfig::default(),
-        report: None,
-        verify: false,
-        expect_zero_errors: false,
-        expect_backend_spread: false,
-        expect_failover: false,
-        shutdown: false,
-        churn: false,
-        markets: 4,
-        mutations: 1000,
-        normalized_report: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("flag {name} requires a value"))
+impl Settings {
+    fn from_args(args: &Args) -> Result<Settings, String> {
+        let defaults = MixConfig::default();
+        let mix = MixConfig {
+            requests: args.get_or("--requests", defaults.requests)?,
+            concurrency: args.get_or("--concurrency", defaults.concurrency)?,
+            connections: args.get_or("--connections", defaults.connections)?,
+            seed: args.get_or("--seed", defaults.seed)?,
+            open_rate_rps: args.get_or("--open-rate", defaults.open_rate_rps)?,
+            batch: args.get_or("--batch", defaults.batch)?,
+            codec: args.get_or("--codec", defaults.codec.clone())?,
+            ..defaults
         };
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--requests" => args.mix.requests = parsed(&value("--requests")?, "--requests")?,
-            "--concurrency" => {
-                args.mix.concurrency = parsed(&value("--concurrency")?, "--concurrency")?
-            }
-            "--connections" => {
-                args.mix.connections = parsed(&value("--connections")?, "--connections")?
-            }
-            "--seed" => args.mix.seed = parsed(&value("--seed")?, "--seed")?,
-            "--open-rate" => {
-                args.mix.open_rate_rps = parsed(&value("--open-rate")?, "--open-rate")?
-            }
-            "--batch" => args.mix.batch = parsed(&value("--batch")?, "--batch")?,
-            "--codec" => {
-                args.mix.codec = value("--codec")?;
-                if args.mix.codec_kind().is_err() {
-                    return Err(format!(
-                        "flag --codec: expected json or binary, got `{}`",
-                        args.mix.codec
-                    ));
-                }
-            }
-            "--churn" => args.churn = true,
-            "--markets" => args.markets = parsed(&value("--markets")?, "--markets")?,
-            "--mutations" => args.mutations = parsed(&value("--mutations")?, "--mutations")?,
-            "--normalized-report" => args.normalized_report = Some(value("--normalized-report")?),
-            "--report" => args.report = Some(value("--report")?),
-            "--verify-metrics" => args.verify = true,
-            "--expect-zero-errors" => args.expect_zero_errors = true,
-            "--expect-backend-spread" => args.expect_backend_spread = true,
-            "--expect-failover" => args.expect_failover = true,
-            "--shutdown" => args.shutdown = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
+        if mix.codec_kind().is_err() {
+            return Err(format!(
+                "flag --codec: expected json or binary, got `{}`",
+                mix.codec
+            ));
         }
+        let settings = Settings {
+            addr: args.text("--addr").unwrap_or("127.0.0.1:7464").to_string(),
+            mix,
+            report: args.text("--report").map(str::to_string),
+            verify: args.switch("--verify-metrics"),
+            expect_zero_errors: args.switch("--expect-zero-errors"),
+            expect_backend_spread: args.switch("--expect-backend-spread"),
+            expect_failover: args.switch("--expect-failover"),
+            shutdown: args.switch("--shutdown"),
+            churn: args.switch("--churn"),
+            markets: args.get_or("--markets", 4)?,
+            mutations: args.get_or("--mutations", 1000)?,
+            normalized_report: args.text("--normalized-report").map(str::to_string),
+        };
+        if settings.churn && settings.markets == 0 {
+            return Err("flag --churn needs --markets >= 1".to_string());
+        }
+        Ok(settings)
     }
-    if args.churn && args.markets == 0 {
-        return Err("--churn needs --markets >= 1".to_string());
-    }
-    Ok(args)
 }
 
-fn parsed<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("flag {flag}: cannot parse `{text}`"))
+/// The server's `metrics` reply.
+fn metrics(addr: &str) -> Result<Box<MetricsSnapshot>, String> {
+    match control(addr, Op::metrics()) {
+        Ok(Reply::Metrics(snapshot)) => Ok(snapshot),
+        Ok(other) => Err(format!("metrics request drew `{}`", other.tag())),
+        Err(err) => Err(format!("cannot fetch metrics: {err}")),
+    }
+}
+
+/// The end both modes share: writes each `(path, contents)` report
+/// file, sends `--shutdown` if asked, and exits 1 if anything failed.
+fn finish(settings: &Settings, reports: &[(&str, String)], mut failed: bool) -> ExitCode {
+    for (path, contents) in reports {
+        if let Err(err) = std::fs::write(path, contents) {
+            eprintln!("loadgen: cannot write report {path}: {err}");
+            failed = true;
+        }
+    }
+    if settings.shutdown {
+        match control(&settings.addr, Op::Shutdown) {
+            Ok(Reply::ShuttingDown) => println!("loadgen: server acknowledged shutdown"),
+            Ok(other) => {
+                failed = true;
+                eprintln!("loadgen: shutdown request drew `{}`", other.tag());
+            }
+            Err(err) => {
+                failed = true;
+                eprintln!("loadgen: cannot send shutdown: {err}");
+            }
+        }
+    }
+    if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Churn mode: drive the persistent-market tier with a seeded mutation
 /// stream and report warm-vs-cold convergence (see `asm_bench::churn`).
-fn run_churn_mode(args: &Args) -> ExitCode {
+fn run_churn_mode(settings: &Settings) -> ExitCode {
     let config = ChurnConfig {
-        markets: args.markets,
-        mutations: args.mutations,
-        seed: args.mix.seed,
-        families: args.mix.families.clone(),
-        sizes: args.mix.sizes.clone(),
-        eps: args.mix.eps,
+        markets: settings.markets,
+        mutations: settings.mutations,
+        seed: settings.mix.seed,
+        families: settings.mix.families.clone(),
+        sizes: settings.mix.sizes.clone(),
+        eps: settings.mix.eps,
         mode: "auto".to_string(),
     };
     // Reconciliation is a delta over whatever market activity the
     // server saw before this run, so repeated runs against one
     // long-lived server stay verifiable.
-    let baseline = if args.verify {
-        match control(&args.addr, Op::metrics()) {
-            Ok(Reply::Metrics(snapshot)) => snapshot.market,
-            _ => {
-                eprintln!("loadgen: cannot fetch the pre-run metrics baseline");
+    let baseline = if settings.verify {
+        match metrics(&settings.addr) {
+            Ok(snapshot) => snapshot.market,
+            Err(err) => {
+                eprintln!("loadgen: pre-run metrics baseline: {err}");
                 return ExitCode::from(1);
             }
         }
     } else {
         None
     };
-    let report = match run_churn(&args.addr, &config) {
+    let report = match run_churn(&settings.addr, &config) {
         Ok(report) => report,
         Err(err) => {
-            eprintln!("loadgen: cannot reach {}: {err}", args.addr);
+            eprintln!("loadgen: cannot reach {}: {err}", settings.addr);
             return ExitCode::from(1);
         }
     };
@@ -206,17 +221,17 @@ fn run_churn_mode(args: &Args) -> ExitCode {
         failed = true;
         eprintln!("loadgen: oracle violation: {failure}");
     }
-    if args.expect_zero_errors && report.ops_applied != args.mutations {
+    if settings.expect_zero_errors && report.ops_applied != settings.mutations {
         failed = true;
         eprintln!(
             "loadgen: --expect-zero-errors violated: {} of {} mutations applied",
-            report.ops_applied, args.mutations
+            report.ops_applied, settings.mutations
         );
     }
 
-    if args.verify {
-        match control(&args.addr, Op::metrics()) {
-            Ok(Reply::Metrics(snapshot)) => {
+    if settings.verify {
+        match metrics(&settings.addr) {
+            Ok(snapshot) => {
                 let mismatches = verify_market_metrics(&report, baseline.as_ref(), &snapshot);
                 if mismatches.is_empty() {
                     println!("loadgen: market metrics reconcile with the server's counters");
@@ -226,75 +241,40 @@ fn run_churn_mode(args: &Args) -> ExitCode {
                     eprintln!("loadgen: market metrics mismatch: {m}");
                 }
             }
-            Ok(other) => {
-                failed = true;
-                eprintln!("loadgen: metrics request drew `{}`", other.tag());
-            }
             Err(err) => {
                 failed = true;
-                eprintln!("loadgen: cannot fetch metrics: {err}");
+                eprintln!("loadgen: {err}");
             }
         }
     }
 
-    if let Some(path) = &args.report {
-        if let Err(err) = std::fs::write(path, report.to_json()) {
-            eprintln!("loadgen: cannot write report {path}: {err}");
-            failed = true;
-        }
+    let mut reports = Vec::new();
+    if let Some(path) = &settings.report {
+        reports.push((path.as_str(), report.to_json()));
     }
-    if let Some(path) = &args.normalized_report {
-        if let Err(err) = std::fs::write(path, report.normalized().to_json()) {
-            eprintln!("loadgen: cannot write normalized report {path}: {err}");
-            failed = true;
-        }
+    if let Some(path) = &settings.normalized_report {
+        reports.push((path.as_str(), report.normalized().to_json()));
     }
-
-    if args.shutdown {
-        match control(&args.addr, Op::Shutdown) {
-            Ok(Reply::ShuttingDown) => println!("loadgen: server acknowledged shutdown"),
-            Ok(other) => {
-                failed = true;
-                eprintln!("loadgen: shutdown request drew `{}`", other.tag());
-            }
-            Err(err) => {
-                failed = true;
-                eprintln!("loadgen: cannot send shutdown: {err}");
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    finish(settings, &reports, failed)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("loadgen: {message}");
-            }
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let settings = match cli::from_env(GRAMMAR, false, USAGE, Settings::from_args) {
+        Ok(settings) => settings,
+        Err(code) => return code,
     };
 
-    if args.churn {
-        return run_churn_mode(&args);
+    if settings.churn {
+        return run_churn_mode(&settings);
     }
 
-    let report = match run_mix(&args.addr, &args.mix) {
+    let report = match run_mix(&settings.addr, &settings.mix) {
         Ok(report) => report,
         Err(err) => {
-            eprintln!("loadgen: cannot reach {}: {err}", args.addr);
+            eprintln!("loadgen: cannot reach {}: {err}", settings.addr);
             return ExitCode::from(1);
         }
     };
-
     println!(
         "loadgen: sent {} | solved {} | overloaded {} | deadline {} | errors {} | protocol errors {}",
         report.sent,
@@ -311,17 +291,13 @@ fn main() -> ExitCode {
 
     let mut failed = false;
 
-    let snapshot = if args.verify || args.expect_backend_spread || args.expect_failover {
-        match control(&args.addr, Op::metrics()) {
-            Ok(Reply::Metrics(snapshot)) => Some(snapshot),
-            Ok(other) => {
-                failed = true;
-                eprintln!("loadgen: metrics request drew `{}`", other.tag());
-                None
-            }
+    let snapshot = if settings.verify || settings.expect_backend_spread || settings.expect_failover
+    {
+        match metrics(&settings.addr) {
+            Ok(snapshot) => Some(snapshot),
             Err(err) => {
                 failed = true;
-                eprintln!("loadgen: cannot fetch metrics: {err}");
+                eprintln!("loadgen: {err}");
                 None
             }
         }
@@ -330,7 +306,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(snapshot) = &snapshot {
-        if args.verify {
+        if settings.verify {
             let mismatches = verify_metrics(&report, snapshot);
             if mismatches.is_empty() {
                 println!("loadgen: metrics reconcile with the server's counters");
@@ -343,7 +319,7 @@ fn main() -> ExitCode {
             // Second probe, `detail: "stages"`: the stage books must
             // balance — six equal-count books per domain, per-shard (or
             // per-backend) books summing exactly to the merged ones.
-            match fetch_stages(&args.addr) {
+            match fetch_stages(&settings.addr) {
                 Ok(staged) => {
                     let mismatches = verify_stage_books(&staged, None);
                     if mismatches.is_empty() {
@@ -379,7 +355,7 @@ fn main() -> ExitCode {
             failed = true;
             eprintln!("loadgen: router books mismatch: {m}");
         }
-        if args.expect_backend_spread {
+        if settings.expect_backend_spread {
             let spread = snapshot.backends.iter().filter(|b| b.solved > 0).count();
             if spread >= 2 {
                 println!("loadgen: solves spread across {spread} backends");
@@ -391,7 +367,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        if args.expect_failover {
+        if settings.expect_failover {
             match &snapshot.router {
                 Some(router) if router.failovers > 0 => {
                     println!("loadgen: router recorded {} failover(s)", router.failovers);
@@ -413,7 +389,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.expect_zero_errors
+    if settings.expect_zero_errors
         && (report.solve_errors > 0 || report.protocol_errors > 0 || report.rejected > 0)
     {
         failed = true;
@@ -430,30 +406,10 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = &args.report {
-        if let Err(err) = std::fs::write(path, report.to_json()) {
-            eprintln!("loadgen: cannot write report {path}: {err}");
-            failed = true;
-        }
-    }
-
-    if args.shutdown {
-        match control(&args.addr, Op::Shutdown) {
-            Ok(Reply::ShuttingDown) => println!("loadgen: server acknowledged shutdown"),
-            Ok(other) => {
-                failed = true;
-                eprintln!("loadgen: shutdown request drew `{}`", other.tag());
-            }
-            Err(err) => {
-                failed = true;
-                eprintln!("loadgen: cannot send shutdown: {err}");
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    let reports: Vec<(&str, String)> = settings
+        .report
+        .iter()
+        .map(|path| (path.as_str(), report.to_json()))
+        .collect();
+    finish(&settings, &reports, failed)
 }

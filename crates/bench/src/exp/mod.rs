@@ -1,8 +1,9 @@
 //! The experiment suite: one module per table/figure of DESIGN.md §5.
 //!
-//! Every module exposes `run(ctx: &ExpCtx) -> Vec<Table>`; the matching
-//! binary in `src/bin/` prints the tables, and `bin/all_experiments`
-//! runs the whole suite (used to produce EXPERIMENTS.md).
+//! Every module exposes `run(ctx: &ExpCtx) -> Vec<Table>`, registered in
+//! [`EXPERIMENTS`] under its id; `bin/all_experiments` prints the tables
+//! of the ids it is given, or of the whole suite (used to produce
+//! EXPERIMENTS.md).
 //!
 //! The suite runs on `asm-runtime`'s deterministic executor: each module
 //! fans its sweep grid (family × n × ε × trial) out through
@@ -138,8 +139,8 @@ pub fn n_sweep(quick: bool) -> Vec<usize> {
 /// One registered experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct Experiment {
-    /// Stable id; also the binary name and the first coordinate of its
-    /// cell seeds.
+    /// Stable id; names the experiment on `all_experiments`' command
+    /// line and is the first coordinate of its cell seeds.
     pub id: &'static str,
     /// Entry point.
     pub run: fn(&ExpCtx) -> Vec<Table>,

@@ -1,45 +1,85 @@
-//! The experiment binaries refuse a flag they do not know, a flag whose
-//! value is missing or malformed, and `--csv` with `--markdown`, before
-//! running anything.
+//! The bench binaries follow the workspace flag grammar: an unknown or
+//! repeated flag, a flag with a missing or malformed value, a stray
+//! argument, an unknown or repeated experiment id, and `--csv` with
+//! `--markdown` exit 2 naming what they refuse, before anything runs;
+//! `--help` and `-h` print the usage and exit 0.
 
 use std::process::{Command, Output};
 
-fn t1_stability(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_t1_stability"))
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .output()
-        .expect("run t1_stability")
+        .unwrap_or_else(|err| panic!("run {bin}: {err}"))
 }
+
+const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
+const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
+const DIST_SWEEP: &str = env!("CARGO_BIN_EXE_dist_sweep");
 
 #[test]
 fn bad_flags_exit_2_naming_the_flag() {
-    for (args, named) in [
-        (&["--quick", "--frobnicate"][..], &["--frobnicate"][..]),
-        (&["--quick", "--par", "lots"][..], &["--par"][..]),
-        (&["--quick", "--par"][..], &["--par"][..]),
-        (
-            &["--quick", "--csv", "--markdown"][..],
-            &["--csv", "--markdown"][..],
-        ),
+    // (binary, command line, words the first stderr line must name)
+    for (bin, line, named) in [
+        (ALL_EXPERIMENTS, "-q --frobnicate", "--frobnicate"),
+        (ALL_EXPERIMENTS, "-q --quick", "--quick"),
+        (ALL_EXPERIMENTS, "-q --par lots", "--par"),
+        (ALL_EXPERIMENTS, "-q --par", "--par"),
+        (ALL_EXPERIMENTS, "-q --csv --markdown", "--csv --markdown"),
+        (ALL_EXPERIMENTS, "-q t1_stability t9_nope", "t9_nope"),
+        (ALL_EXPERIMENTS, "-q f2_amm f2_amm", "f2_amm"),
+        (LOADGEN, "--frobnicate", "--frobnicate"),
+        (LOADGEN, "--seed 1 --seed 2", "--seed"),
+        (LOADGEN, "--requests", "--requests"),
+        (LOADGEN, "--open-rate fast", "--open-rate"),
+        (LOADGEN, "--codec xml", "--codec"),
+        (LOADGEN, "127.0.0.1:7464", "127.0.0.1:7464"),
+        (DIST_SWEEP, "--frobnicate", "--frobnicate"),
+        (DIST_SWEEP, "--n 8 --n 9", "--n"),
+        (DIST_SWEEP, "--eps", "--eps"),
+        (DIST_SWEEP, "--procs 1,x", "--procs `x`"),
+        (DIST_SWEEP, "--families zipf,bogus", "bogus"),
+        (DIST_SWEEP, "regular", "regular"),
     ] {
-        let out = t1_stability(args);
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = run(bin, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{bin} {line}: {stderr}");
         let error = stderr.lines().next().unwrap_or_default();
-        for flag in named {
-            assert!(error.contains(flag), "{args:?}: {stderr}");
+        assert!(error.starts_with("error: "), "{bin} {line}: {stderr}");
+        for word in named.split_whitespace() {
+            assert!(error.contains(word), "{bin} {line}: {stderr}");
         }
-        assert!(out.stdout.is_empty(), "{args:?} printed tables");
+        assert!(out.stdout.is_empty(), "{bin} {line} printed to stdout");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    for bin in [ALL_EXPERIMENTS, LOADGEN, DIST_SWEEP] {
+        for flag in ["--help", "-h"] {
+            let out = run(bin, &[flag]);
+            assert!(out.status.success(), "{bin} {flag}");
+            assert!(
+                String::from_utf8_lossy(&out.stdout).starts_with("usage: "),
+                "{bin} {flag}"
+            );
+            assert!(out.stderr.is_empty(), "{bin} {flag}");
+        }
     }
 }
 
 #[test]
 fn the_shared_flags_run() {
-    let out = t1_stability(&["-q", "--stable-output", "--csv", "--par", "2"]);
+    let line = "f2_amm -q --stable-output --csv --par 2 t1_stability";
+    let out = run(ALL_EXPERIMENTS, &line.split(' ').collect::<Vec<_>>());
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with("# T1"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let titles: Vec<&str> = stdout.lines().filter(|l| l.starts_with("# ")).collect();
+    assert!(titles[0].starts_with("# F2"), "{titles:?}");
+    assert!(titles.last().unwrap().starts_with("# T1"), "{titles:?}");
 }

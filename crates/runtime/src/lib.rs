@@ -21,8 +21,10 @@
 //!   decision, and a [`WorkerPool`] of long-lived threads that drain it,
 //!   with close-then-join graceful shutdown. This is what `asm-service`
 //!   serves requests on.
-//! * [`RunFlags`] — the command-line flags every experiment binary
-//!   shares: sweep size, worker count and table format.
+//! * [`cli`] — the workspace's one command-line grammar, which the
+//!   `asm`, `all_experiments`, `loadgen` and `dist_sweep` front ends
+//!   parse with, and [`RunFlags`], the experiment runs' flags: sweep
+//!   size, worker count and table format.
 //! * [`poll`] — one `poll(2)` wait over many descriptors, the readiness
 //!   wait `asm-service`'s reactor blocks in. It holds the workspace's
 //!   only `unsafe` block, so this crate denies `unsafe_code` instead of
@@ -46,7 +48,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cli;
+pub mod cli;
 mod executor;
 pub mod poll;
 pub mod pool;

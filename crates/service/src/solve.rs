@@ -76,18 +76,18 @@ impl SolveJob {
             .ok_or_else(|| invalid(format!("unknown algorithm `{}`", body.algorithm)))?;
         let backend = parse_backend(&body.backend)
             .ok_or_else(|| invalid(format!("unknown backend `{}`", body.backend)))?;
+        // The ASM family's ε rule is `AsmConfig`'s, one message for all
+        // three algorithms.
+        let check_eps = || {
+            AsmConfig::try_new(body.eps)
+                .map_err(|err| invalid(format!("invalid asm parameters: {err}")))
+        };
         match algorithm {
             Algorithm::Asm => {
-                AsmConfig::try_new(body.eps)
-                    .map_err(|err| invalid(format!("invalid asm parameters: {err}")))?;
+                check_eps()?;
             }
             Algorithm::RandAsm | Algorithm::AlmostRegular => {
-                if !(body.eps > 0.0 && body.eps.is_finite()) {
-                    return Err(invalid(format!(
-                        "eps must be positive and finite, got {}",
-                        body.eps
-                    )));
-                }
+                check_eps()?;
                 if !(body.delta > 0.0 && body.delta < 1.0) {
                     return Err(invalid(format!(
                         "delta must be in (0, 1), got {}",
@@ -134,7 +134,11 @@ impl SolveJob {
         if let Some(hit) = cache.get(&key) {
             return Ok(hit);
         }
-        let inst = body.instance.build();
+        // The job owns its body: an inline instance moves, not copies.
+        let inst = match body.instance {
+            InstanceSpec::Generator(config) => config.build(),
+            InstanceSpec::Inline(inst) => inst,
+        };
         let from_asm = |run: Result<AsmReport, ConfigError>| match run {
             Ok(report) => {
                 let messages = report.proposals + report.acceptances + report.rejections;
@@ -172,5 +176,36 @@ impl SolveJob {
         };
         cache.put(key, result.clone());
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asm_instance::generators::GeneratorConfig;
+
+    #[test]
+    fn the_asm_family_refuses_a_bad_eps_with_one_message() {
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for algorithm in ["asm", "rand-asm", "almost-regular"] {
+                let body = SolveBody {
+                    instance: InstanceSpec::Generator(GeneratorConfig::Complete { n: 4, seed: 1 }),
+                    algorithm: algorithm.to_string(),
+                    eps,
+                    delta: 0.1,
+                    seed: 0,
+                    backend: "greedy".to_string(),
+                    deadline_ms: 0,
+                    cycles: 0,
+                };
+                let err = SolveJob::new(body).unwrap_err();
+                assert_eq!(err.kind, kind::INVALID, "{algorithm} at eps {eps}");
+                assert_eq!(
+                    err.message,
+                    format!("invalid asm parameters: epsilon {eps} must be positive and finite"),
+                    "{algorithm}"
+                );
+            }
+        }
     }
 }

@@ -1,21 +1,13 @@
 //! `asm` — command-line interface to the almost-stable matching library.
 //!
-//! ```text
-//! asm generate --family <name> --n <N> [options] --out inst.json
-//! asm solve    --input inst.json
-//!              [--algorithm asm|rand-asm|almost-regular|gs|truncated-gs]
-//!              [--eps E] [--delta D] [--seed S]
-//!              [--backend hkp|greedy|proposal|pr|ii] [--out matching.json]
-//! asm analyze  --input inst.json --matching matching.json [--eps E]
-//! asm info     --input inst.json
-//! asm serve    [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-//!              [--cache-capacity N] [--worker-delay-ms MS] [--shards N]
-//! asm route    --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
-//!              [--forwarders N] [--queue-capacity N]
-//!              [--probe-interval-ms MS] [--probe-timeout-ms MS]
-//!              [--down-after K] [--connect-timeout-ms MS]
-//!              [--read-timeout-ms MS] [--backend-codec json|binary]
-//! ```
+//! Six subcommands: `generate` writes an instance, `solve`, `analyze` and
+//! `info` read one, and `serve` and `route` run the matching service and
+//! its front-tier router. [`USAGE`], which `asm --help` prints, lists
+//! their flags. The flags follow the workspace grammar
+//! ([`asm_runtime::cli`]): a subcommand accepts only the flags it reads,
+//! each at most once and each with a value, taken verbatim (`--eps -1`
+//! reaches the solve's own check), and `--help` or `-h` after any
+//! subcommand prints the usage.
 //!
 //! Instances and matchings are JSON (serde representations of
 //! [`almost_stable::Instance`] and [`almost_stable::Matching`]).
@@ -34,8 +26,8 @@
 //!
 //! | code | class | examples |
 //! |------|-------|----------|
-//! | 0    | success | |
-//! | 2    | usage | unknown subcommand, unknown flag, bad flag value, a solve the service refuses as `invalid` |
+//! | 0    | success | (also `--help`) |
+//! | 2    | usage | unknown subcommand, unknown or repeated flag, missing or bad flag value, a solve the service refuses as `invalid` |
 //! | 3    | input | unreadable file, malformed instance/matching JSON |
 //! | 4    | solve | engine error (a `solve` error), matching fails verification |
 //!
@@ -46,10 +38,10 @@
 use almost_stable::{Instance, InstanceMetrics, Matching, StabilityReport};
 use asm_instance::generators::GeneratorConfig;
 use asm_matching::{verify_matching, InstabilityMeasures, WelfareReport};
+use asm_runtime::cli::{self, Args, Grammar};
 use asm_service::{
     check_analyze_eps, InstanceSpec, ResultCache, RouterConfig, ServiceConfig, SolveBody, SolveJob,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -74,6 +66,9 @@ const USAGE: &str = "usage:
                [--probe-interval-ms MS] [--probe-timeout-ms MS]
                [--down-after K] [--connect-timeout-ms MS]
                [--read-timeout-ms MS] [--backend-codec json|binary]
+
+Each subcommand takes only its own flags, each at most once;
+`asm <subcommand> --help` prints this text.
 
 exit codes: 0 success, 2 usage error, 3 input/I-O error, 4 solve error";
 
@@ -118,6 +113,13 @@ impl fmt::Display for CliError {
     }
 }
 
+/// The flag grammar's errors are usage errors.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
+}
+
 type CliResult<T> = Result<T, CliError>;
 
 fn main() -> ExitCode {
@@ -133,112 +135,49 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits `--key value` argument pairs after the subcommand. A flag
-/// outside `known` (the ones the subcommand reads), or given twice, is a
-/// usage error.
-fn parse_flags(args: &[String], known: &[&str]) -> CliResult<HashMap<String, String>> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| CliError::usage(format!("expected --flag, got {:?}", args[i])))?;
-        if !known.contains(&key) {
-            return Err(CliError::usage(format!("unknown flag --{key}")));
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?;
-        if flags.insert(key.to_string(), value.clone()).is_some() {
-            return Err(CliError::usage(format!("--{key} given twice")));
-        }
-        i += 2;
-    }
-    Ok(flags)
-}
+/// What a subcommand runs.
+type Subcommand = fn(&Args) -> CliResult<()>;
 
-fn get_parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> CliResult<T>
-where
-    T::Err: fmt::Display,
-{
-    match flags.get(key) {
-        Some(v) => v
-            .parse::<T>()
-            .map_err(|e| CliError::usage(format!("--{key}: {e}"))),
-        None => Ok(default),
-    }
-}
+/// Each subcommand, the flags it reads, and its entry point.
+const SUBCOMMANDS: &[(&str, Grammar, Subcommand)] = &[
+    (
+        "generate",
+        "--family= --n= --d= --p= --alpha= --s= --noise= --seed= --out=",
+        generate,
+    ),
+    (
+        "solve",
+        "--input= --algorithm= --eps= --delta= --seed= --backend= --out=",
+        solve,
+    ),
+    ("analyze", "--input= --matching= --eps=", analyze),
+    ("info", "--input=", info),
+    (
+        "serve",
+        "--addr= --workers= --queue-capacity= --cache-capacity= --worker-delay-ms= --shards=",
+        serve,
+    ),
+    (
+        "route",
+        "--addr= --backends= --forwarders= --queue-capacity= --probe-interval-ms= \
+         --probe-timeout-ms= --down-after= --connect-timeout-ms= --read-timeout-ms= \
+         --backend-codec=",
+        route,
+    ),
+];
 
 fn run() -> CliResult<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        return Err(CliError::usage("missing subcommand"));
-    };
-    if matches!(command.as_str(), "help" | "--help" | "-h") {
-        println!("{USAGE}");
-        return Ok(());
+    match cli::subcommand_from_env(SUBCOMMANDS)? {
+        Some((subcommand, flags)) if !flags.help() => subcommand(&flags),
+        _ => {
+            println!("{USAGE}");
+            Ok(())
+        }
     }
-    type Subcommand = fn(&HashMap<String, String>) -> CliResult<()>;
-    let (known, subcommand): (&[&str], Subcommand) = match command.as_str() {
-        "generate" => (
-            &[
-                "family", "n", "d", "p", "alpha", "s", "noise", "seed", "out",
-            ],
-            generate,
-        ),
-        "solve" => (
-            &[
-                "input",
-                "algorithm",
-                "eps",
-                "delta",
-                "seed",
-                "backend",
-                "out",
-            ],
-            solve,
-        ),
-        "analyze" => (&["input", "matching", "eps"], analyze),
-        "info" => (&["input"], info),
-        "serve" => (
-            &[
-                "addr",
-                "workers",
-                "queue-capacity",
-                "cache-capacity",
-                "worker-delay-ms",
-                "shards",
-            ],
-            serve,
-        ),
-        "route" => (
-            &[
-                "addr",
-                "backends",
-                "forwarders",
-                "queue-capacity",
-                "probe-interval-ms",
-                "probe-timeout-ms",
-                "down-after",
-                "connect-timeout-ms",
-                "read-timeout-ms",
-                "backend-codec",
-            ],
-            route,
-        ),
-        other => return Err(CliError::usage(format!("unknown subcommand {other:?}"))),
-    };
-    subcommand(&parse_flags(&args[1..], known)?)
 }
 
-fn load_instance(flags: &HashMap<String, String>) -> CliResult<Instance> {
-    let path = flags
-        .get("input")
-        .ok_or_else(|| CliError::usage("--input is required"))?;
+fn load_instance(flags: &Args) -> CliResult<Instance> {
+    let path = flags.required("--input")?;
     let text = fs::read_to_string(path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
     if path.ends_with(".txt") {
         asm_instance::parse_text(&text).map_err(|e| CliError::input(format!("{path}: {e}")))
@@ -247,12 +186,9 @@ fn load_instance(flags: &HashMap<String, String>) -> CliResult<Instance> {
     }
 }
 
-fn write_or_print<T: serde::Serialize>(
-    flags: &HashMap<String, String>,
-    value: &T,
-) -> CliResult<()> {
+fn write_or_print<T: serde::Serialize>(flags: &Args, value: &T) -> CliResult<()> {
     let json = serde_json::to_string(value).map_err(CliError::input)?;
-    match flags.get("out") {
+    match flags.text("--out") {
         Some(path) => {
             fs::write(path, json).map_err(|e| CliError::input(format!("{path}: {e}")))?;
             eprintln!("wrote {path}");
@@ -262,8 +198,8 @@ fn write_or_print<T: serde::Serialize>(
     Ok(())
 }
 
-fn write_instance(flags: &HashMap<String, String>, inst: &Instance) -> CliResult<()> {
-    match flags.get("out") {
+fn write_instance(flags: &Args, inst: &Instance) -> CliResult<()> {
+    match flags.text("--out") {
         Some(path) if path.ends_with(".txt") => {
             fs::write(path, asm_instance::to_text(inst))
                 .map_err(|e| CliError::input(format!("{path}: {e}")))?;
@@ -274,36 +210,33 @@ fn write_instance(flags: &HashMap<String, String>, inst: &Instance) -> CliResult
     }
 }
 
-fn generate(flags: &HashMap<String, String>) -> CliResult<()> {
-    let family = flags
-        .get("family")
-        .ok_or_else(|| CliError::usage("--family is required"))?
-        .as_str();
-    let n: usize = get_parsed(flags, "n", 0)?;
+fn generate(flags: &Args) -> CliResult<()> {
+    let family = flags.required("--family")?;
+    let n: usize = flags.get_or("--n", 0)?;
     if n == 0 {
-        return Err(CliError::usage("--n must be a positive integer"));
+        return Err(CliError::usage("flag --n must be a positive integer"));
     }
-    let d: usize = get_parsed(flags, "d", (n / 8).max(2).min(n))?;
-    let seed: u64 = get_parsed(flags, "seed", 0)?;
+    let d: usize = flags.get_or("--d", (n / 8).max(2).min(n))?;
+    let seed: u64 = flags.get_or("--seed", 0)?;
     let config = match family {
         "complete" => GeneratorConfig::Complete { n, seed },
         "erdos-renyi" => GeneratorConfig::ErdosRenyi {
             num_women: n,
             num_men: n,
-            p: get_parsed(flags, "p", 0.25)?,
+            p: flags.get_or("--p", 0.25)?,
             seed,
         },
         "regular" => GeneratorConfig::Regular { n, d, seed },
         "almost-regular" => GeneratorConfig::AlmostRegular {
             n,
             d_min: d,
-            alpha: get_parsed(flags, "alpha", 2.0)?,
+            alpha: flags.get_or("--alpha", 2.0)?,
             seed,
         },
         "zipf" => GeneratorConfig::Zipf {
             n,
             d,
-            s: get_parsed(flags, "s", 1.2)?,
+            s: flags.get_or("--s", 1.2)?,
             seed,
         },
         "geometric" => GeneratorConfig::Geometric { n, d, seed },
@@ -311,7 +244,7 @@ fn generate(flags: &HashMap<String, String>) -> CliResult<()> {
         "master-list" => GeneratorConfig::MasterList { n, seed },
         "noisy-master" => GeneratorConfig::NoisyMaster {
             n,
-            noise: get_parsed(flags, "noise", 1.0)?,
+            noise: flags.get_or("--noise", 1.0)?,
             seed,
         },
         other => return Err(CliError::usage(format!("unknown family {other:?}"))),
@@ -328,18 +261,18 @@ fn generate(flags: &HashMap<String, String>) -> CliResult<()> {
 /// Runs the service's validated solve on the loaded instance. A request
 /// the wire would refuse as `invalid` is a usage error; an engine
 /// failure (`solve`) is a solve error.
-fn solve(flags: &HashMap<String, String>) -> CliResult<()> {
-    let name =
-        |key: &str, default: &str| flags.get(key).map_or(default, String::as_str).to_string();
+fn solve(flags: &Args) -> CliResult<()> {
+    // Fields are evaluated in the order written: a malformed value is a
+    // usage error before the instance file is read.
     let body = SolveBody {
-        instance: InstanceSpec::Inline(load_instance(flags)?),
-        algorithm: name("algorithm", "asm"),
-        eps: get_parsed(flags, "eps", 0.5)?,
-        delta: get_parsed(flags, "delta", 0.1)?,
-        seed: get_parsed(flags, "seed", 0)?,
-        backend: name("backend", "hkp"),
+        algorithm: flags.text("--algorithm").unwrap_or("asm").to_string(),
+        eps: flags.get_or("--eps", 0.5)?,
+        delta: flags.get_or("--delta", 0.1)?,
+        seed: flags.get_or("--seed", 0)?,
+        backend: flags.text("--backend").unwrap_or("hkp").to_string(),
         deadline_ms: 0,
         cycles: 0,
+        instance: InstanceSpec::Inline(load_instance(flags)?),
     };
     let job = SolveJob::new(body).map_err(|err| CliError::usage(err.message))?;
     let result = job
@@ -362,21 +295,16 @@ fn solve(flags: &HashMap<String, String>) -> CliResult<()> {
     write_or_print(flags, &result.matching)
 }
 
-fn analyze(flags: &HashMap<String, String>) -> CliResult<()> {
-    let inst = load_instance(flags)?;
-    let mpath = flags
-        .get("matching")
-        .ok_or_else(|| CliError::usage("--matching is required"))?;
-    let text = fs::read_to_string(mpath).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
-    let matching: Matching =
-        serde_json::from_str(&text).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
-    let eps: Option<f64> = flags
-        .get("eps")
-        .map(|_| get_parsed(flags, "eps", 0.0))
-        .transpose()?;
+fn analyze(flags: &Args) -> CliResult<()> {
+    let eps: Option<f64> = flags.get("--eps")?;
     if let Some(eps) = eps {
         check_analyze_eps(eps).map_err(|err| CliError::usage(err.message))?;
     }
+    let inst = load_instance(flags)?;
+    let mpath = flags.required("--matching")?;
+    let text = fs::read_to_string(mpath).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
+    let matching: Matching =
+        serde_json::from_str(&text).map_err(|e| CliError::input(format!("{mpath}: {e}")))?;
     verify_matching(&inst, &matching).map_err(CliError::solve)?;
     let stability = StabilityReport::analyze(&inst, &matching);
     println!("stability   : {stability}");
@@ -394,7 +322,7 @@ fn analyze(flags: &HashMap<String, String>) -> CliResult<()> {
     Ok(())
 }
 
-fn info(flags: &HashMap<String, String>) -> CliResult<()> {
+fn info(flags: &Args) -> CliResult<()> {
     let inst = load_instance(flags)?;
     let m = InstanceMetrics::measure(&inst);
     println!("{m}");
@@ -409,25 +337,22 @@ fn info(flags: &HashMap<String, String>) -> CliResult<()> {
 /// Prints `asm-service listening on ADDR` as the first stdout line (and
 /// flushes it) so wrappers can scrape the bound address — with
 /// `--addr 127.0.0.1:0` the OS picks the port.
-fn serve(flags: &HashMap<String, String>) -> CliResult<()> {
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7464".to_string());
-    let workers: usize = get_parsed(flags, "workers", 0)?;
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        workers
+fn serve(flags: &Args) -> CliResult<()> {
+    let addr = flags.text("--addr").unwrap_or("127.0.0.1:7464");
+    // `--workers 0` (the default) means one worker per core.
+    let workers = match flags.get_or("--workers", 0)? {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
+    let defaults = ServiceConfig::default();
     let config = ServiceConfig {
         workers,
-        queue_capacity: get_parsed(flags, "queue-capacity", 64)?,
-        cache_capacity: get_parsed(flags, "cache-capacity", 256)?,
-        worker_delay_ms: get_parsed(flags, "worker-delay-ms", 0)?,
-        shards: get_parsed(flags, "shards", 1)?,
+        queue_capacity: flags.get_or("--queue-capacity", defaults.queue_capacity)?,
+        cache_capacity: flags.get_or("--cache-capacity", defaults.cache_capacity)?,
+        worker_delay_ms: flags.get_or("--worker-delay-ms", defaults.worker_delay_ms)?,
+        shards: flags.get_or("--shards", defaults.shards)?,
     };
-    let handle = asm_service::serve(&addr, config)
+    let handle = asm_service::serve(addr, config)
         .map_err(|e| CliError::input(format!("cannot bind {addr}: {e}")))?;
     println!("asm-service listening on {}", handle.addr());
     std::io::stdout()
@@ -444,42 +369,36 @@ fn serve(flags: &HashMap<String, String>) -> CliResult<()> {
 /// Prints `asm-router listening on ADDR` as the first stdout line (and
 /// flushes it) so wrappers can scrape the bound address — with
 /// `--addr 127.0.0.1:0` the OS picks the port.
-fn route(flags: &HashMap<String, String>) -> CliResult<()> {
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7465".to_string());
+fn route(flags: &Args) -> CliResult<()> {
+    let addr = flags.text("--addr").unwrap_or("127.0.0.1:7465");
     let backends: Vec<String> = flags
-        .get("backends")
-        .ok_or_else(|| CliError::usage("--backends is required (comma-separated HOST:PORT list)"))?
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
+        .list("--backends")?
+        .ok_or_else(|| CliError::usage("flag --backends is required (a HOST:PORT,... list)"))?;
     if backends.is_empty() {
-        return Err(CliError::usage("--backends must name at least one backend"));
+        return Err(CliError::usage(
+            "flag --backends must name at least one backend",
+        ));
     }
     let defaults = RouterConfig::default();
     let config = RouterConfig {
         backends,
-        forwarders: get_parsed(flags, "forwarders", defaults.forwarders)?,
-        queue_capacity: get_parsed(flags, "queue-capacity", defaults.queue_capacity)?,
-        probe_interval_ms: get_parsed(flags, "probe-interval-ms", defaults.probe_interval_ms)?,
-        probe_timeout_ms: get_parsed(flags, "probe-timeout-ms", defaults.probe_timeout_ms)?,
-        down_after: get_parsed(flags, "down-after", defaults.down_after)?,
-        connect_timeout_ms: get_parsed(flags, "connect-timeout-ms", defaults.connect_timeout_ms)?,
-        read_timeout_ms: get_parsed(flags, "read-timeout-ms", defaults.read_timeout_ms)?,
-        backend_codec: match flags.get("backend-codec").map(String::as_str) {
+        forwarders: flags.get_or("--forwarders", defaults.forwarders)?,
+        queue_capacity: flags.get_or("--queue-capacity", defaults.queue_capacity)?,
+        probe_interval_ms: flags.get_or("--probe-interval-ms", defaults.probe_interval_ms)?,
+        probe_timeout_ms: flags.get_or("--probe-timeout-ms", defaults.probe_timeout_ms)?,
+        down_after: flags.get_or("--down-after", defaults.down_after)?,
+        connect_timeout_ms: flags.get_or("--connect-timeout-ms", defaults.connect_timeout_ms)?,
+        read_timeout_ms: flags.get_or("--read-timeout-ms", defaults.read_timeout_ms)?,
+        backend_codec: match flags.text("--backend-codec") {
             None => defaults.backend_codec,
             Some(name) => asm_service::CodecKind::parse(name).ok_or_else(|| {
                 CliError::usage(format!(
-                    "--backend-codec must be json or binary, got {name:?}"
+                    "flag --backend-codec: expected json or binary, got `{name}`"
                 ))
             })?,
         },
     };
-    let handle = asm_service::serve_router(&addr, config)
+    let handle = asm_service::serve_router(addr, config)
         .map_err(|e| CliError::input(format!("cannot start router on {addr}: {e}")))?;
     println!("asm-router listening on {}", handle.addr());
     std::io::stdout()

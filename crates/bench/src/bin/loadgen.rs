@@ -35,6 +35,11 @@ const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--requests N] [--concurr
                [--churn] [--markets N] [--mutations N]
                [--normalized-report PATH]
 
+Each mode refuses the other's flags: --churn with --requests,
+--concurrency, --connections, --open-rate, --batch, --codec,
+--expect-backend-spread or --expect-failover, and the solve mix with
+--markets, --mutations or --normalized-report, exit 2.
+
 --connections N fans N sockets out across the --concurrency threads
 (one frame in flight per socket); 0 means one socket per thread.
 
@@ -78,8 +83,25 @@ struct Settings {
     normalized_report: Option<String>,
 }
 
+/// Flags only the solve mix reads.
+const MIX_ONLY: &str = "--requests --concurrency --connections --open-rate --batch --codec \
+    --expect-backend-spread --expect-failover";
+
+/// Flags only `--churn` reads.
+const CHURN_ONLY: &str = "--markets --mutations --normalized-report";
+
 impl Settings {
     fn from_args(args: &Args) -> Result<Settings, String> {
+        // A flag the chosen mode would ignore is refused, not dropped.
+        let churn = args.switch("--churn");
+        let (foreign, why) = if churn {
+            (MIX_ONLY, "does not apply with --churn")
+        } else {
+            (CHURN_ONLY, "needs --churn")
+        };
+        if let Some(flag) = foreign.split_whitespace().find(|flag| args.switch(flag)) {
+            return Err(format!("flag {flag} {why}"));
+        }
         let defaults = MixConfig::default();
         let mix = MixConfig {
             requests: args.get_or("--requests", defaults.requests)?,
@@ -106,7 +128,7 @@ impl Settings {
             expect_backend_spread: args.switch("--expect-backend-spread"),
             expect_failover: args.switch("--expect-failover"),
             shutdown: args.switch("--shutdown"),
-            churn: args.switch("--churn"),
+            churn,
             markets: args.get_or("--markets", 4)?,
             mutations: args.get_or("--mutations", 1000)?,
             normalized_report: args.text("--normalized-report").map(str::to_string),

@@ -1,8 +1,9 @@
 //! The bench binaries follow the workspace flag grammar: an unknown or
 //! repeated flag, a flag with a missing or malformed value, a stray
-//! argument, an unknown or repeated experiment id, and `--csv` with
-//! `--markdown` exit 2 naming what they refuse, before anything runs;
-//! `--help` and `-h` print the usage and exit 0.
+//! argument, an unknown or repeated experiment id, `--csv` with
+//! `--markdown`, and a `loadgen` flag of the mode not chosen exit 2
+//! naming what they refuse, before anything runs; `--help` and `-h`
+//! print the usage and exit 0.
 
 use std::process::{Command, Output};
 
@@ -34,6 +35,25 @@ fn bad_flags_exit_2_naming_the_flag() {
         (LOADGEN, "--open-rate fast", "--open-rate"),
         (LOADGEN, "--codec xml", "--codec"),
         (LOADGEN, "127.0.0.1:7464", "127.0.0.1:7464"),
+        (
+            LOADGEN,
+            "--requests 8 --normalized-report norm.json",
+            "--normalized-report",
+        ),
+        (LOADGEN, "--markets 2", "--markets --churn"),
+        (LOADGEN, "--mutations 5", "--mutations --churn"),
+        (LOADGEN, "--churn --requests 8", "--requests --churn"),
+        (LOADGEN, "--churn --concurrency 2", "--concurrency"),
+        (LOADGEN, "--churn --connections 4", "--connections"),
+        (LOADGEN, "--churn --open-rate 100", "--open-rate"),
+        (LOADGEN, "--churn --batch 8", "--batch"),
+        (LOADGEN, "--churn --codec binary", "--codec"),
+        (
+            LOADGEN,
+            "--churn --expect-backend-spread",
+            "--expect-backend-spread",
+        ),
+        (LOADGEN, "--churn --expect-failover", "--expect-failover"),
         (DIST_SWEEP, "--frobnicate", "--frobnicate"),
         (DIST_SWEEP, "--n 8 --n 9", "--n"),
         (DIST_SWEEP, "--eps", "--eps"),

@@ -93,13 +93,17 @@ impl AsmConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when ε, δ, the quantile count, or the inner
-    /// multiplier is out of range.
+    /// multiplier is out of range, and [`ConfigError::EpsilonFloor`] when
+    /// ε is so small that the schedule overflows.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.epsilon > 0.0 && self.epsilon.is_finite()) {
             return Err(ConfigError::Epsilon(self.epsilon));
         }
-        if self.quantile_count() == 0 {
-            return Err(ConfigError::Quantiles(self.quantile_count()));
+        if let Some(k) = self
+            .quantiles
+            .filter(|&k| k == 0 || u32::try_from(k).is_err())
+        {
+            return Err(ConfigError::Quantiles(k));
         }
         let d = self.delta();
         if !(d > 0.0 && d <= 0.5) {
@@ -108,7 +112,51 @@ impl AsmConfig {
         if !(self.inner_multiplier > 0.0 && self.inner_multiplier.is_finite()) {
             return Err(ConfigError::InnerMultiplier(self.inner_multiplier));
         }
+        if !self.schedule_fits() {
+            return Err(ConfigError::EpsilonFloor {
+                epsilon: self.epsilon,
+                floor: self.epsilon_floor(),
+            });
+        }
         Ok(())
+    }
+
+    /// Whether the schedule's counts fit their integers: `k` in a `u32`
+    /// (quantiles are numbered in `u32`), and `64·inner·k` in a `u64`, so
+    /// no count of `QuantileMatch` or `ProposalRound` calls overflows
+    /// (the outer loop runs at most 64 times). Computed in `f64`, before
+    /// any cast could saturate.
+    fn schedule_fits(&self) -> bool {
+        let k = self.quantile_count();
+        // `u64::MAX as f64` rounds to 2⁶⁴, and a product at or past 2⁶⁴
+        // cannot round below it.
+        u32::try_from(k).is_ok() && 64.0 * self.inner_f64() * (k as f64) < u64::MAX as f64
+    }
+
+    /// The smallest ε whose schedule fits, the other settings held. The
+    /// schedule only grows as ε shrinks, and positive floats order like
+    /// their bits, so a bisection on the bits finds it. At the paper's
+    /// defaults it is just above 2⁻¹⁶ ≈ 1.53·10⁻⁵; it is infinite when
+    /// overrides make every ε overflow.
+    pub fn epsilon_floor(&self) -> f64 {
+        let mut probe = self.clone();
+        let mut fits = |bits| {
+            probe.epsilon = f64::from_bits(bits);
+            probe.schedule_fits()
+        };
+        let (mut refused, mut admitted) = (0, f64::MAX.to_bits());
+        if !fits(admitted) {
+            return f64::INFINITY;
+        }
+        while admitted - refused > 1 {
+            let mid = refused + (admitted - refused) / 2;
+            if fits(mid) {
+                admitted = mid;
+            } else {
+                refused = mid;
+            }
+        }
+        f64::from_bits(admitted)
     }
 
     /// The quantile count `k`: the override, or the paper's `⌈8/ε⌉`.
@@ -127,7 +175,11 @@ impl AsmConfig {
     /// Iterations of the inner loop of Algorithm 3:
     /// `⌈inner_multiplier · 2δ⁻¹k⌉`.
     pub fn inner_iterations(&self) -> u64 {
-        (self.inner_multiplier * 2.0 * self.quantile_count() as f64 / self.delta()).ceil() as u64
+        self.inner_f64() as u64
+    }
+
+    fn inner_f64(&self) -> f64 {
+        (self.inner_multiplier * 2.0 * self.quantile_count() as f64 / self.delta()).ceil()
     }
 
     /// Iterations of the outer loop: `i = 0 ..= ⌊log₂ n⌋` (the paper's
@@ -145,7 +197,7 @@ pub enum ConfigError {
     Epsilon(f64),
     /// Bad-man budget δ out of range (Lemma 5 requires `0 < δ ≤ 1/2`).
     Delta(f64),
-    /// Quantile count must be positive.
+    /// Quantile count out of range (`1 ≤ k ≤ u32::MAX`).
     Quantiles(usize),
     /// Inner multiplier out of range.
     InnerMultiplier(f64),
@@ -155,6 +207,14 @@ pub enum ConfigError {
     /// Men-side regularity α out of range (`AlmostRegularASM` requires a
     /// finite `α ≥ 1`).
     Alpha(f64),
+    /// ε below the smallest value whose schedule fits its integers (see
+    /// [`AsmConfig::epsilon_floor`]).
+    EpsilonFloor {
+        /// The refused ε.
+        epsilon: f64,
+        /// The smallest ε admitted at the same settings.
+        floor: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -162,7 +222,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Epsilon(e) => write!(f, "epsilon {e} must be positive and finite"),
             ConfigError::Delta(d) => write!(f, "delta {d} must satisfy 0 < delta <= 1/2"),
-            ConfigError::Quantiles(k) => write!(f, "quantile count {k} must be positive"),
+            ConfigError::Quantiles(k) => {
+                write!(f, "quantile count {k} must be in 1..={}", u32::MAX)
+            }
             ConfigError::InnerMultiplier(m) => {
                 write!(f, "inner multiplier {m} must be positive and finite")
             }
@@ -173,6 +235,11 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::Alpha(a) => write!(f, "alpha {a} must be finite and >= 1"),
+            ConfigError::EpsilonFloor { epsilon, floor } => write!(
+                f,
+                "epsilon {epsilon:e} is below {floor:e}, the smallest epsilon whose schedule \
+                 fits 64-bit counts"
+            ),
         }
     }
 }
@@ -220,6 +287,60 @@ mod tests {
         assert!(matches!(c.validate(), Err(ConfigError::Epsilon(_))));
         c.epsilon = f64::INFINITY;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn the_epsilon_floor_is_just_above_two_to_the_minus_16() {
+        let two_16 = 2f64.powi(-16);
+        let floor = AsmConfig::new(1.0).epsilon_floor();
+        assert!(floor > two_16 && floor < two_16 * (1.0 + 1e-9), "{floor}");
+        // The floor is admitted and its schedule's counts fit.
+        let c = AsmConfig::new(floor);
+        let steps = 64 * u128::from(c.inner_iterations()) * c.quantile_count() as u128;
+        assert!(steps <= u128::from(u64::MAX), "{steps}");
+        // The next float down is refused, naming the floor.
+        let below = f64::from_bits(floor.to_bits() - 1);
+        assert_eq!(
+            AsmConfig::try_new(below),
+            Err(ConfigError::EpsilonFloor {
+                epsilon: below,
+                floor
+            })
+        );
+    }
+
+    #[test]
+    fn a_tiny_epsilon_is_refused_naming_the_floor() {
+        for eps in [1e-9, 1.5e-5, 2f64.powi(-16), 1e-300, f64::MIN_POSITIVE] {
+            let err = AsmConfig::try_new(eps).unwrap_err();
+            assert!(matches!(err, ConfigError::EpsilonFloor { .. }), "{eps}");
+            assert!(err.to_string().contains("1.52587890625"), "{err}");
+        }
+        for eps in [1.6e-5, 2e-5, 1e-4] {
+            let c = AsmConfig::try_new(eps).unwrap();
+            assert!(u32::try_from(c.quantile_count()).is_ok());
+            assert!(64u64
+                .checked_mul(c.inner_iterations())
+                .and_then(|s| s.checked_mul(c.quantile_count() as u64))
+                .is_some());
+        }
+    }
+
+    #[test]
+    fn quantile_overrides_outside_u32_are_refused() {
+        let mut c = AsmConfig::new(1.0);
+        for k in [0, u32::MAX as usize + 1] {
+            c.quantiles = Some(k);
+            assert_eq!(c.validate(), Err(ConfigError::Quantiles(k)));
+        }
+        // An override that overflows the schedule at every ε.
+        c.quantiles = Some(u32::MAX as usize);
+        c.inner_multiplier = 1e12;
+        assert_eq!(c.epsilon_floor(), f64::INFINITY);
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::EpsilonFloor { .. })
+        ));
     }
 
     #[test]

@@ -14,17 +14,19 @@
 //! During the algorithm, partners are only ever **removed** (rejections);
 //! `Q` never grows. [`QuantizedPrefs`] enforces this shape over the
 //! *slots* of a preference list (slot `i` holds the partner of rank
-//! `i + 1`): quantile `q` is the slot range `[(q−1)·deg/k, q·deg/k)`, and
-//! removal and membership are `O(1)` per slot.
+//! `i + 1`): quantile `q` is the slot range `[(q−1)·deg/k, q·deg/k)`,
+//! membership is `O(1)` per slot, and removal is amortized `O(1)`.
 
 use std::ops::Range;
 
 /// A player's quantized preference state: the surviving portions of
 /// `Q₁, …, Q_k`, addressed by slot of the player's preference list.
 ///
-/// It stores one removal flag per slot and one survivor count per
-/// quantile; the partners themselves stay on the list
-/// ([`asm_instance::PreferenceList`]).
+/// It stores one removal flag per slot and a cursor on the first live
+/// slot, so its size is the player's degree whatever `k` is: quantiles
+/// are contiguous slot ranges in rank order, so the best non-empty
+/// quantile is the quantile of the first live slot. The partners
+/// themselves stay on the list ([`asm_instance::PreferenceList`]).
 ///
 /// # Examples
 ///
@@ -49,8 +51,8 @@ pub struct QuantizedPrefs {
     /// Removal flags per slot.
     removed: Vec<bool>,
     remaining_total: usize,
-    /// Surviving member count per quantile (index `q-1`).
-    remaining_per_quantile: Vec<u32>,
+    /// The first live slot (the degree once every slot is removed).
+    first_live: usize,
 }
 
 impl QuantizedPrefs {
@@ -59,17 +61,20 @@ impl QuantizedPrefs {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0` or `k > u32::MAX` (quantiles are numbered in
+    /// `u32`).
     pub fn new(degree: usize, k: usize) -> Self {
         assert!(k > 0, "quantile count must be positive");
-        let mut q = QuantizedPrefs {
+        assert!(
+            u32::try_from(k).is_ok(),
+            "quantile count {k} exceeds u32::MAX"
+        );
+        QuantizedPrefs {
             k,
             removed: vec![false; degree],
             remaining_total: degree,
-            remaining_per_quantile: Vec::new(),
-        };
-        q.remaining_per_quantile = (1..=k as u32).map(|i| q.slots_of(i).len() as u32).collect();
-        q
+            first_live: 0,
+        }
     }
 
     /// The quantile count `k`.
@@ -118,17 +123,16 @@ impl QuantizedPrefs {
         }
         self.removed[slot] = true;
         self.remaining_total -= 1;
-        let q = self.quantile_of(slot);
-        self.remaining_per_quantile[q as usize - 1] -= 1;
+        while self.removed.get(self.first_live) == Some(&true) {
+            self.first_live += 1;
+        }
         true
     }
 
-    /// The best (smallest-index) quantile with surviving members.
+    /// The best (smallest-index) quantile with surviving members: the
+    /// quantile of the first live slot.
     pub fn min_nonempty_quantile(&self) -> Option<u32> {
-        self.remaining_per_quantile
-            .iter()
-            .position(|&c| c > 0)
-            .map(|i| i as u32 + 1)
+        (self.first_live < self.removed.len()).then(|| self.quantile_of(self.first_live))
     }
 
     /// Surviving slots of quantile `q`, in rank order.
@@ -235,6 +239,25 @@ mod tests {
     #[should_panic(expected = "quantile count")]
     fn zero_k_panics() {
         QuantizedPrefs::new(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn k_past_u32_panics() {
+        QuantizedPrefs::new(3, u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn a_huge_k_costs_the_degree_not_k() {
+        // k = u32::MAX: one counter per quantile would be 16 GiB.
+        let k = u32::MAX as usize;
+        let mut q = QuantizedPrefs::new(3, k);
+        assert_eq!(q.min_nonempty_quantile(), Some(u32::MAX / 3));
+        q.remove(0);
+        assert_eq!(q.min_nonempty_quantile(), Some((2 * k).div_ceil(3) as u32));
+        q.remove(2);
+        q.remove(1);
+        assert_eq!(q.min_nonempty_quantile(), None);
     }
 
     #[test]

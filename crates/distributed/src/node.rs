@@ -22,7 +22,8 @@ use crate::protocol::{
 };
 use asm_congest::step_nodes;
 use asm_core::congest::{apply_ctl, build_players, collect_finals, summarize_players, Player};
-use asm_service::framing::LineFramer;
+use asm_service::framing::{Frame, Framer};
+use asm_service::CodecKind;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -36,7 +37,7 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 pub enum NodeError {
     /// Transport failure.
     Io(std::io::Error),
-    /// The peer broke framing (overflow or invalid UTF-8).
+    /// The peer broke framing (an oversized frame or invalid UTF-8).
     Framing(String),
     /// A frame could not be honored (bad init, range mismatch).
     Protocol(String),
@@ -95,8 +96,7 @@ impl Hosted {
 /// One node session over a TCP stream.
 pub struct NodeRunner {
     stream: TcpStream,
-    framer: LineFramer,
-    max_frame: usize,
+    framer: Framer,
     hosted: Option<Hosted>,
     last_seq: u64,
     last_reply: Option<String>,
@@ -116,8 +116,7 @@ impl NodeRunner {
     pub fn with_frame_cap(stream: TcpStream, max_frame: usize) -> Self {
         NodeRunner {
             stream,
-            framer: LineFramer::new(max_frame),
-            max_frame,
+            framer: Framer::new(CodecKind::Json, max_frame),
             hosted: None,
             last_seq: 0,
             last_reply: None,
@@ -141,27 +140,18 @@ impl NodeRunner {
             self.framer.push(&chunk[..n]);
             loop {
                 let line = match self.framer.next_frame() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
+                    Ok(Some(Frame::Text(line))) => line,
+                    // The framer speaks JSON: it yields no binary frames.
+                    Ok(Some(Frame::Binary(_)) | None) => break,
                     Err(e) => {
                         let detail = format!("unreadable frame: {e}");
                         self.send_error(0, &detail)?;
                         return Err(NodeError::Framing(detail));
                     }
                 };
-                if self.framer.overflowed() {
-                    let detail = format!("frame exceeds the {}-byte cap", self.max_frame);
-                    self.send_error(0, &detail)?;
-                    return Err(NodeError::Framing(detail));
-                }
                 if self.handle_line(&line)? {
                     return Ok(());
                 }
-            }
-            if self.framer.overflowed() {
-                let detail = format!("frame exceeds the {}-byte cap", self.max_frame);
-                self.send_error(0, &detail)?;
-                return Err(NodeError::Framing(detail));
             }
         }
     }

@@ -34,6 +34,8 @@ use asm_core::congest::{
     CongestRunError, DriveError, RunArtifacts, RunPlan,
 };
 use asm_instance::Instance;
+use asm_service::framing::{Frame, Framer};
+use asm_service::CodecKind;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -262,7 +264,7 @@ impl Drop for Fleet {
 struct Link {
     proc_index: u32,
     stream: TcpStream,
-    framer: asm_service::framing::LineFramer,
+    framer: Framer,
     out_faults: FaultInjector,
     in_faults: FaultInjector,
     ready: VecDeque<String>,
@@ -276,7 +278,7 @@ impl Link {
         Link {
             proc_index,
             stream,
-            framer: asm_service::framing::LineFramer::new(crate::node::MAX_FRAME),
+            framer: Framer::new(CodecKind::Json, crate::node::MAX_FRAME),
             out_faults: FaultInjector::new(faults, proc_index, 0),
             in_faults: FaultInjector::new(faults, proc_index, 1),
             ready: VecDeque::new(),
@@ -344,12 +346,13 @@ impl Link {
                     self.framer.push(&chunk[..n]);
                     loop {
                         match self.framer.next_frame() {
-                            Ok(Some(line)) => {
+                            Ok(Some(Frame::Text(line))) => {
                                 let mut due = Vec::new();
                                 self.in_faults.admit(line, &mut due);
                                 self.ready.extend(due);
                             }
-                            Ok(None) => break,
+                            // The framer speaks JSON: it yields no binary frames.
+                            Ok(Some(Frame::Binary(_)) | None) => break,
                             Err(e) => {
                                 return Err(DistError::Protocol {
                                     proc_index: self.proc_index,

@@ -120,7 +120,8 @@ impl Args {
         self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Whether switch `name` was given.
+    /// Whether switch `name` was given (or value flag `name`, with any
+    /// value).
     pub fn switch(&self, name: &str) -> bool {
         self.given(name).is_some()
     }
@@ -277,16 +278,6 @@ impl RunFlags {
     /// The grammar of the run flags.
     pub const GRAMMAR: Grammar = "--quick|-q --par= --csv --markdown --stable-output";
 
-    /// Parses an explicit argument list (no program name) that holds
-    /// only run flags.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Args::parse`] and [`RunFlags::from_args`].
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        Self::from_args(&Args::parse(args, Self::GRAMMAR, false)?)
-    }
-
     /// Reads the run flags from a command line parsed with a grammar that
     /// includes [`RunFlags::GRAMMAR`].
     ///
@@ -327,7 +318,8 @@ mod tests {
     }
 
     fn try_parse(args: &[&str]) -> Result<RunFlags, String> {
-        RunFlags::parse(args.iter().map(|s| s.to_string()))
+        let args = Args::parse(args.iter().map(|s| s.to_string()), RunFlags::GRAMMAR, false)?;
+        RunFlags::from_args(&args)
     }
 
     #[test]

@@ -10,34 +10,39 @@
 //! checks the ack, which already arrives in binary.
 //!
 //! Payloads cross this API unframed (see [`crate::codec`]): [`send`]
-//! adds the framing, [`receive`] strips it. A reply is complete only
-//! with its framing — a JSON line with its newline, a binary frame with
-//! every declared byte. EOF before that is [`ErrorKind::UnexpectedEof`],
-//! so a peer that dies mid-write surfaces as an error, never as a short
-//! reply. A binary length prefix over [`MAX_REPLY`] is refused from the
-//! prefix alone, and a binary payload is read as it arrives rather than
-//! into a buffer of the declared size, so a corrupt or truncated frame
-//! cannot make the client allocate what the peer never sent. JSON lines
-//! have no length cap.
+//! adds the framing, and [`receive`] reads into a [`Framer`], the one
+//! that splits the server's side of the socket too. A reply is complete
+//! only with its framing — a JSON line with its newline, a binary frame
+//! with every declared byte. EOF before that is
+//! [`ErrorKind::UnexpectedEof`], so a peer that dies mid-write surfaces
+//! as an error, never as a short reply. Replies in both codecs are
+//! capped at [`MAX_REPLY`]: a binary length prefix over it is refused
+//! from the prefix alone, and a JSON line that grows past it without
+//! its newline is refused once the cap is passed, so a corrupt or
+//! endless reply cannot make the client buffer without bound.
 //!
 //! [`send`]: Client::send
 //! [`receive`]: Client::receive
 
 use crate::codec::{self, CodecKind};
+use crate::framing::Framer;
 use crate::protocol::{HelloBody, Op, Reply, Request, Response};
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Cap on one binary reply's payload, matching the reactor's default
-/// frame cap: a sane peer never trips it.
+/// Cap on one reply's payload, matching the reactor's default frame
+/// cap: a sane peer never trips it.
 pub const MAX_REPLY: usize = 64 * 1024 * 1024;
+
+/// Bytes read from the socket per `read` call.
+const READ_CHUNK: usize = 8192;
 
 /// One blocking connection speaking one codec.
 #[derive(Debug)]
 pub struct Client {
-    conn: BufReader<TcpStream>,
-    codec: CodecKind,
+    stream: TcpStream,
+    framer: Framer,
 }
 
 impl Client {
@@ -68,8 +73,8 @@ impl Client {
         };
         stream.set_nodelay(true)?;
         let mut client = Client {
-            conn: BufReader::new(stream),
-            codec,
+            stream,
+            framer: Framer::new(codec, MAX_REPLY),
         };
         if codec == CodecKind::Binary {
             let hello = Request {
@@ -79,8 +84,7 @@ impl Client {
                 }),
             };
             client
-                .conn
-                .get_ref()
+                .stream
                 .write_all(&codec::encode_frame(CodecKind::Json, &hello))?;
             match codec::parse_response_payload(codec, &client.receive()?) {
                 Ok(Response {
@@ -104,9 +108,8 @@ impl Client {
     ///
     /// The write error.
     pub fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.conn
-            .get_ref()
-            .write_all(&codec::frame_payload(self.codec, payload))
+        self.stream
+            .write_all(&codec::frame_payload(self.framer.kind(), payload))
     }
 
     /// Reads one framed reply and returns its payload.
@@ -114,38 +117,26 @@ impl Client {
     /// # Errors
     ///
     /// The read error; `UnexpectedEof` if the peer closed before the
-    /// reply was complete; `InvalidData` for a binary length over
-    /// [`MAX_REPLY`] or a JSON line that is not UTF-8.
+    /// reply was complete; `InvalidData` for a reply over [`MAX_REPLY`]
+    /// or a JSON line that is not UTF-8.
     pub fn receive(&mut self) -> io::Result<Vec<u8>> {
-        match self.codec {
-            CodecKind::Json => {
-                let mut line = String::new();
-                self.conn.read_line(&mut line)?;
-                if !line.ends_with('\n') {
-                    return Err(closed("before the end of a JSON reply line"));
-                }
-                let len = line.trim_end_matches(['\n', '\r']).len();
-                line.truncate(len);
-                Ok(line.into_bytes())
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match self.framer.next_frame() {
+                Ok(Some(frame)) => return Ok(frame.into_payload()),
+                Ok(None) => {}
+                Err(err) => return Err(io::Error::new(ErrorKind::InvalidData, err)),
             }
-            CodecKind::Binary => {
-                let mut prefix = [0u8; 4];
-                self.conn.read_exact(&mut prefix)?;
-                let declared = u32::from_le_bytes(prefix) as usize;
-                if declared > MAX_REPLY {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
                     return Err(io::Error::new(
-                        ErrorKind::InvalidData,
-                        format!("reply declares {declared} bytes (cap {MAX_REPLY})"),
-                    ));
+                        ErrorKind::UnexpectedEof,
+                        "peer closed the connection before the reply was complete",
+                    ))
                 }
-                let mut payload = Vec::with_capacity(declared.min(64 * 1024));
-                (&mut self.conn)
-                    .take(declared as u64)
-                    .read_to_end(&mut payload)?;
-                if payload.len() < declared {
-                    return Err(closed("inside a binary reply"));
-                }
-                Ok(payload)
+                Ok(n) => self.framer.push(&chunk[..n]),
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
             }
         }
     }
@@ -160,13 +151,6 @@ impl Client {
         self.send(payload)?;
         self.receive()
     }
-}
-
-fn closed(place: &str) -> io::Error {
-    io::Error::new(
-        ErrorKind::UnexpectedEof,
-        format!("peer closed the connection {place}"),
-    )
 }
 
 #[cfg(test)]
@@ -187,7 +171,7 @@ mod tests {
         // JSON skips the handshake, so the client reads `bytes` as they
         // are, in whichever codec the test names.
         let mut client = Client::connect(addr, CodecKind::Json, None).unwrap();
-        client.codec = codec;
+        client.framer.switch(codec);
         let outcome = client.receive();
         peer.join().unwrap();
         outcome
@@ -222,6 +206,15 @@ mod tests {
         let mut whole = 3u32.to_le_bytes().to_vec();
         whole.extend_from_slice(b"abc");
         assert_eq!(receive_from(CodecKind::Binary, whole).unwrap(), b"abc");
+    }
+
+    #[test]
+    fn a_json_reply_past_the_cap_is_refused_once_the_cap_is_passed() {
+        // One byte past the cap and no newline: the reply can never be
+        // whole, so the client refuses it instead of buffering on.
+        let err = receive_from(CodecKind::Json, vec![b'x'; MAX_REPLY + 1]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cap"), "{err}");
     }
 
     #[test]

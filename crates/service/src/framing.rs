@@ -1,35 +1,43 @@
-//! Incremental framing, generic over the connection's wire codec.
+//! Incremental framing: one [`Framer`] splits every byte stream in the
+//! workspace into frames.
 //!
-//! One [`LineFramer`] per connection turns an arbitrary byte stream into
-//! newline-delimited frames with the exact semantics the reactor's old
-//! inline framing had (and which `tests/golden_socket.rs` byte-pins):
+//! Server connections (the reactor's [`crate::reactor`]), the blocking
+//! [`Client`](crate::client::Client) and the distributed runtime's links
+//! (`asm-distributed`'s orchestrator and node) each hold one, so both
+//! ends of every socket split bytes by the same rules, pinned by
+//! `tests/golden_socket.rs` and the reactor battery:
 //!
-//! * bytes accumulate until a `\n` completes a frame;
-//! * one trailing `\r` is stripped (CRLF tolerance);
-//! * whitespace-only lines are skipped without becoming frames;
-//! * invalid UTF-8 in a completed line is a fatal framing error;
-//! * a partial frame growing past the cap is reported via
-//!   [`LineFramer::overflowed`] so the caller can drop the connection
-//!   instead of buffering without bound.
-//!
-//! Shared by the reactor ([`crate::reactor`]) and by the distributed
-//! node transport (`asm-distributed`), so both ends of every socket in
-//! the workspace frame bytes identically.
-//!
-//! The [`Codec`] trait generalizes this per-connection state machine to
-//! the negotiated wire codecs of [`crate::codec`]: [`JsonCodec`] wraps a
-//! [`LineFramer`] unchanged, [`BinaryCodec`] reads u32-length-prefixed
-//! frames, and both enforce the same frame cap so backpressure and
-//! abuse-handling semantics do not depend on the codec.
+//! * **JSON** frames end at a `\n`. One trailing `\r` is stripped (CRLF
+//!   tolerance), whitespace-only lines are skipped without becoming
+//!   frames, and invalid UTF-8 in a completed line is fatal. The newline
+//!   search resumes where the last call stopped, so a line that arrives
+//!   in many reads is scanned once, not once per read.
+//! * **Binary** frames are a u32 little-endian payload length and that
+//!   many payload bytes. A declared length over the cap is refused from
+//!   the prefix alone, before any payload is buffered.
+//! * A partial frame that grows past the cap is fatal, so no peer can
+//!   make the holder buffer without bound; completed frames never trip
+//!   the cap.
+//! * At EOF ([`Framer::finish`]) a partial JSON line is discarded — its
+//!   loss is undetectable on the wire — while a binary frame cut short is
+//!   an error, since its length prefix promised the missing bytes.
+//! * [`Framer::switch`] changes codec in place (a connection's `hello`);
+//!   the bytes pipelined behind the switch are framed in the new codec.
 
-use crate::codec::CodecKind;
+use crate::codec::{self, CodecKind};
+use crate::protocol::Request;
 use std::fmt;
 
-/// Fatal framing failure: the connection cannot be trusted past it.
+/// Fatal framing failure: the stream cannot be trusted past it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FramingError {
-    /// A completed line held invalid UTF-8.
+    /// A completed JSON line held invalid UTF-8.
     InvalidUtf8,
+    /// A JSON line outgrew the cap before its newline arrived.
+    LineTooLong {
+        /// The configured cap it exceeded.
+        cap: usize,
+    },
     /// A binary frame declared a length beyond the frame cap.
     FrameTooLarge {
         /// The length the prefix declared.
@@ -37,101 +45,24 @@ pub enum FramingError {
         /// The configured cap it exceeded.
         cap: usize,
     },
+    /// The stream ended inside a binary frame.
+    Truncated,
 }
 
 impl fmt::Display for FramingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FramingError::InvalidUtf8 => write!(f, "frame holds invalid UTF-8"),
+            FramingError::LineTooLong { cap } => write!(f, "frame exceeds the {cap}-byte cap"),
             FramingError::FrameTooLarge { declared, cap } => {
                 write!(f, "frame declares {declared} bytes, cap is {cap}")
             }
+            FramingError::Truncated => write!(f, "stream ended inside a binary frame"),
         }
     }
 }
 
 impl std::error::Error for FramingError {}
-
-/// Incremental newline-delimited frame extractor.
-///
-/// # Examples
-///
-/// ```
-/// use asm_service::framing::LineFramer;
-///
-/// let mut framer = LineFramer::new(1024);
-/// framer.push(b"{\"op\":\"health\"}\r\n  \npart");
-/// assert_eq!(framer.next_frame().unwrap().as_deref(), Some("{\"op\":\"health\"}"));
-/// assert_eq!(framer.next_frame().unwrap(), None, "blank line skipped, partial retained");
-/// framer.push(b"ial\n");
-/// assert_eq!(framer.next_frame().unwrap().as_deref(), Some("partial"));
-/// ```
-#[derive(Debug, Default)]
-pub struct LineFramer {
-    buf: Vec<u8>,
-    max_frame: usize,
-}
-
-impl LineFramer {
-    /// Creates a framer that flags partial frames larger than
-    /// `max_frame` bytes via [`LineFramer::overflowed`].
-    pub fn new(max_frame: usize) -> Self {
-        LineFramer {
-            buf: Vec::new(),
-            max_frame,
-        }
-    }
-
-    /// Appends freshly read bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extracts the next complete frame, skipping whitespace-only lines.
-    /// Returns `Ok(None)` when no complete line remains buffered.
-    ///
-    /// # Errors
-    ///
-    /// [`FramingError::InvalidUtf8`] if a completed line is not UTF-8;
-    /// the line is consumed, but the caller should drop the connection.
-    pub fn next_frame(&mut self) -> Result<Option<String>, FramingError> {
-        loop {
-            let Some(newline) = self.buf.iter().position(|&b| b == b'\n') else {
-                return Ok(None);
-            };
-            let frame: Vec<u8> = self.buf.drain(..=newline).collect();
-            let mut end = frame.len() - 1;
-            if end > 0 && frame[end - 1] == b'\r' {
-                end -= 1;
-            }
-            let Ok(line) = std::str::from_utf8(&frame[..end]) else {
-                return Err(FramingError::InvalidUtf8);
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Ok(Some(line.to_string()));
-        }
-    }
-
-    /// Whether the buffered partial frame exceeds the cap (checked by
-    /// callers after draining, so completed frames never trip it).
-    pub fn overflowed(&self) -> bool {
-        self.buf.len() > self.max_frame
-    }
-
-    /// Bytes buffered but not yet framed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Takes the buffered-but-unframed bytes out of the framer (used
-    /// when a connection switches codecs mid-stream: whatever followed
-    /// the `hello` frame must be replayed into the new codec).
-    pub fn take_buffered(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-}
 
 /// One complete inbound frame, in the representation its codec produces:
 /// a text line for JSON, raw payload bytes for binary.
@@ -144,166 +75,191 @@ pub enum Frame {
     Binary(Vec<u8>),
 }
 
-/// Per-connection incremental framing for one wire codec.
+impl Frame {
+    /// The codec the frame arrived in, which is the codec its reply goes
+    /// out in.
+    pub fn codec(&self) -> CodecKind {
+        match self {
+            Frame::Text(_) => CodecKind::Json,
+            Frame::Binary(_) => CodecKind::Binary,
+        }
+    }
+
+    /// The unframed payload: the line's bytes, or the binary payload.
+    pub fn payload(&self) -> &[u8] {
+        match self {
+            Frame::Text(line) => line.as_bytes(),
+            Frame::Binary(payload) => payload,
+        }
+    }
+
+    /// [`Frame::payload`], by value.
+    pub fn into_payload(self) -> Vec<u8> {
+        match self {
+            Frame::Text(line) => line.into_bytes(),
+            Frame::Binary(payload) => payload,
+        }
+    }
+
+    /// Parses the frame as a request in its own codec. Both codecs run
+    /// the identical [`Request`] validation; only the envelope decoding
+    /// differs.
+    ///
+    /// # Errors
+    ///
+    /// The codec or shape error, which the handlers answer as
+    /// [`Response::malformed`](crate::protocol::Response::malformed).
+    pub fn parse_request(&self) -> Result<Request, String> {
+        codec::parse_request_payload(self.codec(), self.payload())
+    }
+}
+
+/// Incremental frame splitter for one byte stream in one codec.
 ///
-/// The reactor owns one boxed `Codec` per connection and is otherwise
-/// codec-blind: it pushes freshly read bytes in, pulls complete
-/// [`Frame`]s out, and treats `Err` from [`Codec::next_frame`] — or an
-/// overflowing partial frame — as fatal for the connection, exactly as
-/// the JSON-only reactor did.
-pub trait Codec: Send {
-    /// Which wire codec this is.
-    fn kind(&self) -> CodecKind;
+/// # Examples
+///
+/// ```
+/// use asm_service::framing::{Frame, Framer};
+/// use asm_service::CodecKind;
+///
+/// let mut framer = Framer::new(CodecKind::Json, 1024);
+/// framer.push(b"{\"op\":\"health\"}\r\n  \npart");
+/// let health = Frame::Text("{\"op\":\"health\"}".to_string());
+/// assert_eq!(framer.next_frame(), Ok(Some(health)));
+/// assert_eq!(framer.next_frame(), Ok(None), "blank line skipped, partial kept");
+/// framer.push(b"ial\n");
+/// assert_eq!(framer.next_frame(), Ok(Some(Frame::Text("partial".to_string()))));
+/// ```
+#[derive(Debug)]
+pub struct Framer {
+    kind: CodecKind,
+    buf: Vec<u8>,
+    /// `buf[..start]` holds frames already handed out.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline: the JSON search resumes
+    /// at `scanned`. Always `start <= scanned <= buf.len()`.
+    scanned: usize,
+    max_frame: usize,
+}
+
+impl Framer {
+    /// Creates a framer for `kind` that refuses frames larger than
+    /// `max_frame` bytes.
+    pub fn new(kind: CodecKind, max_frame: usize) -> Self {
+        Framer {
+            kind,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            max_frame,
+        }
+    }
+
+    /// The codec this framer splits.
+    pub fn kind(&self) -> CodecKind {
+        self.kind
+    }
+
+    /// Switches codec in place. Bytes already buffered — those pipelined
+    /// behind the frame that asked for the switch — are framed in `kind`.
+    pub fn switch(&mut self, kind: CodecKind) {
+        self.kind = kind;
+        self.scanned = self.start;
+    }
 
     /// Appends freshly read bytes.
-    fn push(&mut self, bytes: &[u8]);
+    pub fn push(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            // Drop the frames handed out; what is left is at most one
+            // partial frame plus what a stalled reader left unframed.
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes buffered but not yet framed.
+    pub fn buffered(&self) -> usize {
+        self.buf.len() - self.start
+    }
 
     /// Extracts the next complete frame, or `Ok(None)` when more bytes
     /// are needed.
     ///
     /// # Errors
     ///
-    /// A [`FramingError`] means the stream is unrecoverable and the
-    /// caller should drop the connection (counting a reset).
-    fn next_frame(&mut self) -> Result<Option<Frame>, FramingError>;
-
-    /// Bytes buffered but not yet framed.
-    fn buffered(&self) -> usize;
-
-    /// Whether the buffered partial frame exceeds the cap.
-    fn overflowed(&self) -> bool;
-
-    /// Takes the buffered-but-unframed bytes (for codec switching: the
-    /// bytes are replayed into the successor codec).
-    fn take_buffered(&mut self) -> Vec<u8>;
-
-    /// Whether EOF with a partial frame buffered is a protocol violation
-    /// (`true` for binary — a length prefix promised more bytes) or
-    /// tolerated silently (`false` for JSON, whose trailing partial line
-    /// the original reactor always discarded without a reset).
-    fn fatal_on_truncated_eof(&self) -> bool;
-}
-
-/// [`Codec`] for newline-delimited JSON: a thin wrapper over
-/// [`LineFramer`], byte-identical to the pre-codec reactor.
-#[derive(Debug, Default)]
-pub struct JsonCodec {
-    framer: LineFramer,
-}
-
-impl JsonCodec {
-    /// Creates the codec with `max_frame` as its partial-frame cap.
-    pub fn new(max_frame: usize) -> Self {
-        JsonCodec {
-            framer: LineFramer::new(max_frame),
+    /// A [`FramingError`] means the stream is unrecoverable: the holder
+    /// should drop it.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FramingError> {
+        match self.kind {
+            CodecKind::Json => self.next_line(),
+            CodecKind::Binary => self.next_binary(),
         }
     }
-}
 
-impl Codec for JsonCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Json
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        self.framer.push(bytes);
-    }
-
-    fn next_frame(&mut self) -> Result<Option<Frame>, FramingError> {
-        Ok(self.framer.next_frame()?.map(Frame::Text))
-    }
-
-    fn buffered(&self) -> usize {
-        self.framer.buffered()
-    }
-
-    fn overflowed(&self) -> bool {
-        self.framer.overflowed()
-    }
-
-    fn take_buffered(&mut self) -> Vec<u8> {
-        self.framer.take_buffered()
-    }
-
-    fn fatal_on_truncated_eof(&self) -> bool {
-        false
-    }
-}
-
-/// [`Codec`] for length-prefixed binary frames: a u32 little-endian
-/// payload length followed by that many payload bytes.
-///
-/// A declared length over the cap is rejected *from the prefix alone*
-/// ([`FramingError::FrameTooLarge`]) — the connection dies after 4 bytes
-/// instead of buffering toward an unpayable promise.
-#[derive(Debug, Default)]
-pub struct BinaryCodec {
-    buf: Vec<u8>,
-    max_frame: usize,
-}
-
-impl BinaryCodec {
-    /// Creates the codec with `max_frame` as its payload-length cap.
-    pub fn new(max_frame: usize) -> Self {
-        BinaryCodec {
-            buf: Vec::new(),
-            max_frame,
+    fn next_line(&mut self) -> Result<Option<Frame>, FramingError> {
+        loop {
+            let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = self.buf.len();
+                if self.buffered() > self.max_frame {
+                    return Err(FramingError::LineTooLong {
+                        cap: self.max_frame,
+                    });
+                }
+                return Ok(None);
+            };
+            let newline = self.scanned + offset;
+            let mut line = &self.buf[self.start..newline];
+            self.start = newline + 1;
+            self.scanned = self.start;
+            if let [rest @ .., b'\r'] = line {
+                line = rest;
+            }
+            let text = std::str::from_utf8(line).map_err(|_| FramingError::InvalidUtf8)?;
+            if !text.trim().is_empty() {
+                return Ok(Some(Frame::Text(text.to_string())));
+            }
         }
     }
-}
 
-impl Codec for BinaryCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Binary
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn next_frame(&mut self) -> Result<Option<Frame>, FramingError> {
-        if self.buf.len() < 4 {
+    fn next_binary(&mut self) -> Result<Option<Frame>, FramingError> {
+        let Some((prefix, rest)) = self.buf[self.start..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let prefix: [u8; 4] = self.buf[..4].try_into().expect("4 bytes checked");
-        let declared = u32::from_le_bytes(prefix) as usize;
+        };
+        let declared = u32::from_le_bytes(*prefix) as usize;
         if declared > self.max_frame {
             return Err(FramingError::FrameTooLarge {
                 declared,
                 cap: self.max_frame,
             });
         }
-        if self.buf.len() < 4 + declared {
+        let Some(payload) = rest.get(..declared) else {
             return Ok(None);
+        };
+        let frame = Frame::Binary(payload.to_vec());
+        self.start += 4 + declared;
+        self.scanned = self.start;
+        Ok(Some(frame))
+    }
+
+    /// Ends the stream at EOF and empties the buffer. A partial JSON line
+    /// is discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`FramingError::Truncated`] when a partial binary frame was
+    /// buffered.
+    pub fn finish(&mut self) -> Result<(), FramingError> {
+        let cut = self.kind == CodecKind::Binary && self.buffered() > 0;
+        self.buf.clear();
+        self.start = 0;
+        self.scanned = 0;
+        if cut {
+            Err(FramingError::Truncated)
+        } else {
+            Ok(())
         }
-        let payload: Vec<u8> = self.buf.drain(..4 + declared).skip(4).collect();
-        Ok(Some(Frame::Binary(payload)))
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn overflowed(&self) -> bool {
-        // The declared-length check in next_frame is the real guard; this
-        // backstop only trips if the cap shrinks under a live connection.
-        self.buf.len() > self.max_frame + 4
-    }
-
-    fn take_buffered(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-
-    fn fatal_on_truncated_eof(&self) -> bool {
-        true
-    }
-}
-
-/// Builds the per-connection codec state machine for `kind`.
-pub fn codec_for(kind: CodecKind, max_frame: usize) -> Box<dyn Codec> {
-    match kind {
-        CodecKind::Json => Box::new(JsonCodec::new(max_frame)),
-        CodecKind::Binary => Box::new(BinaryCodec::new(max_frame)),
     }
 }
 
@@ -311,101 +267,98 @@ pub fn codec_for(kind: CodecKind, max_frame: usize) -> Box<dyn Codec> {
 mod tests {
     use super::*;
 
+    fn json(max_frame: usize) -> Framer {
+        Framer::new(CodecKind::Json, max_frame)
+    }
+
+    fn text(line: &str) -> Result<Option<Frame>, FramingError> {
+        Ok(Some(Frame::Text(line.to_string())))
+    }
+
     #[test]
     fn splits_coalesced_frames() {
-        let mut f = LineFramer::new(64);
+        let mut f = json(64);
         f.push(b"one\ntwo\nthr");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("one"));
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("two"));
-        assert_eq!(f.next_frame().unwrap(), None);
+        assert_eq!(f.next_frame(), text("one"));
+        assert_eq!(f.next_frame(), text("two"));
+        assert_eq!(f.next_frame(), Ok(None));
         assert_eq!(f.buffered(), 3);
         f.push(b"ee\n");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("three"));
+        assert_eq!(f.next_frame(), text("three"));
+        assert_eq!(f.buffered(), 0);
     }
 
     #[test]
     fn strips_one_trailing_cr() {
-        let mut f = LineFramer::new(64);
+        let mut f = json(64);
         f.push(b"line\r\n\r\r\n");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("line"));
+        assert_eq!(f.next_frame(), text("line"));
         // "\r\r\n" strips to "\r", which trims to empty and is skipped.
-        assert_eq!(f.next_frame().unwrap(), None);
+        assert_eq!(f.next_frame(), Ok(None));
     }
 
     #[test]
     fn blank_lines_are_skipped_not_framed() {
-        let mut f = LineFramer::new(64);
+        let mut f = json(64);
         f.push(b"\n   \n\t\npayload\n");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("payload"));
-        assert_eq!(f.next_frame().unwrap(), None);
+        assert_eq!(f.next_frame(), text("payload"));
+        assert_eq!(f.next_frame(), Ok(None));
     }
 
     #[test]
     fn invalid_utf8_is_fatal() {
-        let mut f = LineFramer::new(64);
+        let mut f = json(64);
         f.push(b"ok\n\xff\xfe\nafter\n");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("ok"));
+        assert_eq!(f.next_frame(), text("ok"));
         assert_eq!(f.next_frame(), Err(FramingError::InvalidUtf8));
     }
 
     #[test]
-    fn overflow_flags_only_partial_frames() {
-        let mut f = LineFramer::new(8);
+    fn a_partial_line_past_the_cap_overflows_but_a_completed_one_does_not() {
+        let mut f = json(8);
         f.push(b"0123456789abcdef\n");
-        assert!(f.overflowed(), "undelimited bytes past the cap");
-        assert_eq!(f.next_frame().unwrap().as_deref(), Some("0123456789abcdef"));
-        assert!(!f.overflowed(), "drained frames never trip the cap");
+        assert_eq!(f.next_frame(), text("0123456789abcdef"));
+        f.push(b"01234567");
+        assert_eq!(f.next_frame(), Ok(None), "at the cap is still fine");
+        f.push(b"8");
+        assert_eq!(f.next_frame(), Err(FramingError::LineTooLong { cap: 8 }));
     }
 
     #[test]
-    fn json_codec_matches_line_framer() {
-        let mut c = JsonCodec::new(64);
-        c.push(b"one\r\n\ntwo\npart");
-        assert_eq!(c.kind(), CodecKind::Json);
-        assert_eq!(
-            c.next_frame().unwrap(),
-            Some(Frame::Text("one".to_string()))
-        );
-        assert_eq!(
-            c.next_frame().unwrap(),
-            Some(Frame::Text("two".to_string()))
-        );
-        assert_eq!(c.next_frame().unwrap(), None);
-        assert_eq!(c.take_buffered(), b"part");
-        assert!(!c.fatal_on_truncated_eof());
+    fn a_line_in_many_pushes_is_found_once_it_completes() {
+        let mut f = json(1 << 20);
+        for _ in 0..64 {
+            f.push(&[b'x'; 1024]);
+            assert_eq!(f.next_frame(), Ok(None));
+        }
+        f.push(b"\r\nnext");
+        assert_eq!(f.next_frame(), text(&"x".repeat(64 * 1024)));
+        assert_eq!(f.buffered(), 4);
     }
 
     #[test]
-    fn binary_codec_splits_coalesced_and_split_frames() {
-        let mut c = BinaryCodec::new(64);
+    fn binary_splits_coalesced_and_split_frames() {
+        let mut f = Framer::new(CodecKind::Binary, 64);
         // Two frames arriving glued together, the second cut mid-payload.
-        c.push(&[2, 0, 0, 0, 0xaa, 0xbb, 3, 0, 0, 0, 1]);
-        assert_eq!(c.kind(), CodecKind::Binary);
-        assert_eq!(
-            c.next_frame().unwrap(),
-            Some(Frame::Binary(vec![0xaa, 0xbb]))
-        );
-        assert_eq!(c.next_frame().unwrap(), None, "second frame incomplete");
-        assert_eq!(c.buffered(), 5);
-        c.push(&[2, 3]);
-        assert_eq!(c.next_frame().unwrap(), Some(Frame::Binary(vec![1, 2, 3])));
-        assert_eq!(c.buffered(), 0);
-        assert!(c.fatal_on_truncated_eof());
+        f.push(&[2, 0, 0, 0, 0xaa, 0xbb, 3, 0, 0, 0, 1]);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(vec![0xaa, 0xbb]))));
+        assert_eq!(f.next_frame(), Ok(None), "second frame incomplete");
+        assert_eq!(f.buffered(), 5);
+        f.push(&[2, 3]);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(vec![1, 2, 3]))));
+        assert_eq!(f.buffered(), 0);
+        f.push(&[0, 0, 0, 0]);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(Vec::new()))));
     }
 
     #[test]
-    fn binary_codec_accepts_empty_payload_frames() {
-        let mut c = BinaryCodec::new(64);
-        c.push(&[0, 0, 0, 0]);
-        assert_eq!(c.next_frame().unwrap(), Some(Frame::Binary(Vec::new())));
-    }
-
-    #[test]
-    fn binary_codec_rejects_oversized_declared_length_from_prefix_alone() {
-        let mut c = BinaryCodec::new(8);
-        c.push(&[9, 0, 0, 0]);
+    fn a_binary_length_over_the_cap_is_refused_from_the_prefix_alone() {
+        let mut f = Framer::new(CodecKind::Binary, 8);
+        f.push(&[9, 0, 0]);
+        assert_eq!(f.next_frame(), Ok(None));
+        f.push(&[0]);
         assert_eq!(
-            c.next_frame(),
+            f.next_frame(),
             Err(FramingError::FrameTooLarge {
                 declared: 9,
                 cap: 8
@@ -414,8 +367,46 @@ mod tests {
     }
 
     #[test]
-    fn codec_for_builds_both_kinds() {
-        assert_eq!(codec_for(CodecKind::Json, 8).kind(), CodecKind::Json);
-        assert_eq!(codec_for(CodecKind::Binary, 8).kind(), CodecKind::Binary);
+    fn eof_cuts_a_binary_frame_but_discards_a_json_line() {
+        let mut f = Framer::new(CodecKind::Binary, 64);
+        f.push(&[3, 0, 0, 0, 1]);
+        assert_eq!(f.next_frame(), Ok(None));
+        assert_eq!(f.finish(), Err(FramingError::Truncated));
+        assert_eq!(f.finish(), Ok(()), "nothing is left");
+
+        let mut f = json(64);
+        f.push(b"{\"id\":1}\n{\"id\"");
+        assert_eq!(f.next_frame(), text("{\"id\":1}"));
+        assert_eq!(f.finish(), Ok(()));
+        assert_eq!(f.buffered(), 0);
+    }
+
+    #[test]
+    fn bytes_pipelined_behind_a_switch_are_framed_in_the_new_codec() {
+        let mut f = json(64);
+        f.push(b"hello\n");
+        f.push(&[2, 0, 0, 0, b'h', b'i', 1, 0]);
+        assert_eq!(f.next_frame(), text("hello"));
+        f.switch(CodecKind::Binary);
+        assert_eq!(f.kind(), CodecKind::Binary);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(b"hi".to_vec()))));
+        assert_eq!(f.next_frame(), Ok(None));
+        f.push(&[0, 0, b'!']);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(b"!".to_vec()))));
+    }
+
+    #[test]
+    fn frames_name_their_codec_and_payload() {
+        let line = Frame::Text("{\"id\":1,\"op\":\"health\"}".to_string());
+        assert_eq!(line.codec(), CodecKind::Json);
+        assert_eq!(line.payload(), b"{\"id\":1,\"op\":\"health\"}");
+        assert_eq!(
+            line.parse_request().map(|r| r.op),
+            Ok(crate::protocol::Op::Health)
+        );
+        let binary = Frame::Binary(vec![0xff]);
+        assert_eq!(binary.codec(), CodecKind::Binary);
+        assert!(binary.parse_request().is_err());
+        assert_eq!(binary.into_payload(), vec![0xff]);
     }
 }

@@ -33,9 +33,14 @@
 //!   aggregates are derived from the shard books when read. The
 //!   counters are exact enough to reconcile against a
 //!   load generator's own totals (CI does exactly that).
+//! * **Framing** ([`framing`]): one [`Framer`](framing::Framer) splits
+//!   every byte stream in the workspace — server connections, the
+//!   client, and the distributed runtime's links — into JSON lines or
+//!   length-prefixed binary frames, under one frame cap, scanning each
+//!   byte once.
 //! * **Connection reactor** ([`reactor`]): a single reactor thread
 //!   multiplexes every connection over nonblocking sockets in one
-//!   `poll(2)` wait — incremental newline framing, ordered response
+//!   `poll(2)` wait — a framer per connection, ordered response
 //!   outboxes, and per-connection backpressure — so clients cost
 //!   buffers, not threads. Worker completions and shutdown wake it
 //!   immediately through a socket-pair wake channel in the same wait.
@@ -43,7 +48,9 @@
 //!   every accepted job, and flushes every in-flight response before
 //!   [`ServerHandle::wait`] returns.
 //! * **Blocking client** ([`client`]): the one dial/negotiate/exchange
-//!   path behind the router's backend pool and the load generators.
+//!   path behind the router's backend pool and the load generators; it
+//!   reads replies through the same framer, capped at
+//!   [`client::MAX_REPLY`] in both codecs.
 //!
 //! # Quickstart
 //!

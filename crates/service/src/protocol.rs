@@ -113,6 +113,26 @@ pub struct MetricsBody {
     pub detail: String,
 }
 
+impl MetricsBody {
+    /// Whether the request asks for the stage books: `false` for the
+    /// summary (`""` or `"summary"`), `true` for `"stages"`.
+    ///
+    /// # Errors
+    ///
+    /// The [`kind::INVALID`] refusal naming any other detail, from the
+    /// service and the router alike.
+    pub fn with_stages(&self) -> Result<bool, ErrorInfo> {
+        match self.detail.as_str() {
+            "" | "summary" => Ok(false),
+            "stages" => Ok(true),
+            other => Err(ErrorInfo::new(
+                kind::INVALID,
+                format!("unknown metrics detail `{other}` (expected \"summary\" or \"stages\")"),
+            )),
+        }
+    }
+}
+
 /// Whether a `metrics` body is the summary default, sent as no body.
 fn is_summary(body: &MetricsBody) -> bool {
     body.detail.is_empty()
@@ -128,8 +148,9 @@ pub struct SolveBody {
     /// Algorithm name: `asm`, `rand-asm`, `almost-regular`, `gs`, or
     /// `truncated-gs`.
     pub algorithm: String,
-    /// Blocking-pair budget ε (must be positive and finite for the ASM
-    /// family; ignored by `gs`/`truncated-gs`).
+    /// Blocking-pair budget ε (for the ASM family it must be finite and
+    /// above the floor of [`asm_core::AsmConfig::epsilon_floor`], just
+    /// above 2⁻¹⁶; ignored by `gs`/`truncated-gs`).
     pub eps: f64,
     /// Failure probability δ (RandASM / AlmostRegularASM only).
     pub delta: f64,
@@ -567,6 +588,24 @@ impl ErrorInfo {
         ErrorInfo {
             kind: kind.to_string(),
             message: message.into(),
+        }
+    }
+
+    /// The [`kind::UNAVAILABLE`] refusal of work that arrives after
+    /// shutdown began, from the service and the router alike.
+    pub fn unavailable() -> Self {
+        ErrorInfo::new(kind::UNAVAILABLE, "service is shutting down")
+    }
+}
+
+impl Response {
+    /// The reply to a frame that does not parse as a request: a
+    /// [`kind::MALFORMED`] error with `"id":null`, since the frame's id
+    /// is unknown.
+    pub fn malformed(message: impl Into<String>) -> Self {
+        Response {
+            id: None,
+            reply: Reply::Error(ErrorInfo::new(kind::MALFORMED, message)),
         }
     }
 }

@@ -34,20 +34,17 @@
 //!
 //! ## Framing
 //!
-//! Each connection owns a [`Codec`] state machine (see
-//! [`crate::framing`]): bytes accumulate in its buffer and every
-//! complete frame is handed to the handler. Connections start on the
-//! JSON codec — newline-delimited lines, a trailing `\r` stripped,
-//! whitespace-only lines ignored, invalid UTF-8 fatal, exactly as the
-//! old per-connection `BufRead::lines` loop behaved — and may switch to
-//! the binary codec via a `hello` frame ([`FrameOutcome::Switch`]):
-//! the ack is queued in the new codec and bytes the client pipelined
-//! behind the hello are replayed into the successor codec. A frame that
-//! grows past [`ReactorConfig::max_frame`] (or, for binary, *declares*
-//! a length past it) drops the connection instead of buffering without
-//! bound, and EOF inside a binary frame's promised length counts a
-//! reset — the length prefix made the truncation detectable, which a
-//! trailing partial JSON line never was.
+//! Each connection owns a [`Framer`] (see [`crate::framing`], whose
+//! rules every socket in the workspace shares): bytes accumulate in its
+//! buffer and every complete frame is handed to the handler.
+//! Connections start on the JSON codec and may switch to the binary
+//! codec via a `hello` frame ([`FrameOutcome::Switch`]): the ack is
+//! queued in the new codec and the framer switches in place, so bytes
+//! the client pipelined behind the hello are framed in the new codec.
+//! Any framing error — invalid UTF-8, a frame that grows past
+//! [`ReactorConfig::max_frame`] (or, for binary, *declares* a length
+//! past it), or EOF inside a binary frame's promised length — drops
+//! the connection and counts a reset.
 //!
 //! ## Response ordering
 //!
@@ -66,7 +63,7 @@
 //! therefore bounds its own memory footprint instead of growing the
 //! server's. A stalled connection leaves the read set and is serviced
 //! again when `POLLOUT` fires or a completion fills its outbox; frames
-//! the stall left in its codec buffer run before any new read.
+//! the stall left in its framer run before any new read.
 //!
 //! ## Drain
 //!
@@ -77,7 +74,8 @@
 //! *retired* (the reactor keeps answering control frames on lingering
 //! connections until they close, then exits).
 
-use crate::framing::{codec_for, Codec};
+use crate::codec::CodecKind;
+use crate::framing::Framer;
 use crate::metrics::{FlushPending, ReactorCounters};
 use crate::service::{CompletionSink, FrameHandler, FrameOutcome};
 use asm_runtime::poll::{self, PollFd, POLLIN, POLLOUT};
@@ -208,10 +206,10 @@ impl CompletionSink for ReactorSink {
 /// One connection's state: buffers, the ordered outbox, and liveness.
 struct Conn {
     stream: TcpStream,
-    /// The connection's wire codec state machine over bytes read but not
-    /// yet framed (at most one partial frame plus whatever a stall left
-    /// unprocessed). Starts as JSON; a `hello` frame can replace it.
-    codec: Box<dyn Codec>,
+    /// Bytes read but not yet framed (at most one partial frame plus
+    /// whatever a stall left unprocessed), in the connection's codec.
+    /// Starts as JSON; a `hello` frame can switch it.
+    framer: Framer,
     /// Flushed-in-order response bytes; `write_pos` marks how much has
     /// reached the socket.
     write_buf: Vec<u8>,
@@ -235,8 +233,8 @@ struct Conn {
     /// Currently under backpressure: out of the read set, and counted
     /// once per transition into the state.
     stalled: bool,
-    /// The codec buffer held bytes when a stall stopped the framing, so
-    /// it may hold complete frames that no socket event will announce.
+    /// The framer held bytes when a stall stopped the framing, so it may
+    /// hold complete frames that no socket event will announce.
     held: bool,
 }
 
@@ -244,7 +242,7 @@ impl Conn {
     fn new(stream: TcpStream, max_frame: usize) -> Self {
         Conn {
             stream,
-            codec: codec_for(crate::codec::CodecKind::Json, max_frame),
+            framer: Framer::new(CodecKind::Json, max_frame),
             write_buf: Vec::new(),
             write_pos: 0,
             outbox: VecDeque::new(),
@@ -500,7 +498,7 @@ impl Reactor {
                 progress |= flush(&mut conn, &self.counters);
             }
             // Flushing inline replies can lift the stall that held frames
-            // in the codec buffer; no socket event would announce them.
+            // in the framer; no socket event would announce them.
             if !conn.held || conn.dead || self.is_stalled(&conn) {
                 break;
             }
@@ -543,22 +541,15 @@ impl Reactor {
                 Ok(0) => {
                     conn.eof = true;
                     progress = true;
-                    // A binary frame's length prefix promised more bytes
-                    // than ever arrived: that truncation is detectable
-                    // (unlike a trailing partial JSON line) and fatal.
-                    if conn.codec.buffered() > 0 && conn.codec.fatal_on_truncated_eof() {
+                    if conn.framer.finish().is_err() {
                         conn.dead = true;
                         self.counters.resets.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Ok(n) => {
-                    conn.codec.push(&chunk[..n]);
+                    conn.framer.push(&chunk[..n]);
                     progress = true;
                     self.drain_frames(conn, token);
-                    if conn.codec.overflowed() {
-                        conn.dead = true;
-                        self.counters.resets.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
                 Err(err) if err.kind() == ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == ErrorKind::Interrupted => {}
@@ -572,19 +563,19 @@ impl Reactor {
         progress
     }
 
-    /// Extracts complete frames from the codec buffer and hands each to
-    /// the service; inline replies fill their slot immediately, admitted
-    /// jobs leave it pending for the wake queue, and a codec switch
-    /// replays pipelined leftovers into the successor codec.
+    /// Extracts complete frames from the framer and hands each to the
+    /// service; inline replies fill their slot immediately, admitted jobs
+    /// leave it pending for the wake queue, and a codec switch frames the
+    /// bytes pipelined behind it in the new codec.
     fn drain_frames(&mut self, conn: &mut Conn, token: u64) -> bool {
-        let before = conn.codec.buffered();
+        let before = conn.framer.buffered();
         conn.held = false;
         while !conn.dead {
             if self.is_stalled(conn) {
-                conn.held = conn.codec.buffered() > 0;
+                conn.held = conn.framer.buffered() > 0;
                 break;
             }
-            match conn.codec.next_frame() {
+            match conn.framer.next_frame() {
                 Ok(Some(frame)) => {
                     // The stage clock's first stamp: the frame just left
                     // the read buffer.
@@ -600,26 +591,21 @@ impl Reactor {
                         FrameOutcome::Pending => self.pending_jobs += 1,
                         FrameOutcome::Switch { reply, codec } => {
                             conn.fill_slot(seq, reply, None);
-                            // Bytes the client pipelined behind the hello
-                            // already belong to the new codec.
-                            let leftover = conn.codec.take_buffered();
-                            conn.codec = codec_for(codec, self.config.max_frame);
-                            conn.codec.push(&leftover);
+                            conn.framer.switch(codec);
                         }
                     }
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    // Invalid UTF-8 / oversized declared frame: the old
-                    // per-connection loop surfaced protocol violations as
-                    // read errors and closed; keep that behavior.
+                    // Invalid UTF-8 or an oversized frame: the stream
+                    // cannot be trusted past it.
                     conn.dead = true;
                     self.counters.resets.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
             }
         }
-        conn.codec.buffered() != before
+        conn.framer.buffered() != before
     }
 
     /// Once stopping with no pending jobs and every response flushed,

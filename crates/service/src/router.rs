@@ -64,9 +64,7 @@ use crate::protocol::{
 };
 use crate::reactor::ReactorConfig;
 use crate::server::{spawn_server, ServerHandle};
-use crate::service::{
-    frame_codec, hello_outcome, parse_frame_request, CompletionSink, FrameHandler, FrameOutcome,
-};
+use crate::service::{hello_outcome, CompletionSink, FrameHandler, FrameOutcome};
 use asm_runtime::{label_hash, JobQueue, PushError, WorkerPool};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,8 +175,8 @@ enum Work {
     /// Merge `health` across backends.
     Health,
     /// Merge `metrics` across backends at the requested detail level
-    /// (`""`/`"summary"` or `"stages"`, validated at admission).
-    Metrics { detail: String },
+    /// (validated at admission).
+    Metrics(MetricsBody),
 }
 
 /// One unit on the forward queue.
@@ -331,10 +329,7 @@ impl Router {
             client,
             &Response {
                 id,
-                reply: Reply::Error(ErrorInfo::new(
-                    kind::UNAVAILABLE,
-                    "service is shutting down",
-                )),
+                reply: Reply::Error(ErrorInfo::unavailable()),
             },
         )
     }
@@ -415,11 +410,11 @@ impl Router {
                             reply: self.merged_health(),
                         },
                     ),
-                    Work::Metrics { detail } => codec::encode_frame(
+                    Work::Metrics(body) => codec::encode_frame(
                         codec,
                         &Response {
                             id,
-                            reply: self.merged_metrics(&detail),
+                            reply: self.merged_metrics(&body),
                         },
                     ),
                 };
@@ -649,12 +644,12 @@ impl Router {
     /// [`RouterSnapshot`]; router-origin sheds/errors/malformed are
     /// folded into the merged aggregates so the books balance.
     ///
-    /// With `detail == "stages"` each backend is asked for its stage
+    /// With the `"stages"` detail each backend is asked for its stage
     /// books and the merged reply carries their bucketwise sum
     /// ([`StagesSnapshot::absorb`]: counts/totals/buckets add, quantiles
     /// re-derived from the merged buckets — never averaged).
-    fn merged_metrics(&self, detail: &str) -> Reply {
-        let with_stages = detail == "stages";
+    fn merged_metrics(&self, body: &MetricsBody) -> Reply {
+        let with_stages = body.with_stages() == Ok(true);
         let router_snap = self.counters.snapshot();
         let mut merged = Metrics::new().snapshot(&[]);
         if with_stages {
@@ -672,10 +667,7 @@ impl Router {
             } else {
                 // An empty detail renders the bodyless `metrics` request —
                 // the exact control payload the router always sent.
-                let op = Op::Metrics(MetricsBody {
-                    detail: detail.to_string(),
-                });
-                self.fetch(backend, op, |reply| match reply {
+                self.fetch(backend, Op::Metrics(body.clone()), |reply| match reply {
                     Reply::Metrics(snap) => Some(*snap),
                     _ => None,
                 })
@@ -758,20 +750,14 @@ impl FrameHandler for Router {
         seq: u64,
         sink: &Arc<dyn CompletionSink>,
     ) -> FrameOutcome {
-        let client = frame_codec(frame);
-        let request = match parse_frame_request(frame) {
+        let client = frame.codec();
+        let request = match frame.parse_request() {
             Ok(request) => request,
             Err(err) => {
                 self.counters.incr(&self.counters.received);
                 self.counters.incr(&self.counters.malformed);
                 self.counters.incr(&self.counters.errors);
-                return FrameOutcome::Reply(codec::encode_frame(
-                    client,
-                    &Response {
-                        id: None,
-                        reply: Reply::Error(ErrorInfo::new(kind::MALFORMED, err)),
-                    },
-                ));
+                return FrameOutcome::Reply(codec::encode_frame(client, &Response::malformed(err)));
             }
         };
         // Codec negotiation is connection plumbing, not routed work: it
@@ -791,10 +777,7 @@ impl FrameHandler for Router {
         // verbatim when the codecs match (byte-identity relay), a
         // re-encode otherwise.
         let raw = if client == self.backend_codec {
-            match frame {
-                Frame::Text(line) => line.clone().into_bytes(),
-                Frame::Binary(payload) => payload.clone(),
-            }
+            frame.payload().to_vec()
         } else {
             codec::encode_payload(self.backend_codec, &request)
         };
@@ -812,19 +795,11 @@ impl FrameHandler for Router {
             }
             Op::Health => Work::Health,
             Op::Metrics(body) => {
-                if !matches!(body.detail.as_str(), "" | "summary" | "stages") {
+                if let Err(err) = body.with_stages() {
                     self.counters.incr(&self.counters.errors);
-                    return reply_inline(Reply::Error(ErrorInfo::new(
-                        kind::INVALID,
-                        format!(
-                            "unknown metrics detail `{}` (expected \"summary\" or \"stages\")",
-                            body.detail
-                        ),
-                    )));
+                    return reply_inline(Reply::Error(err));
                 }
-                Work::Metrics {
-                    detail: body.detail,
-                }
+                Work::Metrics(body)
             }
             Op::Solve(SolveBody { instance, .. }) | Op::Analyze(AnalyzeBody { instance, .. }) => {
                 Work::Forward {
@@ -884,7 +859,7 @@ impl FrameHandler for Router {
                     let router = Arc::clone(&self);
                     thread::spawn(move || {
                         let reply = match work {
-                            Work::Metrics { detail } => router.merged_metrics(&detail),
+                            Work::Metrics(body) => router.merged_metrics(&body),
                             _ => router.merged_health(),
                         };
                         sink.complete(
@@ -1149,6 +1124,28 @@ mod tests {
         }
         assert_eq!(router.router_snapshot().errors, 2);
         router.join_work();
+    }
+
+    #[test]
+    fn router_refusals_are_the_service_bytes() {
+        let service = crate::service::Service::start(crate::service::ServiceConfig::default());
+        let router = unreachable_router(1, 3);
+        let both = |line: &str| [router.handle_line(line), service.handle_line(line)];
+        for line in [
+            "{\"id\":5,\"op\":\"metrics\",\"body\":{\"detail\":\"slow\"}}",
+            "{not json",
+        ] {
+            let [routed, served] = both(line);
+            assert!(routed.contains("\"reply\":\"error\""), "{routed}");
+            assert_eq!(routed, served, "{line}");
+        }
+        both("{\"id\":1,\"op\":\"shutdown\"}");
+        let solve = "{\"id\":2,\"op\":\"solve\",\"body\":{\"instance\":{\"Generator\":{\"Regular\":{\"n\":6,\"d\":2,\"seed\":1}}},\"algorithm\":\"gs\",\"eps\":0.5,\"delta\":0.1,\"seed\":1,\"backend\":\"greedy\",\"deadline_ms\":0,\"cycles\":0}}";
+        let [routed, served] = both(solve);
+        assert!(routed.contains("\"kind\":\"unavailable\""), "{routed}");
+        assert_eq!(routed, served);
+        router.join_work();
+        service.join();
     }
 
     #[test]

@@ -66,8 +66,8 @@ use crate::metrics::{
 use crate::protocol::{
     kind, AnalyzeBody, AnalyzeResult, BatchItemResult, BatchResult, DeadlineInfo, ErrorInfo,
     HealthInfo, HelloBody, HelloInfo, InstanceSpec, MarketCreateBody, MarketCreatedInfo,
-    MarketDroppedInfo, MarketMutateBody, MarketMutatedInfo, Op, OverloadInfo, Reply, Request,
-    ResolveResult, Response, SolveBody, SolveResult, PROTOCOL_SCHEMA,
+    MarketDroppedInfo, MarketMutateBody, MarketMutatedInfo, MetricsBody, Op, OverloadInfo, Reply,
+    Request, ResolveResult, Response, SolveBody, SolveResult, PROTOCOL_SCHEMA,
 };
 use crate::solve::{invalid, validate_instance, SolveJob, SCRATCH};
 use asm_market::{MarketRegistry, MarketState, ResolveMode};
@@ -536,7 +536,7 @@ impl Service {
         let routed = match op {
             Op::Hello(body) => return Some(hello_reply(&body)),
             Op::Health => return Some(self.health_reply()),
-            Op::Metrics(body) => return Some(self.metrics_reply(&body.detail)),
+            Op::Metrics(body) => return Some(self.metrics_reply(&body)),
             Op::Shutdown => return Some(self.shutdown_reply()),
             Op::SolveBatch(batch) => return self.enqueue_batch(batch.items, to),
             Op::Solve(body) => self.route_solve(body),
@@ -567,22 +567,17 @@ impl Service {
         })
     }
 
-    fn metrics_reply(&self, detail: &str) -> Reply {
-        let with_stages = match detail {
-            "" | "summary" => false,
-            "stages" => true,
-            other => {
-                self.metrics.incr(&self.metrics.errors);
-                return Reply::Error(ErrorInfo::new(
-                    kind::INVALID,
-                    format!(
-                        "unknown metrics detail `{other}` (expected \"summary\" or \"stages\")"
-                    ),
-                ));
+    fn metrics_reply(&self, body: &MetricsBody) -> Reply {
+        match body.with_stages() {
+            Ok(with_stages) => {
+                self.metrics.incr(&self.metrics.metrics);
+                Reply::Metrics(Box::new(self.snapshot(with_stages)))
             }
-        };
-        self.metrics.incr(&self.metrics.metrics);
-        Reply::Metrics(Box::new(self.snapshot(with_stages)))
+            Err(err) => {
+                self.metrics.incr(&self.metrics.errors);
+                Reply::Error(err)
+            }
+        }
     }
 
     /// The books a `metrics` reply carries (with each shard's stage books
@@ -692,10 +687,7 @@ impl Service {
     /// The refusal for work arriving after shutdown began (counted).
     fn unavailable(&self) -> Reply {
         self.metrics.incr(&self.metrics.errors);
-        Reply::Error(ErrorInfo::new(
-            kind::UNAVAILABLE,
-            "service is shutting down",
-        ))
+        Reply::Error(ErrorInfo::unavailable())
     }
 
     /// Admits a single job to `shard`'s queue. `None` means admitted (the
@@ -805,13 +797,7 @@ impl Service {
     fn fill_refused_group(&self, shard: usize, refused: PushError<Job>) {
         let (job, outcome) = match refused {
             PushError::Full(job) => (job, BatchItemResult::Overloaded(self.overload_info(shard))),
-            PushError::Closed(job) => (
-                job,
-                BatchItemResult::Error(ErrorInfo::new(
-                    kind::UNAVAILABLE,
-                    "service is shutting down",
-                )),
-            ),
+            PushError::Closed(job) => (job, BatchItemResult::Error(ErrorInfo::unavailable())),
         };
         let Job::Batch { group, slot, .. } = job else {
             unreachable!("the refused job is a batch group")
@@ -951,24 +937,6 @@ impl Service {
     }
 }
 
-/// Parses a frame in its own codec. Both variants run the identical
-/// [`Request`] validation; only the envelope decoding differs.
-pub(crate) fn parse_frame_request(frame: &Frame) -> Result<Request, String> {
-    match frame {
-        Frame::Text(line) => codec::parse_request_payload(CodecKind::Json, line.as_bytes()),
-        Frame::Binary(payload) => codec::parse_request_payload(CodecKind::Binary, payload),
-    }
-}
-
-/// The codec a [`Frame`] arrived in (and hence the codec its reply must
-/// be framed in).
-pub(crate) fn frame_codec(frame: &Frame) -> CodecKind {
-    match frame {
-        Frame::Text(_) => CodecKind::Json,
-        Frame::Binary(_) => CodecKind::Binary,
-    }
-}
-
 /// The `hello` acknowledgement (or refusal) as a [`Reply`], shared by
 /// every handler path. Negotiation frames never touch the books.
 pub(crate) fn hello_reply(body: &HelloBody) -> Reply {
@@ -1007,8 +975,8 @@ impl FrameHandler for Service {
         seq: u64,
         sink: &Arc<dyn CompletionSink>,
     ) -> FrameOutcome {
-        let current = frame_codec(frame);
-        let request = match parse_frame_request(frame) {
+        let current = frame.codec();
+        let request = match frame.parse_request() {
             Ok(request) => request,
             Err(err) => {
                 self.metrics.incr(&self.metrics.received);
@@ -1016,10 +984,7 @@ impl FrameHandler for Service {
                 self.metrics.incr(&self.metrics.errors);
                 return FrameOutcome::Reply(codec::encode_frame(
                     current,
-                    &Response {
-                        id: None,
-                        reply: Reply::Error(ErrorInfo::new(kind::MALFORMED, err)),
-                    },
+                    &Response::malformed(err),
                 ));
             }
         };

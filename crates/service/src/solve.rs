@@ -186,7 +186,21 @@ mod tests {
 
     #[test]
     fn the_asm_family_refuses_a_bad_eps_with_one_message() {
-        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let floor = "is below 1.5258789062527756e-5, the smallest epsilon whose schedule fits \
+                     64-bit counts";
+        for (eps, refusal) in [
+            (0.0, "epsilon 0 must be positive and finite".to_string()),
+            (-1.0, "epsilon -1 must be positive and finite".to_string()),
+            (
+                f64::NAN,
+                "epsilon NaN must be positive and finite".to_string(),
+            ),
+            (
+                f64::INFINITY,
+                "epsilon inf must be positive and finite".to_string(),
+            ),
+            (1e-9, format!("epsilon 1e-9 {floor}")),
+        ] {
             for algorithm in ["asm", "rand-asm", "almost-regular"] {
                 let body = SolveBody {
                     instance: InstanceSpec::Generator(GeneratorConfig::Complete { n: 4, seed: 1 }),
@@ -202,10 +216,40 @@ mod tests {
                 assert_eq!(err.kind, kind::INVALID, "{algorithm} at eps {eps}");
                 assert_eq!(
                     err.message,
-                    format!("invalid asm parameters: epsilon {eps} must be positive and finite"),
+                    format!("invalid asm parameters: {refusal}"),
                     "{algorithm}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_asm_family_solves_at_the_smallest_admitted_eps() {
+        // Debug builds panic on arithmetic overflow, so a run here shows
+        // every count of the schedule fits at the floor.
+        let eps = AsmConfig::new(1.0).epsilon_floor();
+        for algorithm in ["asm", "rand-asm", "almost-regular"] {
+            let body = SolveBody {
+                instance: InstanceSpec::Generator(GeneratorConfig::Regular {
+                    n: 8,
+                    d: 3,
+                    seed: 7,
+                }),
+                algorithm: algorithm.to_string(),
+                eps,
+                delta: 0.1,
+                seed: 0,
+                backend: "greedy".to_string(),
+                deadline_ms: 0,
+                cycles: 0,
+            };
+            let result = SolveJob::new(body)
+                .unwrap()
+                .run(&ResultCache::new(0))
+                .unwrap();
+            // ε·|E| < 1: the matching must be stable.
+            assert_eq!(result.blocking_pairs, 0, "{algorithm}");
+            assert!(result.matched > 0, "{algorithm}");
         }
     }
 }

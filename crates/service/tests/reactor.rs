@@ -817,6 +817,60 @@ fn oversized_frame_without_newline_drops_the_connection() {
     handle.wait();
 }
 
+/// A connection streaming a 16 MiB line without its newline must not
+/// hold the reactor: the newline search resumes where the last read
+/// left it, so each 8 KiB read costs its own bytes, not the whole
+/// buffer again. `health` probes on a second connection answer within
+/// 2 s each while it streams; the partial line is discarded at EOF.
+#[test]
+fn a_long_partial_line_does_not_stall_other_connections() {
+    const LINE: usize = 16 * 1024 * 1024;
+    const WRITE: usize = 8192;
+    let handle = serve("127.0.0.1:0", config(0)).unwrap();
+    let addr = handle.addr();
+    let flood = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let chunk = [b'x'; WRITE];
+        for _ in 0..LINE / WRITE {
+            stream.write_all(&chunk).unwrap();
+        }
+    });
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let limit = Duration::from_secs(2);
+    stream.set_read_timeout(Some(limit)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut probes = 0u64;
+    while probes < 3 || !flood.is_finished() {
+        let start = Instant::now();
+        writeln!(writer, r#"{{"id":{probes},"op":"health"}}"#).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap_or_else(|err| {
+            panic!("health probe {probes} drew no reply in {limit:?}: {err}")
+        });
+        let waited = start.elapsed();
+        assert!(waited < limit, "health probe {probes} took {waited:?}");
+        assert!(reply.contains("\"reply\":\"health\""), "{reply}");
+        probes += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    flood.join().unwrap();
+
+    drop(writer);
+    drop(reader);
+    handle.shutdown();
+    let snapshot = handle.service().snapshot(false);
+    assert_eq!(
+        snapshot.received, probes,
+        "the partial line is never a frame"
+    );
+    assert_eq!(snapshot.health, probes);
+    assert_books_reconcile(&snapshot);
+    handle.wait();
+}
+
 /// A `health` frame whose body nests 10,000 arrays (~20 KB) must be
 /// answered `malformed` with `"id":null`, not overflow the reactor
 /// thread's stack: the JSON parser caps nesting at the binary grammar's

@@ -480,32 +480,43 @@ fn serve_round_trips_health_solve_and_shutdown() {
     assert!(drained.contains("drained"), "{drained}");
 }
 
+/// A server child, killed if its test fails before it exits.
+struct Server(std::process::Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Runs `asm ARGS...` under `sh -c 'ulimit LIMIT && exec asm ARGS...'`,
+/// so the limit binds the child alone.
+fn asm_under_ulimit(limit: &str, args: &[&str]) -> Command {
+    let mut command = Command::new("sh");
+    command
+        .arg("-c")
+        .arg(format!("ulimit {limit} && exec \"$0\" \"$@\""))
+        .arg(env!("CARGO_BIN_EXE_asm"))
+        .args(args);
+    command
+}
+
 #[test]
 fn serve_does_not_spin_when_out_of_descriptors() {
     use std::io::{BufRead, BufReader, Write};
-
-    /// Kills the server if the test fails before it exits.
-    struct Server(std::process::Child);
-    impl Drop for Server {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
 
     // A 40-descriptor limit and 60 clients: the connections the server
     // cannot accept stay queued, and its listener stays readable. The
     // reactor must not poll it in a loop while no descriptor frees.
     let mut server = Server(
-        Command::new("sh")
-            .args([
-                "-c",
-                "ulimit -n 40 && exec \"$0\" serve --addr 127.0.0.1:0 --workers 1",
-            ])
-            .arg(env!("CARGO_BIN_EXE_asm"))
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("sh runs"),
+        asm_under_ulimit(
+            "-n 40",
+            &["serve", "--addr", "127.0.0.1:0", "--workers", "1"],
+        )
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("sh runs"),
     );
     let mut lines = BufReader::new(server.0.stdout.take().unwrap()).lines();
     let banner = lines.next().unwrap().unwrap();
@@ -559,6 +570,89 @@ fn serve_does_not_spin_when_out_of_descriptors() {
     assert!(bye.contains("\"reply\":\"shutting_down\""), "{bye}");
     let status = server.0.wait().expect("server exits");
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
+}
+
+/// The address-space cap the two small-ε tests run `asm` under, in KiB
+/// (about 1.4 GiB). Engine state that grew with k = ⌈8/ε⌉ per player
+/// would be far past it at these ε: 4 bytes per quantile and player is
+/// 3.2 GB at ε = 2·10⁻⁵ on 2,048 players.
+const MEMORY_CAP: &str = "-v 1500000";
+
+#[test]
+fn serve_refuses_a_tiny_eps_and_keeps_serving_under_a_memory_cap() {
+    use std::io::{BufRead, BufReader, Write};
+
+    // At ε = 1e-9, k = ⌈8/ε⌉ = 8·10⁹ quantiles per player.
+    let mut server = Server(
+        asm_under_ulimit(
+            MEMORY_CAP,
+            &["serve", "--addr", "127.0.0.1:0", "--workers", "1"],
+        )
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("sh runs"),
+    );
+    let mut lines = BufReader::new(server.0.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner
+        .strip_prefix("asm-service listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut read_reply = || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+
+    // The solve and a health probe pipelined behind it, in one write.
+    let solve = r#"{"id":1,"op":"solve","body":{"instance":{"Generator":{"Regular":{"n":8,"d":3,"seed":7}}},"algorithm":"asm","eps":1e-9,"delta":0.1,"seed":42,"backend":"greedy","deadline_ms":0,"cycles":0}}"#;
+    write!(writer, "{solve}\n{{\"id\":2,\"op\":\"health\"}}\n").unwrap();
+    let refusal = read_reply();
+    assert!(
+        refusal.starts_with(r#"{"id":1,"reply":"error","body":{"kind":"invalid","message":"#)
+            && refusal.contains("epsilon 1e-9 is below 1.5258789062527756e-5"),
+        "{refusal}"
+    );
+    let health = read_reply();
+    assert!(
+        health.starts_with(r#"{"id":2,"reply":"health""#),
+        "{health}"
+    );
+    writeln!(writer, r#"{{"id":3,"op":"shutdown"}}"#).unwrap();
+    let bye = read_reply();
+    assert!(bye.contains("\"reply\":\"shutting_down\""), "{bye}");
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+    let drained = lines.next().unwrap().unwrap();
+    assert!(drained.contains("drained"), "{drained}");
+}
+
+#[test]
+fn solve_at_a_small_eps_fits_under_a_memory_cap() {
+    // ε = 2·10⁻⁵ is above the floor: k = 400,000 quantiles.
+    let input = tmp("small-eps-instance.json");
+    let status = asm_bin()
+        .args([
+            "generate", "--family", "regular", "--n", "1024", "--d", "64",
+        ])
+        .args(["--seed", "3", "--out", input.to_str().unwrap()])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let out = asm_under_ulimit(MEMORY_CAP, &["solve", "--input", input.to_str().unwrap()])
+        .args(["--eps", "2e-5", "--backend", "greedy"])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&input);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("solved:"), "{stderr}");
 }
 
 /// Writes a `regular --n 24 --d 4 --seed 7` instance to `name` and

@@ -1,9 +1,10 @@
 //! The bench binaries follow the workspace flag grammar: an unknown or
 //! repeated flag, a flag with a missing or malformed value, a stray
 //! argument, an unknown or repeated experiment id, `--csv` with
-//! `--markdown`, and a `loadgen` flag of the mode not chosen exit 2
-//! naming what they refuse, before anything runs; `--help` and `-h`
-//! print the usage and exit 0.
+//! `--markdown`, a `loadgen` flag of the mode not chosen, and an
+//! `asm-orchestrator` family, backend, size or ε the run cannot take
+//! exit 2 naming what they refuse, before anything runs; `--help` and
+//! `-h` print the usage and exit 0.
 
 use std::process::{Command, Output};
 
@@ -16,7 +17,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 const ALL_EXPERIMENTS: &str = env!("CARGO_BIN_EXE_all_experiments");
 const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
-const DIST_SWEEP: &str = env!("CARGO_BIN_EXE_dist_sweep");
+const ORCHESTRATOR: &str = env!("CARGO_BIN_EXE_asm-orchestrator");
 
 #[test]
 fn bad_flags_exit_2_naming_the_flag() {
@@ -54,12 +55,26 @@ fn bad_flags_exit_2_naming_the_flag() {
             "--expect-backend-spread",
         ),
         (LOADGEN, "--churn --expect-failover", "--expect-failover"),
-        (DIST_SWEEP, "--frobnicate", "--frobnicate"),
-        (DIST_SWEEP, "--n 8 --n 9", "--n"),
-        (DIST_SWEEP, "--eps", "--eps"),
-        (DIST_SWEEP, "--procs 1,x", "--procs `x`"),
-        (DIST_SWEEP, "--families zipf,bogus", "bogus"),
-        (DIST_SWEEP, "regular", "regular"),
+        (ORCHESTRATOR, "--frobnicate", "--frobnicate"),
+        (
+            ORCHESTRATOR,
+            "--family regular --n 8 --n 12 --procs 1",
+            "--n",
+        ),
+        (ORCHESTRATOR, "--n x", "--n"),
+        (ORCHESTRATOR, "--n", "--n"),
+        (ORCHESTRATOR, "--n 0", "--n 0"),
+        (ORCHESTRATOR, "--eps", "--eps"),
+        (ORCHESTRATOR, "--eps 0", "--eps"),
+        (ORCHESTRATOR, "--eps nan", "--eps"),
+        (ORCHESTRATOR, "--procs 1,x", "--procs `x`"),
+        (ORCHESTRATOR, "--procs 2,0", "--procs"),
+        (ORCHESTRATOR, "--family nope", "nope"),
+        (ORCHESTRATOR, "--family zipf,bogus", "bogus"),
+        (ORCHESTRATOR, "--backend det_greedy", "--backend det_greedy"),
+        (ORCHESTRATOR, "--backend hkp", "--backend hkp"),
+        (ORCHESTRATOR, "--backend ii", "--backend ii"),
+        (ORCHESTRATOR, "regular", "regular"),
     ] {
         let args: Vec<&str> = line.split_whitespace().collect();
         let out = run(bin, &args);
@@ -76,7 +91,7 @@ fn bad_flags_exit_2_naming_the_flag() {
 
 #[test]
 fn help_prints_the_usage_and_exits_0() {
-    for bin in [ALL_EXPERIMENTS, LOADGEN, DIST_SWEEP] {
+    for bin in [ALL_EXPERIMENTS, LOADGEN, ORCHESTRATOR] {
         for flag in ["--help", "-h"] {
             let out = run(bin, &[flag]);
             assert!(out.status.success(), "{bin} {flag}");
@@ -87,6 +102,9 @@ fn help_prints_the_usage_and_exits_0() {
             assert!(out.stderr.is_empty(), "{bin} {flag}");
         }
     }
+    let help = run(ORCHESTRATOR, &["--help"]);
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("--backend greedy|proposal|pr"), "{help}");
 }
 
 #[test]

@@ -8,15 +8,11 @@
 //! * [`truncated_gs`] — the same process stopped after a fixed number of
 //!   cycles, the Floréen–Kaski–Polishchuk–Suomela \[3\] approach to almost
 //!   stable matchings on bounded preference lists (experiment F6).
-//! * [`broadcast_gs`] — footnote 1's broadcast-then-solve-locally scheme:
-//!   `O(n)` rounds but `Θ̃(n²)` synchronous run-time.
 //! * [`congest_gs`] — the same deferred-acceptance protocol as real
 //!   message-passing processes, for wire-level round validation.
 
-mod broadcast;
 mod congest_gs;
 mod gs;
 
-pub use broadcast::broadcast_gs;
 pub use congest_gs::{congest_gs, CongestGsReport, GsMsg, GsPlayer};
 pub use gs::{distributed_gs, truncated_gs, GsReport};

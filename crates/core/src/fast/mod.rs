@@ -15,12 +15,10 @@ mod driver;
 mod proposal_round;
 mod quantile_match;
 mod rand_asm;
-mod swapped;
 
 pub use almost_regular::{almost_regular_asm, AlmostRegularParams};
 pub use asm::asm;
 pub use rand_asm::{rand_asm, rand_asm_config, RandAsmParams};
-pub use swapped::asm_woman_proposing;
 
 pub use driver::SchedulePhase;
 

@@ -58,8 +58,7 @@ mod state;
 
 pub use config::{AsmConfig, ConfigError};
 pub use fast::{
-    almost_regular_asm, asm, asm_woman_proposing, rand_asm, rand_asm_config, AlmostRegularParams,
-    RandAsmParams,
+    almost_regular_asm, asm, rand_asm, rand_asm_config, AlmostRegularParams, RandAsmParams,
 };
 pub use quantile::QuantizedPrefs;
 pub use report::{AsmReport, QmSnapshot, RunSummary};

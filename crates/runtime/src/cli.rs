@@ -1,8 +1,8 @@
 //! The workspace's command-line grammar, and the experiment flags.
 //!
-//! `asm`, `all_experiments`, `loadgen` and `dist_sweep` parse their
-//! arguments with [`Args::parse`], so one set of rules holds for all of
-//! them:
+//! `asm`, `all_experiments`, `loadgen` and `asm-orchestrator` parse
+//! their arguments with [`Args::parse`], so one set of rules holds for
+//! all of them:
 //!
 //! * a flag is `--name`, and may have a one-dash alias (`-q`); a switch
 //!   takes no value, and a value flag takes the next argument verbatim,
@@ -18,9 +18,9 @@
 //! stderr and exits 2, and prints the usage on stdout and exits 0 for
 //! `--help`; [`from_env`] does both. [`from_env`] and
 //! [`subcommand_from_env`] are the only readers of the process's
-//! arguments outside `asm-orchestrator` and `asm-node`, which keep loops
-//! of their own because `asm-distributed` does not depend on this crate;
-//! a CI lint step holds that line.
+//! arguments outside `asm-node`, which keeps a loop of its own because
+//! `asm-distributed` does not depend on this crate; a CI lint step holds
+//! that line.
 
 use std::process::ExitCode;
 use std::str::FromStr;

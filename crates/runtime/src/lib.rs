@@ -22,7 +22,7 @@
 //!   with close-then-join graceful shutdown. This is what `asm-service`
 //!   serves requests on.
 //! * [`cli`] — the workspace's one command-line grammar, which the
-//!   `asm`, `all_experiments`, `loadgen` and `dist_sweep` front ends
+//!   `asm`, `all_experiments`, `loadgen` and `asm-orchestrator` front ends
 //!   parse with, and [`RunFlags`], the experiment runs' flags: sweep
 //!   size, worker count and table format.
 //! * [`poll`] — one `poll(2)` wait over many descriptors, the readiness

@@ -23,10 +23,17 @@
 //!   an error, since its length prefix promised the missing bytes.
 //! * [`Framer::switch`] changes codec in place (a connection's `hello`);
 //!   the bytes pipelined behind the switch are framed in the new codec.
+//! * Once the last buffered byte is handed out the buffer restarts
+//!   empty, and an allocation above 1 MiB is given back, so one large
+//!   frame does not pin its memory for the rest of the stream.
 
 use crate::codec::{self, CodecKind};
 use crate::protocol::Request;
 use std::fmt;
+
+/// A drained [`Framer`] keeps a buffer up to this capacity for the next
+/// frame and drops a larger one.
+const RELEASE_ABOVE: usize = 1 << 20;
 
 /// Fatal framing failure: the stream cannot be trusted past it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,15 +217,13 @@ impl Framer {
                 return Ok(None);
             };
             let newline = self.scanned + offset;
-            let mut line = &self.buf[self.start..newline];
-            self.start = newline + 1;
-            self.scanned = self.start;
-            if let [rest @ .., b'\r'] = line {
-                line = rest;
-            }
-            let text = std::str::from_utf8(line).map_err(|_| FramingError::InvalidUtf8)?;
-            if !text.trim().is_empty() {
-                return Ok(Some(Frame::Text(text.to_string())));
+            let line = &self.buf[self.start..newline];
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            let text = std::str::from_utf8(line)
+                .map(|text| (!text.trim().is_empty()).then(|| text.to_string()));
+            self.consume(newline + 1);
+            if let Some(text) = text.map_err(|_| FramingError::InvalidUtf8)? {
+                return Ok(Some(Frame::Text(text)));
             }
         }
     }
@@ -238,9 +243,23 @@ impl Framer {
             return Ok(None);
         };
         let frame = Frame::Binary(payload.to_vec());
-        self.start += 4 + declared;
-        self.scanned = self.start;
+        self.consume(self.start + 4 + declared);
         Ok(Some(frame))
+    }
+
+    /// Marks `buf[..end]` handed out. A drained buffer restarts empty,
+    /// and gives back an allocation above [`RELEASE_ABOVE`].
+    fn consume(&mut self, end: usize) {
+        self.start = end;
+        self.scanned = end;
+        if end == self.buf.len() {
+            self.buf.clear();
+            if self.buf.capacity() > RELEASE_ABOVE {
+                self.buf = Vec::new();
+            }
+            self.start = 0;
+            self.scanned = 0;
+        }
     }
 
     /// Ends the stream at EOF and empties the buffer. A partial JSON line
@@ -334,6 +353,30 @@ mod tests {
         f.push(b"\r\nnext");
         assert_eq!(f.next_frame(), text(&"x".repeat(64 * 1024)));
         assert_eq!(f.buffered(), 4);
+    }
+
+    #[test]
+    fn a_drained_buffer_gives_back_a_large_allocation() {
+        let big = RELEASE_ABOVE + 1;
+        let mut f = json(2 * big);
+        f.push(&vec![b'x'; big]);
+        f.push(b"\nsmall\n");
+        assert_eq!(f.next_frame(), text(&"x".repeat(big)));
+        assert!(f.buf.capacity() > big, "a frame is still buffered");
+        assert_eq!(f.next_frame(), text("small"));
+        assert_eq!(f.buf.capacity(), 0);
+
+        // A small drained buffer keeps its allocation for the next frame.
+        f.push(b"one\n");
+        assert_eq!(f.next_frame(), text("one"));
+        assert!(f.buf.capacity() >= 4);
+        assert_eq!((f.start, f.scanned, f.buffered()), (0, 0, 0));
+
+        let mut f = Framer::new(CodecKind::Binary, 2 * big);
+        f.push(&(big as u32).to_le_bytes());
+        f.push(&vec![7; big]);
+        assert_eq!(f.next_frame(), Ok(Some(Frame::Binary(vec![7; big]))));
+        assert_eq!(f.buf.capacity(), 0);
     }
 
     #[test]

@@ -1132,7 +1132,7 @@ mod tests {
         let router = unreachable_router(1, 3);
         let both = |line: &str| [router.handle_line(line), service.handle_line(line)];
         for line in [
-            "{\"id\":5,\"op\":\"metrics\",\"body\":{\"detail\":\"slow\"}}",
+            "{\"id\":5,\"op\":\"metrics\",\"body\":{\"detail\":\"no-such-detail\"}}",
             "{not json",
         ] {
             let [routed, served] = both(line);

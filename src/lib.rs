@@ -50,8 +50,8 @@ pub use asm_maximal as maximal;
 pub use asm_congest::{NetStats, NodeId, SplitRng, Topology};
 pub use asm_core::baselines::{distributed_gs, truncated_gs, GsReport};
 pub use asm_core::{
-    almost_regular_asm, asm, asm_woman_proposing, rand_asm, AlmostRegularParams, AsmConfig,
-    AsmReport, ConfigError, RandAsmParams,
+    almost_regular_asm, asm, rand_asm, AlmostRegularParams, AsmConfig, AsmReport, ConfigError,
+    RandAsmParams,
 };
 pub use asm_instance::{generators, Gender, Instance, InstanceBuilder, InstanceMetrics};
 pub use asm_matching::{

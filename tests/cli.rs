@@ -572,6 +572,73 @@ fn serve_does_not_spin_when_out_of_descriptors() {
     assert!(status.success(), "graceful shutdown must exit 0: {status}");
 }
 
+#[test]
+fn serve_gives_back_a_large_frame_buffer_while_its_connection_stays_open() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let mut server = Server(
+        asm_bin()
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs"),
+    );
+    let mut lines = BufReader::new(server.0.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner
+        .strip_prefix("asm-service listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+
+    // The server's resident set, in KiB.
+    let pid = server.0.id();
+    let rss_kib = || -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+        let kib = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
+        kib.unwrap().trim_end_matches("kB").trim().parse().unwrap()
+    };
+
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |frame: &[u8]| {
+        writer.write_all(frame).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let health = exchange(b"{\"id\":1,\"op\":\"health\"}\n");
+    assert!(health.contains("\"reply\":\"health\""), "{health}");
+    let before = rss_kib();
+
+    // A `health` frame carrying a 60 MiB string, answered as a plain
+    // `health`; the probe behind it shows the reactor has moved on.
+    let mut large = b"{\"id\":2,\"op\":\"health\",\"body\":\"".to_vec();
+    large.resize(large.len() + (60 << 20), b'x');
+    large.extend_from_slice(b"\"}\n");
+    let reply = exchange(&large);
+    drop(large);
+    assert!(
+        reply.starts_with("{\"id\":2,\"reply\":\"health\""),
+        "{reply}"
+    );
+    let probe = exchange(b"{\"id\":3,\"op\":\"health\"}\n");
+    assert!(probe.contains("\"reply\":\"health\""), "{probe}");
+    let grown = rss_kib().saturating_sub(before);
+    assert!(
+        grown < 16 << 10,
+        "the server kept {grown} KiB after a 60 MiB frame on an open connection"
+    );
+
+    let bye = exchange(b"{\"id\":4,\"op\":\"shutdown\"}\n");
+    assert!(bye.contains("\"reply\":\"shutting_down\""), "{bye}");
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+}
+
 /// The address-space cap the two small-ε tests run `asm` under, in KiB
 /// (about 1.4 GiB). Engine state that grew with k = ⌈8/ε⌉ per player
 /// would be far past it at these ε: 4 bytes per quantile and player is

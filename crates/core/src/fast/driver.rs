@@ -1,8 +1,9 @@
 //! Shared schedule driver for `ASM`, `RandASM` and `AlmostRegularASM`.
 
-use super::quantile_match::{any_participant, quantile_match};
+use super::quantile_match::quantile_match;
 use super::RunCtx;
-use crate::{AsmConfig, AsmReport, AsmState, QmSnapshot};
+use crate::state::AsmState;
+use crate::{AsmConfig, AsmReport, QmSnapshot};
 use asm_instance::Instance;
 
 /// One phase of an algorithm schedule: `iterations` calls to
@@ -47,7 +48,7 @@ pub(crate) fn run_schedule(
     let can_fast_forward = config.early_exit && gates_nondecreasing(schedule);
     'schedule: for (pi, phase) in schedule.iter().enumerate() {
         for j in 0..phase.iterations {
-            if can_fast_forward && !any_participant(inst, &st, phase.gate) {
+            if can_fast_forward && !st.any_participant(inst, phase.gate) {
                 let rest = schedule[pi + 1..]
                     .iter()
                     .fold(phase.iterations - j, |sum, p| {
@@ -65,9 +66,7 @@ pub(crate) fn run_schedule(
                     .count();
                 let exhausted = ids
                     .men()
-                    .filter(|&m| {
-                        st.partner[m.index()].is_none() && st.quant[m.index()].is_exhausted()
-                    })
+                    .filter(|&m| st.partner[m.index()].is_none() && st.is_exhausted(m))
                     .count();
                 ctx.snapshots.push(QmSnapshot {
                     outer: phase.label,

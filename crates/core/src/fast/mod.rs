@@ -1,5 +1,5 @@
 //! The vector ("fast") engine: a faithful phase-by-phase simulation of the
-//! paper's algorithms operating directly on [`crate::AsmState`], with
+//! paper's algorithms operating directly on [`crate::state::AsmState`], with
 //! CONGEST round accounting identical to the algorithm's communication
 //! schedule (propose + accept + maximal matching + reject per
 //! `ProposalRound`).
@@ -15,6 +15,8 @@ mod driver;
 mod proposal_round;
 mod quantile_match;
 mod rand_asm;
+#[cfg(test)]
+mod state_battery;
 
 pub use almost_regular::{almost_regular_asm, AlmostRegularParams};
 pub use asm::asm;

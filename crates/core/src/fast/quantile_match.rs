@@ -2,32 +2,8 @@
 
 use super::proposal_round::{proposal_round, PrOutcome};
 use super::RunCtx;
-use crate::AsmState;
-use asm_congest::NodeId;
+use crate::state::AsmState;
 use asm_instance::Instance;
-
-/// Whether any man could send a proposal right now: unmatched, not removed
-/// from play, with a nonempty active set.
-pub(crate) fn any_proposer(inst: &Instance, st: &AsmState) -> bool {
-    inst.ids().men().any(|m| {
-        !st.removed_from_play[m.index()]
-            && st.partner[m.index()].is_none()
-            && st.active_slots(m).next().is_some()
-    })
-}
-
-/// Whether any man passes the outer-loop activity gate and could still make
-/// progress: unmatched, not removed, `|Q| ≥ gate` and `Q ≠ ∅`.
-pub(crate) fn any_participant(inst: &Instance, st: &AsmState, gate: usize) -> bool {
-    inst.ids().men().any(|m| participates(st, m, gate))
-}
-
-fn participates(st: &AsmState, m: NodeId, gate: usize) -> bool {
-    !st.removed_from_play[m.index()]
-        && st.partner[m.index()].is_none()
-        && !st.quant[m.index()].is_exhausted()
-        && st.quant[m.index()].remaining() >= gate
-}
 
 /// Executes `QuantileMatch(Q, k)` with the outer-loop activity gate
 /// `|Qᵐ| ≥ gate` (Algorithm 3's `2^i`): every participating unmatched man
@@ -44,16 +20,11 @@ pub(crate) fn quantile_match(
     ctx: &mut RunCtx,
     gate: usize,
 ) -> u64 {
-    let ids = inst.ids();
     let k = st.k;
     ctx.schedule_quantile_matches(1, k);
 
     // Arm active sets: `if p = ∅ then A ← Q_i` for the best nonempty i.
-    for m in ids.men() {
-        if participates(st, m, gate) {
-            st.active_quantile[m.index()] = st.quant[m.index()].min_nonempty_quantile();
-        }
-    }
+    st.arm(inst, gate);
 
     let mut executed = 0;
     for _ in 0..k {
@@ -66,7 +37,7 @@ pub(crate) fn quantile_match(
     // only when every maximal-matching invocation was actually maximal
     // (truncated Israeli–Itai may fall short with small probability).
     debug_assert!(
-        ctx.mm_nonmaximal > 0 || !any_proposer(inst, st),
+        ctx.mm_nonmaximal > 0 || st.proposers().is_empty(),
         "Lemma 2 violated with maximal matchings"
     );
     executed
@@ -75,6 +46,7 @@ pub(crate) fn quantile_match(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantile::slots_of;
     use crate::AsmConfig;
     use asm_instance::generators;
     use asm_maximal::MatcherBackend;
@@ -97,7 +69,7 @@ mod tests {
             let (st, _, _) = run_qm(&inst, 4, 1);
             for m in inst.ids().men() {
                 assert!(
-                    st.active_slots(m).next().is_none(),
+                    st.active_slots(&inst, m).next().is_none(),
                     "man {m} still has a nonempty A after QuantileMatch"
                 );
             }
@@ -108,12 +80,11 @@ mod tests {
     fn each_armed_man_is_matched_or_rejected_by_his_quantile() {
         let inst = generators::complete(10, 3);
         let k = 5;
-        // Snapshot each man's initial best quantile.
-        let st0 = AsmState::new(&inst, k);
+        // Each man's initial best quantile: every slot is live.
         let initial_best: Vec<Vec<usize>> = inst
             .ids()
             .men()
-            .map(|m| st0.quant[m.index()].live_in(1).collect())
+            .map(|m| slots_of(1, inst.degree(m), k).collect())
             .collect();
         let (st, _, _) = run_qm(&inst, k, 1);
         for (j, m) in inst.ids().men().enumerate() {
@@ -130,7 +101,7 @@ mod tests {
                     // Rejected by every woman in his original A.
                     for &slot in &initial_best[j] {
                         assert!(
-                            !st.quant[m.index()].is_live(slot),
+                            !st.is_live(&inst, m, slot),
                             "man {m} unmatched but not rejected by slot {slot}"
                         );
                     }
@@ -180,7 +151,7 @@ mod tests {
             let mut ctx = RunCtx::new(&config, inst.ids().num_players());
             quantile_match(&inst, &mut st, &mut ctx, 1);
             for m in inst.ids().men() {
-                assert!(st.active_slots(m).next().is_none(), "{backend:?}");
+                assert!(st.active_slots(&inst, m).next().is_none(), "{backend:?}");
             }
         }
     }

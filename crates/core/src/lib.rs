@@ -62,4 +62,3 @@ pub use fast::{
 };
 pub use quantile::QuantizedPrefs;
 pub use report::{AsmReport, QmSnapshot, RunSummary};
-pub use state::AsmState;

@@ -12,15 +12,34 @@
 //! > (see DESIGN.md §3).
 //!
 //! During the algorithm, partners are only ever **removed** (rejections);
-//! `Q` never grows. [`QuantizedPrefs`] enforces this shape over the
-//! *slots* of a preference list (slot `i` holds the partner of rank
-//! `i + 1`): quantile `q` is the slot range `[(q−1)·deg/k, q·deg/k)`,
-//! membership is `O(1)` per slot, and removal is amortized `O(1)`.
+//! `Q` never grows. Quantiles are addressed by *slot* of a preference
+//! list (slot `i` holds the partner of rank `i + 1`): quantile `q` is the
+//! slot range `[(q−1)·deg/k, q·deg/k)`. [`quantile_of`] and [`slots_of`]
+//! are that arithmetic, and both engines call them, so they cannot
+//! disagree on a bound. [`QuantizedPrefs`] is the CONGEST player's own
+//! form of `Q`: one removal flag per slot of its list. The fast engine
+//! keeps `Q` as a cutoff per woman instead (`crate::state`).
 
 use std::ops::Range;
 
+/// The quantile (1-based) of `slot` on a list of `deg` slots cut into `k`
+/// quantiles: `⌈(slot + 1)·k / deg⌉`.
+pub(crate) fn quantile_of(slot: usize, deg: usize, k: usize) -> u32 {
+    debug_assert!(slot < deg, "slot {slot} is off the list");
+    ((slot + 1) * k).div_ceil(deg) as u32
+}
+
+/// The slots of quantile `q` on a list of `deg` slots cut into `k`
+/// quantiles: `[(q−1)·deg/k, q·deg/k)`, empty past `k`.
+pub(crate) fn slots_of(q: u32, deg: usize, k: usize) -> Range<usize> {
+    let bound = |q: usize| q.min(k) * deg / k;
+    bound((q as usize).saturating_sub(1))..bound(q as usize)
+}
+
 /// A player's quantized preference state: the surviving portions of
-/// `Q₁, …, Q_k`, addressed by slot of the player's preference list.
+/// `Q₁, …, Q_k`, addressed by slot of the player's preference list. Each
+/// player of the CONGEST engine keeps one, because there a player knows
+/// only its own list.
 ///
 /// It stores one removal flag per slot and a cursor on the first live
 /// slot, so its size is the player's degree whatever `k` is: quantiles
@@ -100,15 +119,12 @@ impl QuantizedPrefs {
     /// The quantile (1-based) of `slot`, regardless of removal:
     /// `⌈(slot + 1)·k / deg⌉`.
     pub fn quantile_of(&self, slot: usize) -> u32 {
-        debug_assert!(slot < self.removed.len(), "slot {slot} is off the list");
-        ((slot + 1) * self.k).div_ceil(self.removed.len()) as u32
+        quantile_of(slot, self.removed.len(), self.k)
     }
 
     /// The slots of quantile `q`, removed or not: `[(q−1)·deg/k, q·deg/k)`.
     pub fn slots_of(&self, q: u32) -> Range<usize> {
-        let deg = self.removed.len();
-        let bound = |q: usize| q.min(self.k) * deg / self.k;
-        bound((q as usize).saturating_sub(1))..bound(q as usize)
+        slots_of(q, self.removed.len(), self.k)
     }
 
     /// Whether `slot` is still present (not removed).
